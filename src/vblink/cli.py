@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -43,14 +44,6 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_BOUND_VIOLATION = 5
 
 BOUND_SLACK = 1e-9
-
-_SCORE_FIELDS = (
-    "pairwise_precision",
-    "pairwise_recall",
-    "pairwise_f1",
-    "true_entity_count",
-    "estimated_entity_count",
-)
 
 
 def _read_config_file(path):
@@ -171,6 +164,32 @@ def _fit_options(resolver):
     return opts
 
 
+def _fit_setup(args, resolver):
+    """Options, corpus and hyperparameters shared by ``fit`` and
+    ``oracle-check``, plus the manifest entries that echo them."""
+    opts = _fit_options(resolver)
+    corpus, schema_path = _load_corpus(args, resolver)
+    k = opts["k"] if opts["k"] is not None else corpus.total_records
+    hp = HyperParams(
+        entity_count=k,
+        alpha=_alpha_vectors(
+            opts["alpha"], opts["alpha_file"], corpus.schema.cardinalities
+        ),
+    )
+    manifest = {
+        "databases": list(args.databases),
+        "schema": schema_path,
+        "k": k,
+        "alpha": opts["alpha"] if opts["alpha_file"] is None else None,
+        "alpha_file": opts["alpha_file"],
+        "max_sweeps": opts["max_sweeps"],
+        "tol": opts["tol"],
+        "seed": opts["seed"],
+        "workers": opts["workers"],
+    }
+    return opts, corpus, hp, manifest
+
+
 def cmd_synth(args):
     resolver = _Resolver(args)
     out_dir = resolver.require("out", str)
@@ -221,15 +240,7 @@ def cmd_synth(args):
 def cmd_fit(args):
     resolver = _Resolver(args)
     out_dir = resolver.require("out", str)
-    opts = _fit_options(resolver)
-    corpus, schema_path = _load_corpus(args, resolver)
-    k = opts["k"] if opts["k"] is not None else corpus.total_records
-    hp = HyperParams(
-        entity_count=k,
-        alpha=_alpha_vectors(
-            opts["alpha"], opts["alpha_file"], corpus.schema.cardinalities
-        ),
-    )
+    opts, corpus, hp, manifest = _fit_setup(args, resolver)
 
     _ensure_out(out_dir)
     trace_path = os.path.join(out_dir, "trace.csv")
@@ -258,15 +269,7 @@ def cmd_fit(args):
         out_dir,
         {
             "command": "fit",
-            "databases": list(args.databases),
-            "schema": schema_path,
-            "k": k,
-            "alpha": opts["alpha"] if opts["alpha_file"] is None else None,
-            "alpha_file": opts["alpha_file"],
-            "max_sweeps": opts["max_sweeps"],
-            "tol": opts["tol"],
-            "seed": opts["seed"],
-            "workers": opts["workers"],
+            **manifest,
             "outputs": [
                 "trace.csv",
                 "linkage.csv",
@@ -304,23 +307,15 @@ def cmd_eval(args):
             "outputs": ["score.json", "manifest.json"],
         },
     )
-    for name in _SCORE_FIELDS:
-        print(f"{name}={getattr(score, name)}")
+    for name, value in asdict(score).items():
+        print(f"{name}={value}")
     return EXIT_OK
 
 
 def cmd_oracle_check(args):
     resolver = _Resolver(args)
     out_dir = resolver.require("out", str)
-    opts = _fit_options(resolver)
-    corpus, schema_path = _load_corpus(args, resolver)
-    k = opts["k"] if opts["k"] is not None else corpus.total_records
-    hp = HyperParams(
-        entity_count=k,
-        alpha=_alpha_vectors(
-            opts["alpha"], opts["alpha_file"], corpus.schema.cardinalities
-        ),
-    )
+    opts, corpus, hp, manifest = _fit_setup(args, resolver)
 
     exact = exact_posterior(corpus, hp, workers=opts["workers"])
     state, report = fit(
@@ -334,14 +329,12 @@ def cmd_oracle_check(args):
     final_elbo = report.elbo_trace[-1]
     gap = exact.log_evidence - final_elbo
 
-    n = corpus.total_records
-    max_discrepancy = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            estimate = float(np.dot(state.phi[i], state.phi[j]))
-            max_discrepancy = max(
-                max_discrepancy, abs(exact.cocluster[i, j] - estimate)
-            )
+    max_discrepancy = float(
+        np.max(
+            np.abs(np.triu(exact.cocluster - state.phi @ state.phi.T, 1)),
+            initial=0.0,
+        )
+    )
 
     report_payload = {
         "exact_log_evidence": exact.log_evidence,
@@ -359,15 +352,7 @@ def cmd_oracle_check(args):
         out_dir,
         {
             "command": "oracle-check",
-            "databases": list(args.databases),
-            "schema": schema_path,
-            "k": k,
-            "alpha": opts["alpha"] if opts["alpha_file"] is None else None,
-            "alpha_file": opts["alpha_file"],
-            "max_sweeps": opts["max_sweeps"],
-            "tol": opts["tol"],
-            "seed": opts["seed"],
-            "workers": opts["workers"],
+            **manifest,
             "outputs": ["oracle_report.json", "manifest.json"],
         },
     )
@@ -444,6 +429,13 @@ def main(argv=None):
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        print(
+            "error: out of memory: the N x K responsibilities did not fit; "
+            "try a smaller --k",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

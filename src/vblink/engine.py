@@ -11,7 +11,8 @@ one Dirichlet factor per entity and field (parameters ``lam``, a list of
 
 and evaluates the evidence lower bound once per sweep.  The bound includes
 the constant -N*log(K) from the uniform assignment prior, so it is a true
-lower bound on the log evidence of the data.
+lower bound on the log evidence of the data.  ``psi`` is
+``scipy.special.digamma``.
 
 Determinism contract: records are processed in fixed blocks of
 ``BLOCK_RECORDS`` and per-block partial results are combined in block index
@@ -20,7 +21,10 @@ worker count.  During the phi sweep ``lam`` is read-only and blocks write
 disjoint rows; during the lam sweep ``phi`` is read-only.
 
 Per sweep, the digamma tables over ``lam`` are built once (O(K * sum V_f))
-so the phi sweep reduces to O(N * K * F) table lookups.
+so the phi sweep reduces to O(N * K * F) table lookups; each block of phi
+rows is normalized in place (max shift, exp, divide by the row sum).  The
+responsibility-weighted counts of every field are taken in one pass over
+phi, so the lam update and the ELBO each read phi once for the counts.
 """
 
 import math
@@ -29,9 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-
-from .numerics import digamma, log_sum_exp, trigamma
+from scipy.special import digamma, gammaln, polygamma
 
 # Fixed record-block size; part of the determinism contract above.
 BLOCK_RECORDS = 8192
@@ -60,8 +62,8 @@ class HyperParams:
             raise ValueError("entity_count must be >= 1")
         self.alpha = [np.ascontiguousarray(a, dtype=np.float64) for a in self.alpha]
         for a in self.alpha:
-            if a.ndim != 1 or a.size == 0 or np.any(a <= 0.0):
-                raise ValueError("alpha vectors must be 1-D and strictly positive")
+            if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0.0)):
+                raise ValueError("alpha vectors must be 1-D, finite and strictly positive")
 
     @classmethod
     def symmetric(cls, entity_count, alpha, cardinalities):
@@ -133,26 +135,24 @@ def _map_blocks(fn, n, workers):
         return list(pool.map(fn, blocks))
 
 
-def _field_counts(phi, codes, v_card, workers=1):
-    """Responsibility-weighted value counts: out[v, k] = sum over records
-    with code v of phi[n, k].  Deterministic for any worker count."""
-    k = phi.shape[1]
+def _field_counts(phi, values, cardinalities, workers=1):
+    """Responsibility-weighted value counts of every field, in one pass over
+    ``phi``: ``out[f][v, k]`` = sum over records with ``values[n, f] == v``
+    of ``phi[n, k]``.  Deterministic for any worker count."""
 
     def block(bounds):
         lo, hi = bounds
         p = phi[lo:hi]
-        c = codes[lo:hi]
-        out = np.zeros((v_card, k))
-        for v in range(v_card):
-            rows = p[c == v]
-            if rows.size:
-                out[v] = rows.sum(axis=0)
-        return out
+        return [
+            np.eye(v_f)[values[lo:hi, f]].T @ p
+            for f, v_f in enumerate(cardinalities)
+        ]
 
-    total = np.zeros((v_card, k))
-    for part in _map_blocks(block, phi.shape[0], workers):
-        total += part
-    return total
+    totals = [np.zeros((v_f, phi.shape[1])) for v_f in cardinalities]
+    for parts in _map_blocks(block, phi.shape[0], workers):
+        for total, part in zip(totals, parts):
+            total += part
+    return totals
 
 
 def init_state(corpus, hp, seed):
@@ -194,11 +194,10 @@ def _check_compatible(corpus, hp):
 
 def update_lambda(state, corpus, hp, workers=1):
     """Closed-form Dirichlet update: prior plus responsibility-weighted counts."""
-    for f in range(corpus.schema.field_count):
-        counts = _field_counts(
-            state.phi, corpus.values[:, f], corpus.schema.cardinalities[f], workers
-        )
-        state.lam[f] = hp.alpha[f][None, :] + counts.T
+    counts = _field_counts(
+        state.phi, corpus.values, corpus.schema.cardinalities, workers
+    )
+    state.lam[:] = [a_f[None, :] + c_f.T for a_f, c_f in zip(hp.alpha, counts)]
     return state.lam
 
 
@@ -212,20 +211,21 @@ def _score_tables(state):
 
 
 def update_phi(state, corpus, hp, workers=1):
-    """Log-space responsibility update; each row is normalized with
-    log-sum-exp so large field counts cannot overflow."""
+    """Log-space responsibility update.  Each block of rows is summed and
+    normalized in place in ``phi``: the row max is subtracted before the
+    exp, so large field counts cannot overflow."""
     tables = _score_tables(state)
-    k = state.entity_count
     x = corpus.values
 
     def block(bounds):
         lo, hi = bounds
-        scores = np.zeros((hi - lo, k))
+        scores = state.phi[lo:hi]
+        scores.fill(0.0)
         for f, table in enumerate(tables):
             scores += table[x[lo:hi, f]]
-        norm = log_sum_exp(scores, axis=1)
-        np.exp(scores - norm[:, None], out=scores)
-        state.phi[lo:hi] = scores
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
 
     _map_blocks(block, corpus.total_records, workers)
     return state.phi
@@ -256,17 +256,15 @@ def elbo(state, corpus, hp, workers=1):
     """
     n = corpus.total_records
     k = state.entity_count
+    counts = _field_counts(
+        state.phi, corpus.values, corpus.schema.cardinalities, workers
+    )
     total = 0.0
-    for f in range(corpus.schema.field_count):
-        lam_f = state.lam[f]
-        a_f = hp.alpha[f]
+    for lam_f, a_f, c_f in zip(state.lam, hp.alpha, counts):
         row = lam_f.sum(axis=1)
         e_log_beta = digamma(lam_f) - digamma(row)[:, None]
 
-        counts = _field_counts(
-            state.phi, corpus.values[:, f], corpus.schema.cardinalities[f], workers
-        )
-        total += float(np.sum(counts.T * e_log_beta))
+        total += float(np.sum(c_f.T * e_log_beta))
 
         total += k * float(gammaln(a_f.sum()) - gammaln(a_f).sum())
         total += float(np.sum((a_f[None, :] - 1.0) * e_log_beta))
@@ -287,13 +285,11 @@ def elbo_grad_lambda(state, corpus, hp, k, f, v):
     Two-term trigamma form; zero at the fixed point reached by
     :func:`update_lambda`.
     """
-    counts = _field_counts(
-        state.phi, corpus.values[:, f], corpus.schema.cardinalities[f]
-    )
-    bracket = hp.alpha[f] - state.lam[f][k] + counts[:, k]
+    counts = _field_counts(state.phi, corpus.values, corpus.schema.cardinalities)
+    bracket = hp.alpha[f] - state.lam[f][k] + counts[f][:, k]
     return float(
-        trigamma(float(state.lam[f][k, v])) * bracket[v]
-        - trigamma(float(state.lam[f][k].sum())) * bracket.sum()
+        polygamma(1, state.lam[f][k, v]) * bracket[v]
+        - polygamma(1, state.lam[f][k].sum()) * bracket.sum()
     )
 
 

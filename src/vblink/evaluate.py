@@ -12,7 +12,7 @@ CSV formats; flat record indices in the programmatic interface are 0-based.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -182,17 +182,8 @@ def read_ground_truth(path):
     return GroundTruth(schema=None, db_sizes=db_sizes, assignments=labels - 1)
 
 
-_SCORE_FIELDS = (
-    "pairwise_precision",
-    "pairwise_recall",
-    "pairwise_f1",
-    "true_entity_count",
-    "estimated_entity_count",
-)
-
-
 def write_score_json(path, score):
-    payload = {name: getattr(score, name) for name in _SCORE_FIELDS}
+    payload = asdict(score)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

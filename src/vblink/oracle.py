@@ -7,10 +7,11 @@ With the per-entity attribute distributions integrated out analytically
 
 where c_kfv(z) counts records assigned to entity k carrying value v in
 field f and B is the multivariate beta function.  The evidence is then
-log p(x) = -N*log(K) + log_sum_exp_z log w(z), a sum over all K**N
-assignment vectors.  This is a test fixture for the variational engine,
-not a scalable inference path: instances beyond the enumeration budget are
-refused, never approximated.
+log p(x) = -N*log(K) + log sum_z w(z), a sum over all K**N assignment
+vectors taken with the largest log w(z) shifted out so it cannot overflow.
+This is a test fixture for the variational engine, not a scalable
+inference path: instances beyond the enumeration budget are refused, never
+approximated.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-
-from .numerics import log_sum_exp
 
 ENUMERATION_BUDGET = 10**6
 
@@ -117,7 +116,8 @@ def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
         parts = [weigh(ids) for ids in blocks]
     logw = np.concatenate(parts) if parts else np.zeros(0)
 
-    log_total = log_sum_exp(logw)
+    shift = logw.max()
+    log_total = shift + np.log(np.exp(logw - shift).sum())
     log_evidence = float(log_total - n * np.log(k))
     assignment_log_probs = logw - log_total
 

@@ -197,6 +197,41 @@ class TestFit:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def exhaust(*_args, **_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "fit", exhaust)
+        db, schema = write_tiny_db(tmp_path)
+        code = main(
+            ["fit", db, "--schema", schema, "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "did not fit" in err and "--k" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_usage_error(self, tmp_path, capsys, alpha):
+        db, schema = write_tiny_db(tmp_path)
+        code = main(
+            ["fit", db, "--schema", schema, "--alpha", alpha,
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_alpha_file_is_usage_error(self, tmp_path, capsys):
+        db, schema = write_tiny_db(tmp_path)
+        alpha_file = tmp_path / "alpha.txt"
+        alpha_file.write_text("0.5,nan\n")
+        code = main(
+            ["fit", db, "--schema", schema, "--alpha-file", str(alpha_file),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_database_file(self, tmp_path):
         code = main(["fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == 2

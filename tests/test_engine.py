@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
+import vblink.engine as engine
 from vblink.corpus import Corpus, Schema
 from vblink.engine import (
     HyperParams,
@@ -18,6 +20,26 @@ from vblink.engine import (
     update_phi,
 )
 from vblink.genmodel import GenConfig, sample_dataset
+
+# Arbitrary-precision reference values (mpmath, 30 significant digits).
+DIGAMMA_REFERENCE = {
+    1.0: -0.5772156649015329,
+    0.5: -1.9635100260214235,
+    2.0: 0.42278433509846713,
+    0.01: -100.56088545786868,
+    3.7: 1.1671535393615113,
+    9.999: 2.2516474172057355,
+    10.0: 2.251752589066721,
+    147.25: 4.988732393476712,
+}
+TRIGAMMA_REFERENCE = {
+    1.0: 1.6449340668482264,
+    0.5: 4.934802200544679,
+    0.01: 10001.621213528313,
+    3.7: 0.3100378576700383,
+    9.999: 0.10517738667672887,
+    147.25: 0.006814283683096631,
+}
 
 
 def tiny_corpus(column, cardinality=2):
@@ -41,6 +63,43 @@ def make_state(phi, lam):
 def pair_corpus():
     # two records carrying the same value of a binary field
     return tiny_corpus([0, 0])
+
+
+class TestSpecialFunctions:
+    """The scipy functions the updates and the gradient are built from."""
+
+    def test_digamma_reference_values(self):
+        for x, want in DIGAMMA_REFERENCE.items():
+            assert engine.digamma(x) == pytest.approx(want, abs=1e-12)
+
+    def test_trigamma_reference_values(self):
+        for x, want in TRIGAMMA_REFERENCE.items():
+            assert engine.polygamma(1, x) == pytest.approx(want, rel=1e-10)
+
+
+class TestFieldCounts:
+    def test_matches_add_at_reference_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 3)
+        rng = np.random.default_rng(11)
+        n, k, cards = 10, 4, (3, 5)
+        values = np.stack([rng.integers(0, v, size=n) for v in cards], axis=1)
+        phi = rng.dirichlet(np.ones(k), size=n)
+        counts = engine._field_counts(phi, values, cards, workers=1)
+        for f, v_f in enumerate(cards):
+            want = np.zeros((v_f, k))
+            np.add.at(want, values[:, f], phi)
+            np.testing.assert_allclose(counts[f], want, rtol=1e-12, atol=1e-15)
+        for got, want in zip(engine._field_counts(phi, values, cards, workers=3), counts):
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_records_gives_zero_tables(self):
+        cards = (3, 5)
+        for workers in (1, 3):
+            counts = engine._field_counts(
+                np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int32), cards, workers
+            )
+            assert [c.shape for c in counts] == [(3, 4), (5, 4)]
+            assert not any(np.any(c) for c in counts)
 
 
 class TestUpdateLambda:
@@ -121,6 +180,27 @@ class TestUpdatePhi:
         update_phi(state, corpus, hp)
         np.testing.assert_allclose(state.phi.sum(axis=1), 1.0, atol=1e-12)
         state.validate()
+
+    def test_extreme_scores_stay_finite_on_simplex(self, monkeypatch):
+        # value 0 overflows a plain exp, value 1 underflows it in every entity
+        table = np.array(
+            [
+                [700.0, 700.0 - math.log(2.0), -700.0],
+                [-800.0, -800.0 - math.log(2.0), -1500.0],
+            ]
+        )
+        monkeypatch.setattr(engine, "_score_tables", lambda _state: [table])
+        corpus = tiny_corpus([0, 1, 0])
+        hp = HyperParams.symmetric(3, 1.0, [2])
+        state = make_state(np.zeros((3, 3)), [np.ones((3, 2))])
+        update_phi(state, corpus, hp)
+        assert np.all(np.isfinite(state.phi)) and np.all(state.phi >= 0.0)
+        np.testing.assert_allclose(state.phi.sum(axis=1), 1.0, atol=1e-15)
+        np.testing.assert_allclose(
+            state.phi, softmax(table[[0, 1, 0]], axis=1), rtol=1e-14, atol=1e-300
+        )
+        # 700 - log 2 is rounded to a spacing of 1.1e-13
+        np.testing.assert_allclose(state.phi[:, :2], [[2 / 3, 1 / 3]] * 3, rtol=1e-12)
 
     def test_stationarity_against_row_perturbations(self):
         # after an update, no single-row change may improve the objective
@@ -328,6 +408,11 @@ class TestHyperParams:
             HyperParams(2, [np.array([1.0, 0.0])])
         with pytest.raises(ValueError):
             HyperParams(2, [np.array([])])
+
+    def test_rejects_non_finite_alpha(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                HyperParams(2, [np.array([1.0, bad])])
 
 
 class TestWorkers:
