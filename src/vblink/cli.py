@@ -329,11 +329,9 @@ def cmd_oracle_check(args):
     final_elbo = report.elbo_trace[-1]
     gap = exact.log_evidence - final_elbo
 
+    phi = state.phi[state.rows]
     max_discrepancy = float(
-        np.max(
-            np.abs(np.triu(exact.cocluster - state.phi @ state.phi.T, 1)),
-            initial=0.0,
-        )
+        np.max(np.abs(np.triu(exact.cocluster - phi @ phi.T, 1)), initial=0.0)
     )
 
     report_payload = {
@@ -431,8 +429,8 @@ def main(argv=None):
         return EXIT_NUMERICAL
     except MemoryError:
         print(
-            "error: out of memory: the N x K responsibilities did not fit; "
-            "try a smaller --k",
+            "error: out of memory: the distinct records x K responsibilities "
+            "did not fit; try a smaller --k",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -1,30 +1,38 @@
 """Mean-field coordinate ascent for the latent-entity model.
 
 The variational family is fully factorized: one categorical factor per
-record over the K entities (responsibilities ``phi``, an (N, K) array) and
-one Dirichlet factor per entity and field (parameters ``lam``, a list of
-(K, V_f) arrays).  A sweep alternates the two closed-form updates
+record over the K entities and one Dirichlet factor per entity and field
+(parameters ``lam``, a list of (K, V_f) arrays).  The responsibilities of a
+record depend on it only through its value tuple, so records that carry
+the same tuple share one row of ``phi``: ``phi`` is (U, K) over the U
+distinct tuples, ``rows`` maps each of the N records to its row, and row
+``u`` stands for ``m[u]`` records.  A sweep alternates the two closed-form
+updates
 
-    lam[k, f, v] <- alpha[f, v] + sum_n phi[n, k] * 1{x[n, f] == v}
-    phi[n, k]    propto exp( sum_f  psi(lam[k, f, x[n, f]])
+    lam[k, f, v] <- alpha[f, v] + sum_u m[u] * phi[u, k] * 1{x[u, f] == v}
+    phi[u, k]    propto exp( sum_f  psi(lam[k, f, x[u, f]])
                                   - psi(sum_v lam[k, f, v]) )
 
-and evaluates the evidence lower bound once per sweep.  The bound includes
-the constant -N*log(K) from the uniform assignment prior, so it is a true
-lower bound on the log evidence of the data.  ``psi`` is
-``scipy.special.digamma``.
+and evaluates the evidence lower bound once per sweep, with the assignment
+entropy weighted the same way, - sum_u m[u] sum_k phi[u, k] log phi[u, k].
+The bound includes the constant -N*log(K), N = sum_u m[u], from the uniform
+assignment prior, so it is a true lower bound on the log evidence of the
+data.  ``psi`` is ``scipy.special.digamma``.  A state with one row per
+record (``rows`` = 0..N-1, every ``m[u]`` = 1) is the per-record form of the
+same updates; :func:`fit` finds the distinct tuples once and runs every
+sweep on them, so per-sweep cost scales with U, not N.
 
-Determinism contract: records are processed in fixed blocks of
+Determinism contract: rows are processed in fixed blocks of
 ``BLOCK_RECORDS`` and per-block partial results are combined in block index
 order, so results are bit-identical for a given seed regardless of the
 worker count.  During the phi sweep ``lam`` is read-only and blocks write
 disjoint rows; during the lam sweep ``phi`` is read-only.
 
 Per sweep, the digamma tables over ``lam`` are built once (O(K * sum V_f))
-so the phi sweep reduces to O(N * K * F) table lookups; each block of phi
+so the phi sweep reduces to O(U * K * F) table lookups; each block of phi
 rows is normalized in place (max shift, exp, divide by the row sum).  The
-responsibility-weighted counts of every field are taken in one pass over
-phi, so the lam update and the ELBO each read phi once for the counts.
+weighted counts of every field are taken in one pass over phi, so the lam
+update and the ELBO each read phi once for the counts.
 """
 
 import math
@@ -38,7 +46,7 @@ from scipy.special import digamma, gammaln, polygamma
 # Fixed record-block size; part of the determinism contract above.
 BLOCK_RECORDS = 8192
 
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
 
 
 class NumericalFailureError(RuntimeError):
@@ -76,11 +84,21 @@ class HyperParams:
 
 @dataclass(eq=False)
 class VariationalState:
-    """Responsibilities ``phi`` (N, K) and Dirichlet parameters ``lam``
-    (per field, (K, V_f))."""
+    """Responsibilities ``phi`` (U, K), the (N,) index ``rows`` from each
+    record to its row of ``phi``, and Dirichlet parameters ``lam`` (per
+    field, (K, V_f)).
+
+    Records that share a row must carry the same value tuple.  Without
+    ``rows`` every record has its own row (``rows`` = 0..N-1).
+    """
 
     phi: np.ndarray
     lam: list
+    rows: np.ndarray = None
+
+    def __post_init__(self):
+        if self.rows is None:
+            self.rows = np.arange(self.phi.shape[0])
 
     @property
     def entity_count(self):
@@ -88,7 +106,9 @@ class VariationalState:
 
     def copy(self):
         return VariationalState(
-            phi=self.phi.copy(), lam=[l.copy() for l in self.lam]
+            phi=self.phi.copy(),
+            lam=[l.copy() for l in self.lam],
+            rows=self.rows.copy(),
         )
 
     def permute_entities(self, perm):
@@ -97,10 +117,13 @@ class VariationalState:
         return VariationalState(
             phi=np.ascontiguousarray(self.phi[:, perm]),
             lam=[np.ascontiguousarray(l[perm]) for l in self.lam],
+            rows=self.rows.copy(),
         )
 
     def validate(self, atol=1e-12):
-        """Check the simplex and positivity invariants; raise on violation."""
+        """Check the row index, simplex and positivity invariants; raise on
+        violation."""
+        _check_rows(self.rows, self.phi.shape[0])
         if self.phi.size and np.min(self.phi) <= 0.0:
             raise ValueError("phi must be strictly positive")
         if self.phi.size:
@@ -120,6 +143,7 @@ class FitReport:
     sweeps_run: int = 0
     converged: bool = False
     wall_time: float = 0.0
+    distinct_records: int = 0  # U, the rows of phi the sweeps ran on
 
 
 def _blocks(n):
@@ -127,7 +151,7 @@ def _blocks(n):
 
 
 def _map_blocks(fn, n, workers):
-    """Apply fn to each record block; results come back in block order."""
+    """Apply fn to each row block; results come back in block order."""
     blocks = _blocks(n)
     if workers <= 1 or len(blocks) <= 1:
         return [fn(b) for b in blocks]
@@ -135,18 +159,55 @@ def _map_blocks(fn, n, workers):
         return list(pool.map(fn, blocks))
 
 
-def _field_counts(phi, values, cardinalities, workers=1):
-    """Responsibility-weighted value counts of every field, in one pass over
-    ``phi``: ``out[f][v, k]`` = sum over records with ``values[n, f] == v``
-    of ``phi[n, k]``.  Deterministic for any worker count."""
+def _check_rows(rows, row_count):
+    if (
+        rows.ndim != 1
+        or not np.issubdtype(rows.dtype, np.integer)
+        or (rows.size and (rows.min() < 0 or rows.max() >= row_count))
+    ):
+        raise ValueError(f"rows must be a 1-D index into the {row_count} phi rows")
+
+
+def _row_patterns(state, values):
+    """Value tuple ``(U, F)`` and multiplicity ``(U,)`` of each phi row,
+    read off ``state.rows``."""
+    row_count = state.phi.shape[0]
+    first = np.zeros(row_count, dtype=np.intp)
+    first[state.rows] = np.arange(state.rows.size)
+    multiplicity = np.bincount(state.rows, minlength=row_count).astype(np.float64)
+    return values[first], multiplicity
+
+
+def _distinct_rows(values):
+    """Index from each record to its distinct value tuple, and the number
+    of distinct tuples.  One sort of the rows viewed as opaque byte
+    strings, so no combined key can overflow."""
+    n, field_count = values.shape
+    if field_count == 0:  # every record carries the empty tuple
+        return np.zeros(n, dtype=np.intp), min(n, 1)
+    values = np.ascontiguousarray(values)
+    row_bytes = values.dtype.itemsize * field_count
+    as_bytes = values.view(np.dtype((np.void, row_bytes)))
+    _, rows = np.unique(as_bytes.ravel(), return_inverse=True)
+    return rows, int(rows.max()) + 1 if rows.size else 0
+
+
+def _field_counts(phi, values, weights, cardinalities, workers=1):
+    """Weighted value counts of every field, in one pass over ``phi``:
+    ``out[f][v, k]`` = sum over rows with ``values[u, f] == v`` of
+    ``weights[u] * phi[u, k]``.  Each block scatters its row weights into a
+    (rows, V_f) indicator per field and multiplies it into the block of
+    ``phi``.  Deterministic for any worker count."""
 
     def block(bounds):
         lo, hi = bounds
-        p = phi[lo:hi]
-        return [
-            np.eye(v_f)[values[lo:hi, f]].T @ p
-            for f, v_f in enumerate(cardinalities)
-        ]
+        p, w, at = phi[lo:hi], weights[lo:hi], np.arange(hi - lo)
+        parts = []
+        for f, v_f in enumerate(cardinalities):
+            indicator = np.zeros((hi - lo, v_f))
+            indicator[at, values[lo:hi, f]] = w
+            parts.append(indicator.T @ p)
+        return parts
 
     totals = [np.zeros((v_f, phi.shape[1])) for v_f in cardinalities]
     for parts in _map_blocks(block, phi.shape[0], workers):
@@ -155,8 +216,34 @@ def _field_counts(phi, values, cardinalities, workers=1):
     return totals
 
 
+def _anchor_weights(n, seed):
+    return np.random.default_rng(seed).uniform(0.05, 0.3, size=n)
+
+
+def _seeded_lambda(corpus, hp, seed):
+    """The lam that :func:`update_lambda` gives on the anchored start of
+    :func:`init_state`, in closed form with no N x K array.  Per field,
+
+        counts[v, k] = sum_{x_n = v} (1 - w_n) / K
+                     + sum_{x_n = v, n mod K = k} w_n
+
+    which costs O(N + K * V_f) and draws the same weights ``w``.
+    """
+    n, k = corpus.total_records, hp.entity_count
+    w = _anchor_weights(n, seed)
+    uniform_share = (1.0 - w) / k
+    anchor = np.arange(n) % k
+    lam = []
+    for x, a_f in zip(corpus.values.T, hp.alpha):
+        v_f = a_f.size
+        spread = np.bincount(x, weights=uniform_share, minlength=v_f)
+        peak = np.bincount(anchor * v_f + x, weights=w, minlength=k * v_f)
+        lam.append(a_f[None, :] + spread[None, :] + peak.reshape(k, v_f))
+    return lam
+
+
 def init_state(corpus, hp, seed):
-    """Seeded soft-anchored start, then one lam pass for self-consistency.
+    """Seeded soft-anchored start, one row per record, with its lam.
 
     Record ``n`` leans on entity ``n mod K`` with a random weight drawn from
     U(0.05, 0.3); the rest of its mass is uniform over all K entities.
@@ -169,17 +256,17 @@ def init_state(corpus, hp, seed):
     to move under a small concentration until clusters carry some mass).
     The random weights also decide, for near-duplicate records anchored to
     different entities, which anchor the merged cluster keeps.
+
+    ``lam`` is the lam update of that phi, computed in closed form; it is
+    all that :func:`fit` needs of the start, which it builds without phi.
     """
     _check_compatible(corpus, hp)
-    rng = np.random.default_rng(seed)
     n, k = corpus.total_records, hp.entity_count
-    w = rng.uniform(0.05, 0.3, size=n)
+    w = _anchor_weights(n, seed)
     phi = np.empty((n, k))
     phi[:] = ((1.0 - w) / k)[:, None]
     phi[np.arange(n), np.arange(n) % k] += w
-    state = VariationalState(phi=phi, lam=[None] * corpus.schema.field_count)
-    update_lambda(state, corpus, hp)
-    return state
+    return VariationalState(phi=phi, lam=_seeded_lambda(corpus, hp, seed))
 
 
 def _check_compatible(corpus, hp):
@@ -193,9 +280,11 @@ def _check_compatible(corpus, hp):
 
 
 def update_lambda(state, corpus, hp, workers=1):
-    """Closed-form Dirichlet update: prior plus responsibility-weighted counts."""
+    """Closed-form Dirichlet update: prior plus multiplicity- and
+    responsibility-weighted counts."""
+    values, weights = _row_patterns(state, corpus.values)
     counts = _field_counts(
-        state.phi, corpus.values, corpus.schema.cardinalities, workers
+        state.phi, values, weights, corpus.schema.cardinalities, workers
     )
     state.lam[:] = [a_f[None, :] + c_f.T for a_f, c_f in zip(hp.alpha, counts)]
     return state.lam
@@ -215,7 +304,7 @@ def update_phi(state, corpus, hp, workers=1):
     normalized in place in ``phi``: the row max is subtracted before the
     exp, so large field counts cannot overflow."""
     tables = _score_tables(state)
-    x = corpus.values
+    x, _ = _row_patterns(state, corpus.values)
 
     def block(bounds):
         lo, hi = bounds
@@ -227,12 +316,13 @@ def update_phi(state, corpus, hp, workers=1):
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=1, keepdims=True)
 
-    _map_blocks(block, corpus.total_records, workers)
+    _map_blocks(block, state.phi.shape[0], workers)
     return state.phi
 
 
-def _phi_entropy_sum(phi, workers=1):
-    """sum of phi * log(phi), with 0 log 0 = 0."""
+def _phi_entropy_sum(phi, weights, workers=1):
+    """sum over rows of weights[u] * sum_k phi[u, k] * log(phi[u, k]), with
+    0 log 0 = 0."""
 
     def block(bounds):
         lo, hi = bounds
@@ -241,7 +331,7 @@ def _phi_entropy_sum(phi, workers=1):
         mask = p > 0.0
         np.log(p, out=out, where=mask)
         out *= p
-        return float(out.sum())
+        return float(out.sum(axis=1) @ weights[lo:hi])
 
     return math.fsum(_map_blocks(block, phi.shape[0], workers))
 
@@ -254,10 +344,10 @@ def elbo(state, corpus, hp, workers=1):
     variational-factor expectation, and the constant -N*log(K) assignment
     prior.  Equals log p(x) exactly when K = 1.
     """
-    n = corpus.total_records
     k = state.entity_count
+    values, weights = _row_patterns(state, corpus.values)
     counts = _field_counts(
-        state.phi, corpus.values, corpus.schema.cardinalities, workers
+        state.phi, values, weights, corpus.schema.cardinalities, workers
     )
     total = 0.0
     for lam_f, a_f, c_f in zip(state.lam, hp.alpha, counts):
@@ -274,8 +364,8 @@ def elbo(state, corpus, hp, workers=1):
             - np.sum(gammaln(lam_f))
             + np.sum((lam_f - 1.0) * e_log_beta)
         )
-    total -= _phi_entropy_sum(state.phi, workers)
-    total -= n * math.log(k)
+    total -= _phi_entropy_sum(state.phi, weights, workers)
+    total -= float(weights.sum()) * math.log(k)
     return total
 
 
@@ -285,7 +375,8 @@ def elbo_grad_lambda(state, corpus, hp, k, f, v):
     Two-term trigamma form; zero at the fixed point reached by
     :func:`update_lambda`.
     """
-    counts = _field_counts(state.phi, corpus.values, corpus.schema.cardinalities)
+    values, weights = _row_patterns(state, corpus.values)
+    counts = _field_counts(state.phi, values, weights, corpus.schema.cardinalities)
     bracket = hp.alpha[f] - state.lam[f][k] + counts[f][:, k]
     return float(
         polygamma(1, state.lam[f][k, v]) * bracket[v]
@@ -327,18 +418,30 @@ def fit(
     """Run coordinate ascent until the relative ELBO change drops below
     ``rel_tol`` or ``max_sweeps`` is reached.
 
-    Each sweep is a full phi update, a full lam update, then one ELBO
-    evaluation.  ``initial_state`` overrides the seeded initialization (the
-    seed is then unused); ``on_sweep(sweep, elbo, state)`` is called after
-    every sweep.  Returns ``(state, FitReport)``; the trace is nondecreasing
-    up to roundoff because each step maximizes the same objective.
+    The distinct value tuples are found once; every sweep runs on them, and
+    the returned state has one phi row per distinct tuple.  Each sweep is a
+    full phi update, a full lam update, then one ELBO evaluation.
+    ``initial_state`` overrides the seeded initialization (the seed is then
+    unused): only its ``lam`` is read, and the caller's arrays are not
+    written.  ``on_sweep(sweep, elbo, state)`` is called after every sweep.
+    Returns ``(state, FitReport)``; the trace is nondecreasing up to
+    roundoff because each step maximizes the same objective.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     start = time.perf_counter()
-    state = initial_state if initial_state is not None else init_state(corpus, hp, seed)
+    _check_compatible(corpus, hp)
+    if initial_state is None:
+        lam = _seeded_lambda(corpus, hp, seed)
+    else:
+        lam = list(initial_state.lam)
+        _check_lam_shapes(lam, hp.entity_count, corpus.schema.cardinalities)
+    rows, distinct = _distinct_rows(corpus.values)
+    state = VariationalState(
+        phi=np.empty((distinct, hp.entity_count)), lam=lam, rows=rows
+    )
     trace = []
     converged = False
     for sweep in range(1, max_sweeps + 1):
@@ -369,12 +472,25 @@ def fit(
         sweeps_run=len(trace),
         converged=converged,
         wall_time=time.perf_counter() - start,
+        distinct_records=distinct,
     )
     return state, report
 
 
+def _check_lam_shapes(lam, entity_count, cardinalities):
+    if len(lam) != len(cardinalities):
+        raise ValueError(f"{len(lam)} lam tables for {len(cardinalities)} fields")
+    for f, (lam_f, v_f) in enumerate(zip(lam, cardinalities)):
+        if np.shape(lam_f) != (entity_count, v_f):
+            raise ValueError(
+                f"lam for field {f} has shape {np.shape(lam_f)}, "
+                f"not {(entity_count, v_f)}"
+            )
+
+
 def save_state(path, state, corpus, hp):
-    """Checkpoint phi and lam with a header describing the problem shape.
+    """Checkpoint phi, its record index ``rows`` and lam, with a header
+    describing the problem shape.
 
     The layout is an ``.npz`` archive; loading it back reproduces every
     array bit-exactly.
@@ -385,6 +501,7 @@ def save_state(path, state, corpus, hp):
         "cardinalities": np.asarray(corpus.schema.cardinalities, dtype=np.int64),
         "entity_count": np.asarray(hp.entity_count),
         "phi": state.phi,
+        "rows": state.rows,
     }
     for f, (a_f, lam_f) in enumerate(zip(hp.alpha, state.lam)):
         arrays[f"alpha_{f}"] = a_f
@@ -393,20 +510,39 @@ def save_state(path, state, corpus, hp):
 
 
 def load_state(path):
-    """Read a checkpoint; returns ``(VariationalState, header_dict)``."""
+    """Read a checkpoint; returns ``(VariationalState, header_dict)``.
+
+    Raises ``ValueError`` when the version is not the current one or an
+    array's shape disagrees with the header.
+    """
     with np.load(path) as data:
         version = int(data["version"])
         if version != STATE_FORMAT_VERSION:
             raise ValueError(f"unsupported state format version {version}")
-        cards = data["cardinalities"]
+        cards = [int(v) for v in data["cardinalities"]]
         header = {
             "version": version,
             "db_sizes": tuple(int(s) for s in data["db_sizes"]),
-            "cardinalities": [int(v) for v in cards],
+            "cardinalities": cards,
             "entity_count": int(data["entity_count"]),
             "alpha": [data[f"alpha_{f}"] for f in range(len(cards))],
         }
         state = VariationalState(
-            phi=data["phi"], lam=[data[f"lam_{f}"] for f in range(len(cards))]
+            phi=data["phi"],
+            lam=[data[f"lam_{f}"] for f in range(len(cards))],
+            rows=data["rows"],
         )
+    k = header["entity_count"]
+    if state.rows.shape != (sum(header["db_sizes"]),):
+        raise ValueError(
+            f"rows has shape {state.rows.shape}, "
+            f"not one entry per record of {header['db_sizes']}"
+        )
+    if state.phi.ndim != 2 or state.phi.shape[1] != k:
+        raise ValueError(f"phi has shape {state.phi.shape}, not (rows, {k})")
+    _check_rows(state.rows, state.phi.shape[0])
+    _check_lam_shapes(state.lam, k, cards)
+    for f, (a_f, v_f) in enumerate(zip(header["alpha"], cards)):
+        if a_f.shape != (v_f,):
+            raise ValueError(f"alpha for field {f} has shape {a_f.shape}, not ({v_f},)")
     return state, header

@@ -56,10 +56,15 @@ class LinkageScore:
 
 
 def map_linkage(state, db_sizes):
-    """MAP entity per record; ties break toward the smallest entity index."""
+    """MAP entity per record; ties break toward the smallest entity index.
+    The argmax is taken once per phi row, then read off for each record."""
     labels = np.argmax(state.phi, axis=1)
     probs = state.phi[np.arange(state.phi.shape[0]), labels]
-    return Linkage(db_sizes=db_sizes, map_entity=labels + 1, max_prob=probs)
+    return Linkage(
+        db_sizes=db_sizes,
+        map_entity=labels[state.rows] + 1,
+        max_prob=probs[state.rows],
+    )
 
 
 def _pair_count(counts):
@@ -109,12 +114,13 @@ def pairwise_metrics(predicted, truth):
 def posterior_cocluster_estimate(state, pairs):
     """Mean-field co-clustering probability sum_k phi[i, k] * phi[j, k]
     for each (i, j) pair of flat record indices."""
-    n = state.phi.shape[0]
+    rows = state.rows
+    n = rows.shape[0]
     out = np.empty(len(pairs))
     for idx, (i, j) in enumerate(pairs):
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"record pair ({i}, {j}) outside 0..{n - 1}")
-        out[idx] = float(np.dot(state.phi[i], state.phi[j]))
+        out[idx] = float(np.dot(state.phi[rows[i]], state.phi[rows[j]]))
     return out
 
 

@@ -155,6 +155,15 @@ class TestFit:
         _, header = load_state(out / "state.npz")
         assert header["entity_count"] == 3
 
+    def test_state_holds_one_row_per_distinct_record(self, tmp_path):
+        db, schema = write_tiny_db(tmp_path, rows=("red", "blue", "red"))
+        out = tmp_path / "run"
+        assert main(["fit", db, "--schema", schema, "--out", str(out)]) == 0
+        state, _ = load_state(out / "state.npz")
+        assert state.phi.shape == (2, 3)
+        rows = state.rows.tolist()
+        assert len(rows) == 3 and rows[0] == rows[2] != rows[1]
+
     def test_lambda_dump_covers_every_cell(self, tmp_path):
         db, schema = write_tiny_db(tmp_path)
         out = tmp_path / "run"

@@ -19,7 +19,18 @@ from vblink.engine import (
     update_lambda,
     update_phi,
 )
+from vblink.evaluate import map_linkage
 from vblink.genmodel import GenConfig, sample_dataset
+
+# Duplicate-heavy: the paper's recovery config, 600 records in about 280
+# distinct value tuples.
+DUPLICATE_HEAVY = GenConfig(
+    entity_count=200,
+    db_sizes=[300, 300],
+    cardinalities=[10] * 8,
+    distortion=0.02,
+    seed=42,
+)
 
 # Arbitrary-precision reference values (mpmath, 30 significant digits).
 DIGAMMA_REFERENCE = {
@@ -84,19 +95,23 @@ class TestFieldCounts:
         n, k, cards = 10, 4, (3, 5)
         values = np.stack([rng.integers(0, v, size=n) for v in cards], axis=1)
         phi = rng.dirichlet(np.ones(k), size=n)
-        counts = engine._field_counts(phi, values, cards, workers=1)
+        weights = rng.integers(1, 5, size=n).astype(np.float64)
+        counts = engine._field_counts(phi, values, weights, cards, workers=1)
         for f, v_f in enumerate(cards):
             want = np.zeros((v_f, k))
-            np.add.at(want, values[:, f], phi)
+            np.add.at(want, values[:, f], phi * weights[:, None])
             np.testing.assert_allclose(counts[f], want, rtol=1e-12, atol=1e-15)
-        for got, want in zip(engine._field_counts(phi, values, cards, workers=3), counts):
+        for got, want in zip(
+            engine._field_counts(phi, values, weights, cards, workers=3), counts
+        ):
             np.testing.assert_array_equal(got, want)
 
     def test_no_records_gives_zero_tables(self):
         cards = (3, 5)
         for workers in (1, 3):
             counts = engine._field_counts(
-                np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int32), cards, workers
+                np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int32), np.zeros(0),
+                cards, workers,
             )
             assert [c.shape for c in counts] == [(3, 4), (5, 4)]
             assert not any(np.any(c) for c in counts)
@@ -451,6 +466,7 @@ class TestCheckpoint:
         save_state(path, state, corpus, hp)
         loaded, header = load_state(path)
         np.testing.assert_array_equal(loaded.phi, state.phi)
+        np.testing.assert_array_equal(loaded.rows, state.rows)
         for f in range(2):
             np.testing.assert_array_equal(loaded.lam[f], state.lam[f])
             np.testing.assert_array_equal(header["alpha"][f], hp.alpha[f])
@@ -464,6 +480,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_state(path)
 
+    @pytest.mark.parametrize(
+        "name, corrupt, message",
+        [
+            ("rows", lambda a: a[:-1], "one entry per record"),
+            ("rows", lambda a: np.where(a == a.max(), a.max() + 1, a), "index"),
+            ("phi", lambda a: a[:, :-1], "phi has shape"),
+            ("lam_1", lambda a: a[:, :-1], "lam for field 1"),
+            ("alpha_0", lambda a: np.append(a, 1.0), "alpha for field 0"),
+        ],
+        ids=["rows_length", "rows_range", "phi_columns", "lam_shape", "alpha_length"],
+    )
+    def test_rejects_inconsistent_arrays(self, tmp_path, name, corrupt, message):
+        corpus = Corpus(
+            schema=Schema(("f1", "f2"), (("a", "b", "c"), ("x", "y"))),
+            db_sizes=(4,),
+            values=[[0, 1], [1, 0], [0, 1], [2, 1]],
+        )
+        hp = HyperParams.symmetric(3, 0.5, corpus.schema.cardinalities)
+        state, _ = fit(corpus, hp, max_sweeps=2, seed=0)
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        save_state(good, state, corpus, hp)
+        load_state(good)
+        with np.load(good) as data:
+            arrays = dict(data)
+        arrays[name] = corrupt(arrays[name])
+        np.savez(bad, **arrays)
+        with pytest.raises(ValueError, match=message):
+            load_state(bad)
+
 
 class TestStateValidation:
     def test_rejects_broken_simplex(self):
@@ -475,3 +520,100 @@ class TestStateValidation:
         state = make_state([[0.5, 0.5]], [np.array([[1.0, 0.0], [1.0, 1.0]])])
         with pytest.raises(ValueError):
             state.validate()
+
+
+class TestDistinctRecords:
+    """fit runs on one phi row per distinct value tuple; the public updates
+    on a per-record state are its reference."""
+
+    @pytest.fixture(scope="class")
+    def duplicate_heavy(self):
+        corpus, _ = sample_dataset(DUPLICATE_HEAVY)
+        return corpus, HyperParams.symmetric(600, 0.1, corpus.schema.cardinalities)
+
+    def test_fit_matches_per_record_reference(self, duplicate_heavy):
+        corpus, hp = duplicate_heavy
+        state, report = fit(corpus, hp, max_sweeps=8, rel_tol=1e-14, seed=3)
+        distinct = len({tuple(r) for r in corpus.values.tolist()})
+        assert distinct < corpus.total_records / 2
+        assert report.distinct_records == distinct
+        assert state.phi.shape == (distinct, hp.entity_count)
+
+        reference = init_state(corpus, hp, seed=3)
+        trace = []
+        for _ in report.elbo_trace:
+            update_phi(reference, corpus, hp)
+            update_lambda(reference, corpus, hp)
+            trace.append(elbo(reference, corpus, hp))
+        np.testing.assert_allclose(report.elbo_trace, trace, rtol=1e-10, atol=0.0)
+        ours = map_linkage(state, corpus.db_sizes)
+        theirs = map_linkage(reference, corpus.db_sizes)
+        np.testing.assert_array_equal(ours.map_entity, theirs.map_entity)
+        np.testing.assert_allclose(ours.max_prob, theirs.max_prob, rtol=1e-9)
+
+    def test_worker_counts_bitwise_equal_across_row_blocks(
+        self, duplicate_heavy, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 3)
+        corpus, hp = duplicate_heavy
+        runs = [
+            fit(corpus, hp, max_sweeps=4, seed=1, workers=workers)
+            for workers in (1, 3)
+        ]
+        (s1, r1), (s3, r3) = runs
+        assert r1.elbo_trace == r3.elbo_trace
+        np.testing.assert_array_equal(s1.phi, s3.phi)
+        for lam1, lam3 in zip(s1.lam, s3.lam):
+            np.testing.assert_array_equal(lam1, lam3)
+
+    def test_closed_form_start_matches_lambda_update(self, duplicate_heavy):
+        corpus, hp = duplicate_heavy
+        start = init_state(corpus, hp, seed=5)
+        closed_form = [l.copy() for l in start.lam]
+        update_lambda(start, corpus, hp)
+        for got, want in zip(closed_form, start.lam):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(
+            engine._seeded_lambda(corpus, hp, seed=5)[0], closed_form[0]
+        )
+
+    def test_known_duplicates(self):
+        corpus = tiny_corpus([0, 1, 0, 0, 2, 1], cardinality=3)
+        hp = HyperParams.symmetric(4, 0.5, [3])
+        state, report = fit(corpus, hp, max_sweeps=3, seed=0)
+        assert report.distinct_records == 3
+        assert state.phi.shape == (3, 4)
+        rows = state.rows
+        assert rows[0] == rows[2] == rows[3]
+        assert rows[1] == rows[5]
+        assert len({rows[0], rows[1], rows[4]}) == 3
+        state.validate()
+
+    def test_records_without_fields_share_one_row(self):
+        corpus = Corpus(
+            schema=Schema((), ()), db_sizes=(3,), values=np.zeros((3, 0))
+        )
+        state, report = fit(corpus, HyperParams(2, []), max_sweeps=3)
+        assert report.distinct_records == 1
+        assert state.phi.shape == (1, 2)
+        np.testing.assert_array_equal(state.rows, [0, 0, 0])
+        np.testing.assert_array_equal(
+            map_linkage(state, corpus.db_sizes).map_entity, [1, 1, 1]
+        )
+
+    def test_caller_initial_state_is_not_written(self, duplicate_heavy):
+        corpus, hp = duplicate_heavy
+        start = init_state(corpus, hp, seed=2)
+        before = start.copy()
+        state, _ = fit(corpus, hp, initial_state=start, max_sweeps=3)
+        np.testing.assert_array_equal(start.phi, before.phi)
+        np.testing.assert_array_equal(start.rows, before.rows)
+        for now, then in zip(start.lam, before.lam):
+            np.testing.assert_array_equal(now, then)
+        assert all(a is not b for a, b in zip(state.lam, start.lam))
+
+    def test_initial_state_of_wrong_shape_rejected(self, pair_corpus):
+        hp = HyperParams.symmetric(2, 1.0, [2])
+        state = make_state(np.full((2, 3), 1 / 3), [np.ones((3, 2))])
+        with pytest.raises(ValueError, match="lam for field 0"):
+            fit(pair_corpus, hp, initial_state=state)

@@ -60,6 +60,13 @@ class TestMapLinkage:
         np.testing.assert_array_equal(linkage.map_entity, [1, 1, 1])
         assert linkage.entity_count_estimate == 1
 
+    def test_records_sharing_a_row(self):
+        state = state_from_phi([[0.2, 0.8], [0.9, 0.1]])
+        state.rows = np.array([1, 0, 1, 1])
+        linkage = map_linkage(state, [3, 1])
+        np.testing.assert_array_equal(linkage.map_entity, [1, 2, 1, 1])
+        np.testing.assert_allclose(linkage.max_prob, [0.9, 0.8, 0.9, 0.9])
+
 
 class TestLinkageValidation:
     def test_rejects_wrong_coverage(self):
@@ -151,6 +158,14 @@ class TestCoclusterEstimate:
             posterior_cocluster_estimate(state, [(0, 1)])
         with pytest.raises(IndexError):
             posterior_cocluster_estimate(state, [(-1, 0)])
+
+    def test_records_sharing_a_row(self):
+        state = state_from_phi([[0.7, 0.3], [0.4, 0.6]])
+        state.rows = np.array([0, 1, 0])
+        out = posterior_cocluster_estimate(state, [(0, 2), (1, 2), (2, 1)])
+        np.testing.assert_allclose(out, [0.58, 0.46, 0.46])
+        with pytest.raises(IndexError):
+            posterior_cocluster_estimate(state, [(0, 3)])
 
 
 class TestLinkageFiles:
