@@ -11,6 +11,7 @@ Exit codes: 0 success (fit: converged), 2 usage or input error,
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -126,17 +127,33 @@ def _write_manifest(out_dir, payload):
         fh.write("\n")
 
 
+def _csv_cells(cells):
+    """``cells`` as one CSV line without its terminator, quoted the way
+    ``csv.writer`` quotes them."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(cells)
+    return buffer.getvalue()[: -len("\r\n")]
+
+
 def _write_lambda_csv(path, state, schema):
+    """One ``entity,field,value,lambda`` line per entity, field and value,
+    built one entity at a time; each field name and value is quoted once."""
+    labels = [
+        [f",{_csv_cells([name, schema.value(f, v)])}," for v in range(lam_f.shape[1])]
+        for f, (name, lam_f) in enumerate(zip(schema.field_names, state.lam))
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity", "field", "value", "lambda"])
+        fh.write("entity,field,value,lambda\r\n")
         for k in range(state.entity_count):
-            for f, name in enumerate(schema.field_names):
-                lam_f = state.lam[f]
-                for v in range(lam_f.shape[1]):
-                    writer.writerow(
-                        [k + 1, name, schema.value(f, v), repr(float(lam_f[k, v]))]
-                    )
+            fh.write(
+                "".join(
+                    [
+                        f"{k + 1}{label}{x!r}\r\n"
+                        for labels_f, lam_f in zip(labels, state.lam)
+                        for label, x in zip(labels_f, lam_f[k].tolist())
+                    ]
+                )
+            )
 
 
 def _load_corpus(args, resolver):
@@ -279,6 +296,12 @@ def cmd_fit(args):
             ],
         },
     )
+    if report.elbo_decreases:
+        print(
+            f"warning: the ELBO fell beyond roundoff in "
+            f"{report.elbo_decreases} of {report.sweeps_run} sweeps",
+            file=sys.stderr,
+        )
     if not report.converged:
         print(
             f"stopped after {report.sweeps_run} sweeps without meeting "

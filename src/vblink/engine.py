@@ -6,15 +6,16 @@ record over the K entities and one Dirichlet factor per entity and field
 record depend on it only through its value tuple, so records that carry
 the same tuple share one row of ``phi``: ``phi`` is (U, K) over the U
 distinct tuples, ``rows`` maps each of the N records to its row, and row
-``u`` stands for ``m[u]`` records.  A sweep alternates the two closed-form
+``u`` stands for ``m[u]`` records.  A sweep applies the two closed-form
 updates
 
     lam[k, f, v] <- alpha[f, v] + sum_u m[u] * phi[u, k] * 1{x[u, f] == v}
     phi[u, k]    propto exp( sum_f  psi(lam[k, f, x[u, f]])
                                   - psi(sum_v lam[k, f, v]) )
 
-and evaluates the evidence lower bound once per sweep, with the assignment
-entropy weighted the same way, - sum_u m[u] sum_k phi[u, k] log phi[u, k].
+and evaluates the evidence lower bound (ELBO) once per sweep, with the
+assignment entropy weighted the same way,
+- sum_u m[u] sum_k phi[u, k] log phi[u, k].
 The bound includes the constant -N*log(K), N = sum_u m[u], from the uniform
 assignment prior, so it is a true lower bound on the log evidence of the
 data.  ``psi`` is ``scipy.special.digamma``.  A state with one row per
@@ -22,31 +23,49 @@ record (``rows`` = 0..N-1, every ``m[u]`` = 1) is the per-record form of the
 same updates; :func:`fit` finds the distinct tuples once and runs every
 sweep on them, so per-sweep cost scales with U, not N.
 
-Determinism contract: rows are processed in fixed blocks of
-``BLOCK_RECORDS`` and per-block partial results are combined in block index
-order, so results are bit-identical for a given seed regardless of the
-worker count.  During the phi sweep ``lam`` is read-only and blocks write
-disjoint rows; during the lam sweep ``phi`` is read-only.
+A fit sweep is one blocked pass over phi (:func:`_sweep`).  The digamma
+tables T_f over ``lam`` are built once per sweep (O(K * sum V_f)), so
+scoring reduces to O(U * K * F) table lookups.  Each block of phi rows is
+scored and normalized in place (max shift, exp, divide by the row sum),
+keeps its weighted log-normaliser sum sum_u m[u] lse[u] (lse[u] = row max
++ log row sum), and adds its weighted field counts while it is still in
+cache.  The lam update is then lam = alpha + counts, and the ELBO
+telescopes to a closed form in lam, the counts, T_f and the
+log-normalisers: since log phi[u, k] = sum_f T_f[x[u, f], k] - lse[u],
+sum_u m[u] sum_k phi[u, k] log phi[u, k] = sum_f <counts_f, T_f>
+- sum_u m[u] lse[u].  So a sweep reads phi once and its ELBO costs
+O(K * sum V_f + U).  The public
+:func:`update_phi`, :func:`update_lambda` and :func:`elbo` are the general
+updates for any (phi, lam); they share the block normalisation with the
+sweep, and the tests hold the sweep to them.
 
-Per sweep, the digamma tables over ``lam`` are built once (O(K * sum V_f))
-so the phi sweep reduces to O(U * K * F) table lookups; each block of phi
-rows is normalized in place (max shift, exp, divide by the row sum).  The
-weighted counts of every field are taken in one pass over phi, so the lam
-update and the ELBO each read phi once for the counts.
+A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20 entries of
+phi (8 MiB), so wide-K blocks still fit in cache.  Determinism contract:
+the blocks are fixed by the row count and K, and per-block partial results
+are added in block index order, so results are bit-identical for a given
+seed regardless of the worker count.  Workers take the blocks in rounds of
+``workers``, so at most that many partial results are alive at once.
+Within a pass ``lam`` is read-only and blocks write disjoint rows of phi.
 """
 
 import math
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib import format as npformat
 from scipy.special import digamma, gammaln, polygamma
 
 # Fixed record-block size; part of the determinism contract above.
 BLOCK_RECORDS = 8192
 
 STATE_FORMAT_VERSION = 2
+
+# An ELBO fall larger than this share of |ELBO| is beyond roundoff and is
+# counted in FitReport.elbo_decreases.
+DECREASE_SLACK = 1e-9
 
 
 class NumericalFailureError(RuntimeError):
@@ -144,19 +163,42 @@ class FitReport:
     converged: bool = False
     wall_time: float = 0.0
     distinct_records: int = 0  # U, the rows of phi the sweeps ran on
+    elbo_decreases: int = 0  # sweeps whose ELBO fell beyond DECREASE_SLACK
 
 
-def _blocks(n):
-    return [(lo, min(lo + BLOCK_RECORDS, n)) for lo in range(0, n, BLOCK_RECORDS)]
+def _rows_per_block(entity_count):
+    """Rows of phi per block: at most ``BLOCK_RECORDS``, and at most 2**20
+    entries (8 MiB of float64), so a block stays in cache while it is used."""
+    return min(BLOCK_RECORDS, max(1, 2**20 // entity_count))
 
 
-def _map_blocks(fn, n, workers):
-    """Apply fn to each row block; results come back in block order."""
-    blocks = _blocks(n)
+def _blocks(row_count, entity_count):
+    step = _rows_per_block(entity_count)
+    return [(lo, min(lo + step, row_count)) for lo in range(0, row_count, step)]
+
+
+def _map_blocks(fn, shape, workers):
+    """Apply fn to each row block of a (rows, K) array and yield the
+    results in block order.  Blocks run in rounds of ``workers``, so a
+    caller that folds each result as it comes holds at most ``workers``
+    of them at once."""
+    blocks = _blocks(*shape)
     if workers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
+        yield from map(fn, blocks)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
+        for lo in range(0, len(blocks), workers):
+            yield from pool.map(fn, blocks[lo : lo + workers])
+
+
+def _fold_blocks(fn, totals, shape, workers):
+    """Add each block's list of partial results from fn into ``totals``,
+    in place and strictly in block order, so the sums are bit-identical
+    for any worker count."""
+    for parts in _map_blocks(fn, shape, workers):
+        for total, part in zip(totals, parts):
+            total += part
+    return totals
 
 
 def _check_rows(rows, row_count):
@@ -179,41 +221,47 @@ def _row_patterns(state, values):
 
 
 def _distinct_rows(values):
-    """Index from each record to its distinct value tuple, and the number
-    of distinct tuples.  One sort of the rows viewed as opaque byte
-    strings, so no combined key can overflow."""
+    """The distinct value tuples: the index from each record to its tuple,
+    the first record carrying each tuple, and each tuple's record count.
+    One sort of the rows viewed as opaque byte strings, so no combined key
+    can overflow."""
     n, field_count = values.shape
     if field_count == 0:  # every record carries the empty tuple
-        return np.zeros(n, dtype=np.intp), min(n, 1)
+        one = min(n, 1)
+        return np.zeros(n, dtype=np.intp), np.zeros(one, dtype=np.intp), np.full(one, n)
     values = np.ascontiguousarray(values)
     row_bytes = values.dtype.itemsize * field_count
     as_bytes = values.view(np.dtype((np.void, row_bytes)))
-    _, rows = np.unique(as_bytes.ravel(), return_inverse=True)
-    return rows, int(rows.max()) + 1 if rows.size else 0
+    _, first, rows, counts = np.unique(
+        as_bytes.ravel(), return_index=True, return_inverse=True, return_counts=True
+    )
+    return rows, first, counts
+
+
+def _block_counts(p, values, weights, cardinalities):
+    """Weighted value counts of every field over one block of phi rows
+    ``p``: per field, a (V_f, K) table.  The row weights are scattered
+    into a (rows, V_f) indicator per field, which multiplies into ``p``."""
+    at = np.arange(p.shape[0])
+    parts = []
+    for f, v_f in enumerate(cardinalities):
+        indicator = np.zeros((p.shape[0], v_f))
+        indicator[at, values[:, f]] = weights
+        parts.append(indicator.T @ p)
+    return parts
 
 
 def _field_counts(phi, values, weights, cardinalities, workers=1):
     """Weighted value counts of every field, in one pass over ``phi``:
     ``out[f][v, k]`` = sum over rows with ``values[u, f] == v`` of
-    ``weights[u] * phi[u, k]``.  Each block scatters its row weights into a
-    (rows, V_f) indicator per field and multiplies it into the block of
-    ``phi``.  Deterministic for any worker count."""
+    ``weights[u] * phi[u, k]``.  Deterministic for any worker count."""
 
     def block(bounds):
         lo, hi = bounds
-        p, w, at = phi[lo:hi], weights[lo:hi], np.arange(hi - lo)
-        parts = []
-        for f, v_f in enumerate(cardinalities):
-            indicator = np.zeros((hi - lo, v_f))
-            indicator[at, values[lo:hi, f]] = w
-            parts.append(indicator.T @ p)
-        return parts
+        return _block_counts(phi[lo:hi], values[lo:hi], weights[lo:hi], cardinalities)
 
     totals = [np.zeros((v_f, phi.shape[1])) for v_f in cardinalities]
-    for parts in _map_blocks(block, phi.shape[0], workers):
-        for total, part in zip(totals, parts):
-            total += part
-    return totals
+    return _fold_blocks(block, totals, phi.shape, workers)
 
 
 def _anchor_weights(n, seed):
@@ -299,24 +347,35 @@ def _score_tables(state):
     return tables
 
 
+def _normalise_block(out, tables, values):
+    """Responsibilities of one block of rows, written into ``out`` (rows,
+    K): the rows' scores are summed in place, the row max is subtracted
+    before the exp so large field counts cannot overflow, and each row is
+    divided by its sum.  Returns each row's log normaliser, the row max
+    plus the log of the row sum."""
+    out.fill(0.0)
+    for f, table in enumerate(tables):
+        out += table[values[:, f]]
+    top = out.max(axis=1)
+    out -= top[:, None]
+    np.exp(out, out=out)
+    total = out.sum(axis=1)
+    out /= total[:, None]
+    return top + np.log(total)
+
+
 def update_phi(state, corpus, hp, workers=1):
-    """Log-space responsibility update.  Each block of rows is summed and
-    normalized in place in ``phi``: the row max is subtracted before the
-    exp, so large field counts cannot overflow."""
+    """Log-space responsibility update, one block of rows at a time,
+    normalized in place in ``phi``."""
     tables = _score_tables(state)
     x, _ = _row_patterns(state, corpus.values)
 
     def block(bounds):
         lo, hi = bounds
-        scores = state.phi[lo:hi]
-        scores.fill(0.0)
-        for f, table in enumerate(tables):
-            scores += table[x[lo:hi, f]]
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=1, keepdims=True)
+        _normalise_block(state.phi[lo:hi], tables, x[lo:hi])
 
-    _map_blocks(block, state.phi.shape[0], workers)
+    for _ in _map_blocks(block, state.phi.shape, workers):
+        pass
     return state.phi
 
 
@@ -333,7 +392,7 @@ def _phi_entropy_sum(phi, weights, workers=1):
         out *= p
         return float(out.sum(axis=1) @ weights[lo:hi])
 
-    return math.fsum(_map_blocks(block, phi.shape[0], workers))
+    return math.fsum(_map_blocks(block, phi.shape, workers))
 
 
 def elbo(state, corpus, hp, workers=1):
@@ -384,6 +443,50 @@ def elbo_grad_lambda(state, corpus, hp, k, f, v):
     )
 
 
+def _log_beta(a):
+    """ln B(a) along the last axis: sum ln Gamma(a) - ln Gamma(sum a)."""
+    return gammaln(a).sum(axis=-1) - gammaln(a.sum(axis=-1))
+
+
+def _sweep(state, values, weights, hp, workers):
+    """One fit sweep on a state with one phi row per distinct tuple
+    (``values`` (U, F), multiplicities ``weights`` (U,)): the phi update,
+    the lam update and the ELBO, from one blocked pass over phi.  Returns
+    the ELBO.
+
+    Each block of rows is normalized in place and, while it is still in
+    cache, returns its weighted log-normaliser sum and field counts.  With
+    lam = alpha + counts the likelihood, prior and q(beta) terms telescope:
+
+        ELBO = sum_{k,f} [ln B(lam[k, f]) - ln B(alpha[f])]
+               - (sum_f <counts_f, T_f> - sum_u m[u] lse[u]) - N log K
+
+    where T_f are the score tables of the lam that produced phi.  Since
+    log phi[u, k] = sum_f T_f[x[u, f], k] - lse[u], the bracket is the
+    weighted sum of phi log phi, so the entropy needs no second read of
+    phi and the ELBO costs O(K * sum V_f + U).
+    """
+    tables = _score_tables(state)
+    cards = [a_f.size for a_f in hp.alpha]
+    phi = state.phi
+
+    def block(bounds):
+        lo, hi = bounds
+        x, m = values[lo:hi], weights[lo:hi]
+        lse = _normalise_block(phi[lo:hi], tables, x)
+        return [lse @ m, *_block_counts(phi[lo:hi], x, m, cards)]
+
+    totals = [np.zeros(()), *(np.zeros((v_f, phi.shape[1])) for v_f in cards)]
+    log_normaliser, *counts = _fold_blocks(block, totals, phi.shape, workers)
+    state.lam[:] = [a_f[None, :] + c_f.T for a_f, c_f in zip(hp.alpha, counts)]
+    k = state.entity_count
+    total = float(log_normaliser) - float(weights.sum()) * math.log(k)
+    for lam_f, a_f, c_f, t_f in zip(state.lam, hp.alpha, counts, tables):
+        total += float(np.sum(_log_beta(lam_f))) - k * float(_log_beta(a_f))
+        total -= float(np.sum(c_f * t_f))
+    return total
+
+
 def _state_is_finite(state):
     return np.all(np.isfinite(state.phi)) and all(
         np.all(np.isfinite(lam_f)) for lam_f in state.lam
@@ -418,14 +521,18 @@ def fit(
     """Run coordinate ascent until the relative ELBO change drops below
     ``rel_tol`` or ``max_sweeps`` is reached.
 
-    The distinct value tuples are found once; every sweep runs on them, and
-    the returned state has one phi row per distinct tuple.  Each sweep is a
-    full phi update, a full lam update, then one ELBO evaluation.
+    The distinct value tuples and their multiplicities are found once;
+    every sweep runs on them, and the returned state has one phi row per
+    distinct tuple.  Each sweep is one blocked pass over phi that does the
+    phi update, the lam update and the ELBO (see :func:`_sweep`); it gives
+    what :func:`update_phi`, :func:`update_lambda` and :func:`elbo` give.
     ``initial_state`` overrides the seeded initialization (the seed is then
     unused): only its ``lam`` is read, and the caller's arrays are not
     written.  ``on_sweep(sweep, elbo, state)`` is called after every sweep.
     Returns ``(state, FitReport)``; the trace is nondecreasing up to
-    roundoff because each step maximizes the same objective.
+    roundoff because each step maximizes the same objective, and the
+    report counts the sweeps where it fell by more than ``DECREASE_SLACK``
+    relative.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
@@ -438,17 +545,17 @@ def fit(
     else:
         lam = list(initial_state.lam)
         _check_lam_shapes(lam, hp.entity_count, corpus.schema.cardinalities)
-    rows, distinct = _distinct_rows(corpus.values)
+    rows, first, multiplicity = _distinct_rows(corpus.values)
+    values, weights = corpus.values[first], multiplicity.astype(np.float64)
     state = VariationalState(
-        phi=np.empty((distinct, hp.entity_count)), lam=lam, rows=rows
+        phi=np.empty((first.size, hp.entity_count)), lam=lam, rows=rows
     )
     trace = []
+    decreases = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
         try:
-            update_phi(state, corpus, hp, workers)
-            update_lambda(state, corpus, hp, workers)
-            value = elbo(state, corpus, hp, workers)
+            value = _sweep(state, values, weights, hp, workers)
         except ValueError as exc:
             # Finite-but-invalid states are caller errors; NaN/inf means the
             # optimization itself broke down.
@@ -461,6 +568,8 @@ def fit(
             raise NumericalFailureError(
                 sweep, f"ELBO is {value}; {_state_stats(state)}"
             )
+        if trace and value < trace[-1] - DECREASE_SLACK * abs(trace[-1]):
+            decreases += 1
         trace.append(value)
         if on_sweep is not None:
             on_sweep(sweep, value, state)
@@ -472,7 +581,8 @@ def fit(
         sweeps_run=len(trace),
         converged=converged,
         wall_time=time.perf_counter() - start,
-        distinct_records=distinct,
+        distinct_records=first.size,
+        elbo_decreases=decreases,
     )
     return state, report
 
@@ -492,8 +602,10 @@ def save_state(path, state, corpus, hp):
     """Checkpoint phi, its record index ``rows`` and lam, with a header
     describing the problem shape.
 
-    The layout is an ``.npz`` archive; loading it back reproduces every
-    array bit-exactly.
+    The layout is an ``.npz`` archive that ``np.load`` reads; loading it
+    back reproduces every array bit-exactly.  Each array is written
+    straight from its buffer into a stored zip member, after its ``.npy``
+    header, so saving copies no array.
     """
     arrays = {
         "version": np.asarray(STATE_FORMAT_VERSION),
@@ -506,7 +618,15 @@ def save_state(path, state, corpus, hp):
     for f, (a_f, lam_f) in enumerate(zip(hp.alpha, state.lam)):
         arrays[f"alpha_{f}"] = a_f
         arrays[f"lam_{f}"] = lam_f
-    np.savez(path, **arrays)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, array in arrays.items():
+            # ascontiguousarray would turn a 0-d array into a 1-d one
+            array = np.require(array, requirements="C")
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npformat.write_array_header_1_0(
+                    member, npformat.header_data_from_array_1_0(array)
+                )
+                member.write(array)
 
 
 def load_state(path):

@@ -18,6 +18,9 @@ import numpy as np
 
 from .genmodel import GroundTruth
 
+# Records per write in write_linkage.
+WRITE_CHUNK = 65536
+
 
 @dataclass(eq=False)
 class Linkage:
@@ -124,21 +127,26 @@ def posterior_cocluster_estimate(state, pairs):
     return out
 
 
-def _record_rows(db_sizes):
-    for d, size in enumerate(db_sizes, start=1):
-        for r in range(1, size + 1):
-            yield d, r
-
-
 def write_linkage(path, linkage):
-    """CSV with header ``db,record,entity,max_prob``; all ids 1-based."""
+    """CSV with header ``db,record,entity,max_prob``; all ids 1-based.
+    Lines are built ``WRITE_CHUNK`` records at a time."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["db", "record", "entity", "max_prob"])
-        for (d, r), ent, prob in zip(
-            _record_rows(linkage.db_sizes), linkage.map_entity, linkage.max_prob
-        ):
-            writer.writerow([d, r, int(ent), repr(float(prob))])
+        fh.write("db,record,entity,max_prob\r\n")
+        start = 0
+        for d, size in enumerate(linkage.db_sizes, start=1):
+            for lo in range(0, size, WRITE_CHUNK):
+                hi = min(lo + WRITE_CHUNK, size)
+                entities = linkage.map_entity[start + lo : start + hi].tolist()
+                probs = linkage.max_prob[start + lo : start + hi].tolist()
+                fh.write(
+                    "".join(
+                        [
+                            f"{d},{r},{e},{p!r}\r\n"
+                            for r, e, p in zip(range(lo + 1, hi + 1), entities, probs)
+                        ]
+                    )
+                )
+            start += size
 
 
 def _read_record_table(path, value_columns):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from types import SimpleNamespace
@@ -6,8 +7,11 @@ import numpy as np
 import pytest
 
 import vblink.cli as cli
+import vblink.engine as engine
+import vblink.evaluate as evaluate
 from vblink.cli import main
-from vblink.engine import NumericalFailureError, load_state
+from vblink.corpus import Corpus, Schema
+from vblink.engine import HyperParams, NumericalFailureError, fit, load_state
 
 
 def write_tiny_db(tmp_path, rows=("red", "red"), field="color"):
@@ -194,6 +198,21 @@ class TestFit:
         assert "without meeting" in capsys.readouterr().err
         assert len((out / "trace.csv").read_text().splitlines()) == 2
 
+    def test_elbo_decrease_warns(self, tmp_path, capsys, monkeypatch):
+        values = iter([-3.0, -2.0, -2.5, -2.5])
+        monkeypatch.setattr(engine, "_sweep", lambda *_args: next(values))
+        db, schema = write_tiny_db(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["fit", db, "--schema", schema, "--out", out]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: the ELBO fell beyond roundoff in 1 of 4 sweeps"]
+
+    def test_no_warning_without_decrease(self, tmp_path, capsys):
+        db, schema = write_tiny_db(tmp_path, rows=("red", "blue", "red"))
+        out = str(tmp_path / "run")
+        assert main(["fit", db, "--schema", schema, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def explode(*_args, **_kwargs):
             raise NumericalFailureError(3, "synthetic breakdown")
@@ -295,6 +314,52 @@ class TestFit:
         assert main(base + ["--tol", "0"]) == 2
         assert main(base + ["--workers", "0"]) == 2
         assert main(base + ["--k", "0"]) == 2
+
+
+class TestOutputWriters:
+    """linkage.csv and lambda.csv are byte-identical to a csv.writer that
+    writes one row per line."""
+
+    def test_match_csv_writer_with_commas_and_quotes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluate, "WRITE_CHUNK", 3)  # chunk ends inside a db
+        schema = Schema(
+            ("name, full", 'say "hi"', "", "plain"),
+            (("a,b", '"q"', "x"), ('y"', ""), ("1", "2"), ("\n", " z ", "w,")),
+        )
+        rng = np.random.default_rng(5)
+        values = np.stack(
+            [rng.integers(0, v, size=11) for v in schema.cardinalities], axis=1
+        )
+        corpus = Corpus(schema=schema, db_sizes=(7, 4), values=values)
+        hp = HyperParams.symmetric(3, 0.5, schema.cardinalities)
+        state, _ = fit(corpus, hp, max_sweeps=3, seed=1)
+        linkage = evaluate.map_linkage(state, corpus.db_sizes)
+
+        evaluate.write_linkage(tmp_path / "linkage.csv", linkage)
+        cli._write_lambda_csv(tmp_path / "lambda.csv", state, schema)
+
+        with open(tmp_path / "want_linkage.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["db", "record", "entity", "max_prob"])
+            records = [(1, r) for r in range(1, 8)] + [(2, r) for r in range(1, 5)]
+            for (d, r), ent, prob in zip(
+                records, linkage.map_entity, linkage.max_prob
+            ):
+                writer.writerow([d, r, int(ent), repr(float(prob))])
+        want_lambda = tmp_path / "want_lambda.csv"
+        with open(want_lambda, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["entity", "field", "value", "lambda"])
+            for k in range(hp.entity_count):
+                for f, name in enumerate(schema.field_names):
+                    for v, lam in enumerate(state.lam[f][k]):
+                        writer.writerow(
+                            [k + 1, name, schema.value(f, v), repr(float(lam))]
+                        )
+        for name in ("linkage.csv", "lambda.csv"):
+            got = (tmp_path / name).read_bytes()
+            assert got == (tmp_path / f"want_{name}").read_bytes(), name
+        assert b'"a,b"' in (tmp_path / "lambda.csv").read_bytes()
 
 
 class TestConfigFile:

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +477,28 @@ class TestCheckpoint:
         assert header["cardinalities"] == [3, 2]
         assert header["entity_count"] == 5
 
+    def test_save_copies_no_array(self, tmp_path):
+        # an 8 MiB phi: a chunked copy on the way to the archive would show
+        n = k = 1024
+        corpus = tiny_corpus(np.arange(n) % 2)
+        hp = HyperParams.symmetric(k, 0.5, [2])
+        rng = np.random.default_rng(1)
+        state = make_state(rng.dirichlet(np.ones(k), size=n), [np.ones((k, 2))])
+        path = tmp_path / "state.npz"
+        tracemalloc.start()
+        try:
+            save_state(path, state, corpus, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.phi.nbytes / 4
+        loaded, header = load_state(path)
+        np.testing.assert_array_equal(loaded.phi, state.phi)
+        np.testing.assert_array_equal(loaded.rows, state.rows)
+        assert header["version"] == engine.STATE_FORMAT_VERSION
+        with np.load(path) as data:
+            assert data["version"].shape == ()
+
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, version=np.asarray(99))
@@ -617,3 +642,93 @@ class TestDistinctRecords:
         state = make_state(np.full((2, 3), 1 / 3), [np.ones((3, 2))])
         with pytest.raises(ValueError, match="lam for field 0"):
             fit(pair_corpus, hp, initial_state=state)
+
+
+class TestFusedSweep:
+    """Each fit sweep is one blocked pass over phi with the ELBO in closed
+    form; the public update_phi, update_lambda and elbo are its reference."""
+
+    @pytest.fixture(scope="class")
+    def duplicate_heavy(self):
+        corpus, _ = sample_dataset(DUPLICATE_HEAVY)
+        return corpus, HyperParams.symmetric(600, 0.1, corpus.schema.cardinalities)
+
+    def test_elbo_matches_reference_at_every_sweep(self, duplicate_heavy):
+        corpus, hp = duplicate_heavy
+        gaps = []
+
+        def check(_sweep, value, state):
+            gaps.append(abs(value - elbo(state, corpus, hp)) / abs(value))
+
+        _, report = fit(corpus, hp, max_sweeps=8, rel_tol=1e-14, seed=4, on_sweep=check)
+        assert len(gaps) == report.sweeps_run == 8
+        assert max(gaps) <= 1e-10
+
+    def test_lambda_is_the_update_of_the_returned_phi(self, duplicate_heavy):
+        corpus, hp = duplicate_heavy
+        state, _ = fit(corpus, hp, max_sweeps=5, seed=6)
+        reference = state.copy()
+        update_lambda(reference, corpus, hp)
+        for got, want in zip(state.lam, reference.lam):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_blocks_are_capped_at_eight_mebibytes(self):
+        assert engine._rows_per_block(50) == engine.BLOCK_RECORDS
+        assert engine._rows_per_block(4000) == 262
+        assert engine._rows_per_block(2**21) == 1
+        assert len(engine._blocks(1572, 4000)) == 6
+
+    def test_worker_counts_bitwise_equal_when_bytes_split_blocks(self):
+        rng = np.random.default_rng(3)
+        schema = Schema(("a", "b", "c"), (tuple("0123456789"),) * 3)
+        values = rng.integers(0, 10, size=(300, 3))
+        corpus = Corpus(schema=schema, db_sizes=(300,), values=values)
+        hp = HyperParams.symmetric(2**13, 0.2, [10] * 3)
+        distinct = len({tuple(r) for r in values.tolist()})
+        assert len(engine._blocks(distinct, hp.entity_count)) >= 3
+        runs = [
+            fit(corpus, hp, max_sweeps=3, seed=2, workers=workers)
+            for workers in (1, 3)
+        ]
+        (s1, r1), (s3, r3) = runs
+        assert r1.elbo_trace == r3.elbo_trace
+        np.testing.assert_array_equal(s1.phi, s3.phi)
+        for lam1, lam3 in zip(s1.lam, s3.lam):
+            np.testing.assert_array_equal(lam1, lam3)
+
+    def test_workers_hold_at_most_one_round_of_partials(self):
+        lock = threading.Lock()
+        produced, consumed, held = [0], [0], []
+
+        def block(_bounds):
+            with lock:
+                produced[0] += 1
+                held.append(produced[0] - consumed[0])
+            return None
+
+        blocks = engine._blocks(12, 2**20)  # one row per block
+        assert len(blocks) == 12
+        for _ in engine._map_blocks(block, (12, 2**20), workers=3):
+            time.sleep(0.005)  # a slow consumer: finished blocks would pile up
+            with lock:
+                consumed[0] += 1
+        assert produced[0] == consumed[0] == 12
+        assert max(held) <= 3
+
+    def test_trace_monotone_on_recovery_config(self, duplicate_heavy):
+        corpus, hp = duplicate_heavy
+        _, report = fit(corpus, hp, seed=0)
+        assert report.converged
+        trace = report.elbo_trace
+        for prev, cur in zip(trace, trace[1:]):
+            assert cur >= prev - engine.DECREASE_SLACK * abs(prev)
+        assert report.elbo_decreases == 0
+
+    def test_elbo_decreases_are_counted(self, pair_corpus, monkeypatch):
+        values = iter([-10.0, -9.0, -9.5, -9.4, -9.4 - 1e-12, -9.3, -9.3])
+        monkeypatch.setattr(engine, "_sweep", lambda *_args: next(values))
+        hp = HyperParams.symmetric(2, 1.0, [2])
+        _, report = fit(pair_corpus, hp, max_sweeps=10, rel_tol=1e-14)
+        assert report.elbo_trace == [-10.0, -9.0, -9.5, -9.4, -9.4 - 1e-12, -9.3, -9.3]
+        assert report.converged
+        assert report.elbo_decreases == 1
