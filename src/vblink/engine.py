@@ -36,8 +36,14 @@ sum_u m[u] sum_k phi[u, k] log phi[u, k] = sum_f <counts_f, T_f>
 - sum_u m[u] lse[u].  So a sweep reads phi once and its ELBO costs
 O(K * sum V_f + U).  The public
 :func:`update_phi`, :func:`update_lambda` and :func:`elbo` are the general
-updates for any (phi, lam); they share the block normalisation with the
-sweep, and the tests hold the sweep to them.
+updates for any (phi, lam); they share the block normalisation, the
+lam = alpha + counts step, the score tables and ln B with the sweep, and
+the tests hold the sweep to them.  The reference :func:`elbo` is in
+bracket form: its bracket alpha + counts - lam vanishes at
+lam = alpha + counts, which leaves the sweep's closed form.  The
+enumeration oracle (:mod:`vblink.oracle`) weighs each
+hard assignment by the ln B terms at its counts, with the same ln B and
+the same block map.
 
 A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20 entries of
 phi (8 MiB), so wide-K blocks still fit in cache.  Determinism contract:
@@ -177,12 +183,11 @@ def _blocks(row_count, entity_count):
     return [(lo, min(lo + step, row_count)) for lo in range(0, row_count, step)]
 
 
-def _map_blocks(fn, shape, workers):
-    """Apply fn to each row block of a (rows, K) array and yield the
-    results in block order.  Blocks run in rounds of ``workers``, so a
-    caller that folds each result as it comes holds at most ``workers``
-    of them at once."""
-    blocks = _blocks(*shape)
+def _map_blocks(fn, blocks, workers):
+    """Apply fn to each block in the list ``blocks`` and yield the results
+    in block order.  Blocks run in rounds of ``workers``, so a caller that
+    folds each result as it comes holds at most ``workers`` of them at
+    once."""
     if workers <= 1 or len(blocks) <= 1:
         yield from map(fn, blocks)
         return
@@ -195,7 +200,7 @@ def _fold_blocks(fn, totals, shape, workers):
     """Add each block's list of partial results from fn into ``totals``,
     in place and strictly in block order, so the sums are bit-identical
     for any worker count."""
-    for parts in _map_blocks(fn, shape, workers):
+    for parts in _map_blocks(fn, _blocks(*shape), workers):
         for total, part in zip(totals, parts):
             total += part
     return totals
@@ -221,21 +226,15 @@ def _row_patterns(state, values):
 
 
 def _distinct_rows(values):
-    """The distinct value tuples: the index from each record to its tuple,
-    the first record carrying each tuple, and each tuple's record count.
-    One sort of the rows viewed as opaque byte strings, so no combined key
-    can overflow."""
+    """The index from each record to its distinct value tuple.  One sort of
+    the rows viewed as opaque byte strings, so no combined key can
+    overflow."""
     n, field_count = values.shape
     if field_count == 0:  # every record carries the empty tuple
-        one = min(n, 1)
-        return np.zeros(n, dtype=np.intp), np.zeros(one, dtype=np.intp), np.full(one, n)
+        return np.zeros(n, dtype=np.intp)
     values = np.ascontiguousarray(values)
-    row_bytes = values.dtype.itemsize * field_count
-    as_bytes = values.view(np.dtype((np.void, row_bytes)))
-    _, first, rows, counts = np.unique(
-        as_bytes.ravel(), return_index=True, return_inverse=True, return_counts=True
-    )
-    return rows, first, counts
+    as_bytes = values.view(np.dtype((np.void, values.dtype.itemsize * field_count)))
+    return np.unique(as_bytes.ravel(), return_inverse=True)[1]
 
 
 def _block_counts(p, values, weights, cardinalities):
@@ -327,6 +326,12 @@ def _check_compatible(corpus, hp):
             raise ValueError(f"alpha for field {f} has length {a.shape[0]}, not {v_f}")
 
 
+def _lambda_of_counts(alpha, counts):
+    """lam = alpha + counts, per field a C-ordered (K, V_f) array, so a copy
+    or a reloaded checkpoint sums each row of lam in the same order."""
+    return [np.add(a_f, c_f.T, order="C") for a_f, c_f in zip(alpha, counts)]
+
+
 def update_lambda(state, corpus, hp, workers=1):
     """Closed-form Dirichlet update: prior plus multiplicity- and
     responsibility-weighted counts."""
@@ -334,7 +339,7 @@ def update_lambda(state, corpus, hp, workers=1):
     counts = _field_counts(
         state.phi, values, weights, corpus.schema.cardinalities, workers
     )
-    state.lam[:] = [a_f[None, :] + c_f.T for a_f, c_f in zip(hp.alpha, counts)]
+    state.lam[:] = _lambda_of_counts(hp.alpha, counts)
     return state.lam
 
 
@@ -345,6 +350,11 @@ def _score_tables(state):
         t = digamma(lam_f) - digamma(lam_f.sum(axis=1))[:, None]
         tables.append(np.ascontiguousarray(t.T))
     return tables
+
+
+def _log_beta(a):
+    """ln B(a) along the last axis: sum ln Gamma(a) - ln Gamma(sum a)."""
+    return gammaln(a).sum(axis=-1) - gammaln(a.sum(axis=-1))
 
 
 def _normalise_block(out, tables, values):
@@ -374,7 +384,7 @@ def update_phi(state, corpus, hp, workers=1):
         lo, hi = bounds
         _normalise_block(state.phi[lo:hi], tables, x[lo:hi])
 
-    for _ in _map_blocks(block, state.phi.shape, workers):
+    for _ in _map_blocks(block, _blocks(*state.phi.shape), workers):
         pass
     return state.phi
 
@@ -392,16 +402,20 @@ def _phi_entropy_sum(phi, weights, workers=1):
         out *= p
         return float(out.sum(axis=1) @ weights[lo:hi])
 
-    return math.fsum(_map_blocks(block, phi.shape, workers))
+    return math.fsum(_map_blocks(block, _blocks(*phi.shape), workers))
 
 
 def elbo(state, corpus, hp, workers=1):
-    """Evidence lower bound of the current state.
+    """Evidence lower bound of the current state, in bracket form:
 
-    Sum of the Dirichlet prior expectation, the expected log likelihood of
-    the observed cells, the assignment entropy, the negated Dirichlet
-    variational-factor expectation, and the constant -N*log(K) assignment
-    prior.  Equals log p(x) exactly when K = 1.
+        sum_{k,f} [ <alpha_f + counts[k, f] - lam[k, f], T_f[:, k]>
+                    + ln B(lam[k, f]) - ln B(alpha_f) ]
+        - sum_u m[u] sum_k phi[u, k] log phi[u, k] - N log K
+
+    with T_f the score tables of ``lam``.  The expected log likelihood,
+    the Dirichlet prior and the q(beta) terms collect into the bracket,
+    which vanishes at lam = alpha + counts.  Valid for any (phi, lam);
+    equals log p(x) exactly when K = 1.
     """
     k = state.entity_count
     values, weights = _row_patterns(state, corpus.values)
@@ -409,20 +423,9 @@ def elbo(state, corpus, hp, workers=1):
         state.phi, values, weights, corpus.schema.cardinalities, workers
     )
     total = 0.0
-    for lam_f, a_f, c_f in zip(state.lam, hp.alpha, counts):
-        row = lam_f.sum(axis=1)
-        e_log_beta = digamma(lam_f) - digamma(row)[:, None]
-
-        total += float(np.sum(c_f.T * e_log_beta))
-
-        total += k * float(gammaln(a_f.sum()) - gammaln(a_f).sum())
-        total += float(np.sum((a_f[None, :] - 1.0) * e_log_beta))
-
-        total -= float(
-            np.sum(gammaln(row))
-            - np.sum(gammaln(lam_f))
-            + np.sum((lam_f - 1.0) * e_log_beta)
-        )
+    for lam_f, a_f, c_f, t_f in zip(state.lam, hp.alpha, counts, _score_tables(state)):
+        total += float(np.sum((a_f[:, None] + c_f - lam_f.T) * t_f))
+        total += float(np.sum(_log_beta(lam_f))) - k * float(_log_beta(a_f))
     total -= _phi_entropy_sum(state.phi, weights, workers)
     total -= float(weights.sum()) * math.log(k)
     return total
@@ -441,11 +444,6 @@ def elbo_grad_lambda(state, corpus, hp, k, f, v):
         polygamma(1, state.lam[f][k, v]) * bracket[v]
         - polygamma(1, state.lam[f][k].sum()) * bracket.sum()
     )
-
-
-def _log_beta(a):
-    """ln B(a) along the last axis: sum ln Gamma(a) - ln Gamma(sum a)."""
-    return gammaln(a).sum(axis=-1) - gammaln(a.sum(axis=-1))
 
 
 def _sweep(state, values, weights, hp, workers):
@@ -478,19 +476,13 @@ def _sweep(state, values, weights, hp, workers):
 
     totals = [np.zeros(()), *(np.zeros((v_f, phi.shape[1])) for v_f in cards)]
     log_normaliser, *counts = _fold_blocks(block, totals, phi.shape, workers)
-    state.lam[:] = [a_f[None, :] + c_f.T for a_f, c_f in zip(hp.alpha, counts)]
+    state.lam[:] = _lambda_of_counts(hp.alpha, counts)
     k = state.entity_count
     total = float(log_normaliser) - float(weights.sum()) * math.log(k)
     for lam_f, a_f, c_f, t_f in zip(state.lam, hp.alpha, counts, tables):
         total += float(np.sum(_log_beta(lam_f))) - k * float(_log_beta(a_f))
         total -= float(np.sum(c_f * t_f))
     return total
-
-
-def _state_is_finite(state):
-    return np.all(np.isfinite(state.phi)) and all(
-        np.all(np.isfinite(lam_f)) for lam_f in state.lam
-    )
 
 
 def _state_stats(state):
@@ -545,25 +537,17 @@ def fit(
     else:
         lam = list(initial_state.lam)
         _check_lam_shapes(lam, hp.entity_count, corpus.schema.cardinalities)
-    rows, first, multiplicity = _distinct_rows(corpus.values)
-    values, weights = corpus.values[first], multiplicity.astype(np.float64)
+    rows = _distinct_rows(corpus.values)
+    distinct = int(rows.max(initial=-1)) + 1
     state = VariationalState(
-        phi=np.empty((first.size, hp.entity_count)), lam=lam, rows=rows
+        phi=np.empty((distinct, hp.entity_count)), lam=lam, rows=rows
     )
+    values, weights = _row_patterns(state, corpus.values)
     trace = []
     decreases = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        try:
-            value = _sweep(state, values, weights, hp, workers)
-        except ValueError as exc:
-            # Finite-but-invalid states are caller errors; NaN/inf means the
-            # optimization itself broke down.
-            if _state_is_finite(state):
-                raise
-            raise NumericalFailureError(
-                sweep, f"non-finite state: {exc}; {_state_stats(state)}"
-            ) from exc
+        value = _sweep(state, values, weights, hp, workers)
         if not math.isfinite(value):
             raise NumericalFailureError(
                 sweep, f"ELBO is {value}; {_state_stats(state)}"
@@ -581,7 +565,7 @@ def fit(
         sweeps_run=len(trace),
         converged=converged,
         wall_time=time.perf_counter() - start,
-        distinct_records=first.size,
+        distinct_records=distinct,
         elbo_decreases=decreases,
     )
     return state, report

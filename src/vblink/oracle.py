@@ -6,7 +6,11 @@ With the per-entity attribute distributions integrated out analytically
     log w(z) = sum_k sum_f [ log B(alpha_f + c_kf(z)) - log B(alpha_f) ]
 
 where c_kfv(z) counts records assigned to entity k carrying value v in
-field f and B is the multivariate beta function.  The evidence is then
+field f and B is the multivariate beta function.  This is the first term
+of the engine's telescoped ELBO evaluated at hard counts, and it uses the
+engine's ln B.  The counts of a block of assignments come from one
+``bincount`` over (assignment, entity, value) keys, and the blocks run
+through the engine's block map.  The evidence is then
 log p(x) = -N*log(K) + log sum_z w(z), a sum over all K**N assignment
 vectors taken with the largest log w(z) shifted out so it cannot overflow.
 This is a test fixture for the variational engine, not a scalable
@@ -14,11 +18,12 @@ inference path: instances beyond the enumeration budget are refused, never
 approximated.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
+
+from vblink.engine import _check_compatible, _log_beta, _map_blocks
 
 ENUMERATION_BUDGET = 10**6
 
@@ -63,35 +68,22 @@ def _decode(ids, n, k):
     return labels
 
 
-def _one_hot_fields(corpus):
-    out = []
-    for f in range(corpus.schema.field_count):
-        v_f = corpus.schema.cardinalities[f]
-        x = np.zeros((corpus.total_records, v_f))
-        x[np.arange(corpus.total_records), corpus.values[:, f]] = 1.0
-        out.append(x)
-    return out
-
-
-def _block_log_weights(ids, corpus, hp, field_one_hot):
+def _block_log_weights(corpus, hp, ids):
+    """log w(z) for the assignments ``ids``.  The counts c_kfv(z) of the
+    whole block come from one bincount: the fields' values sit side by
+    side in sum_f V_f columns, and (assignment b, entity z, column c) has
+    the key (b * K + z) * sum_f V_f + c."""
     k = hp.entity_count
-    labels = _decode(ids, corpus.total_records, k)
-    z = (labels[:, :, None] == np.arange(k)[None, None, :]).astype(np.float64)
-    cluster_sizes = z.sum(axis=1)  # (B, K)
+    offsets = np.cumsum([0, *corpus.schema.cardinalities])
+    width = offsets[-1]
+    entity = np.arange(ids.size)[:, None] * k + _decode(ids, corpus.total_records, k)
+    keys = entity[:, :, None] * width + (corpus.values + offsets[:-1])
+    counts = np.bincount(keys.ravel(), minlength=ids.size * k * width)
+    counts = counts.reshape(ids.size, k, width)
     logw = np.zeros(ids.size)
-    for a_f, x_f in zip(hp.alpha, field_one_hot):
-        counts = np.einsum("bnk,nv->bkv", z, x_f)
-        logw += gammaln(a_f[None, None, :] + counts).sum(axis=(1, 2))
-        logw -= gammaln(a_f.sum() + cluster_sizes).sum(axis=1)
-        logw -= k * float(gammaln(a_f).sum() - gammaln(a_f.sum()))
+    for a_f, lo, hi in zip(hp.alpha, offsets[:-1], offsets[1:]):
+        logw += (_log_beta(a_f + counts[:, :, lo:hi]) - _log_beta(a_f)).sum(axis=1)
     return logw
-
-
-def _id_blocks(total):
-    return [
-        np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
-        for lo in range(0, total, _BLOCK)
-    ]
 
 
 def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
@@ -100,21 +92,13 @@ def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
     Results are deterministic for any worker count: block weights are
     computed independently and combined in block index order.
     """
+    _check_compatible(corpus, hp)
     total = _assignment_total(corpus, hp, budget)
     n = corpus.total_records
     k = hp.entity_count
-    field_one_hot = _one_hot_fields(corpus)
-    blocks = _id_blocks(total)
-
-    def weigh(ids):
-        return _block_log_weights(ids, corpus, hp, field_one_hot)
-
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(weigh, blocks))
-    else:
-        parts = [weigh(ids) for ids in blocks]
-    logw = np.concatenate(parts) if parts else np.zeros(0)
+    blocks = [np.arange(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
+    weigh = partial(_block_log_weights, corpus, hp)
+    logw = np.concatenate(list(_map_blocks(weigh, blocks, workers)))
 
     shift = logw.max()
     log_total = shift + np.log(np.exp(logw - shift).sum())

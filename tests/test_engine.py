@@ -672,6 +672,22 @@ class TestFusedSweep:
         for got, want in zip(state.lam, reference.lam):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    def test_copied_and_reloaded_lambda_give_the_same_phi(
+        self, duplicate_heavy, tmp_path
+    ):
+        corpus, hp = duplicate_heavy
+        state, _ = fit(corpus, hp, max_sweeps=2, seed=6)
+        updated = state.copy()
+        update_lambda(updated, corpus, hp)
+        assert all(l.flags.c_contiguous for l in state.lam + updated.lam)
+        copied = state.copy()
+        save_state(tmp_path / "state.npz", state, corpus, hp)
+        reloaded, _ = load_state(tmp_path / "state.npz")
+        for s in (state, copied, reloaded):
+            update_phi(s, corpus, hp)
+        np.testing.assert_array_equal(copied.phi, state.phi)
+        np.testing.assert_array_equal(reloaded.phi, state.phi)
+
     def test_blocks_are_capped_at_eight_mebibytes(self):
         assert engine._rows_per_block(50) == engine.BLOCK_RECORDS
         assert engine._rows_per_block(4000) == 262
@@ -708,7 +724,7 @@ class TestFusedSweep:
 
         blocks = engine._blocks(12, 2**20)  # one row per block
         assert len(blocks) == 12
-        for _ in engine._map_blocks(block, (12, 2**20), workers=3):
+        for _ in engine._map_blocks(block, blocks, workers=3):
             time.sleep(0.005)  # a slow consumer: finished blocks would pile up
             with lock:
                 consumed[0] += 1

@@ -165,16 +165,22 @@ class TestGuards:
             exact_log_evidence(corpus, hp, budget=3)
 
     def test_alpha_cardinality_mismatch(self):
-        corpus = small_corpus([[0]], [3])
-        with pytest.raises(ValueError):
-            exact_posterior(corpus, HyperParams(2, [np.ones(2)]))
+        corpus = small_corpus([[0, 1]], [3, 2])
+        for alpha in (
+            [np.ones(3)],  # too few vectors
+            [np.ones(3), np.ones(2), np.ones(2)],  # too many vectors
+            [np.ones(2), np.ones(2)],  # too short
+            [np.ones(3), np.ones(3)],  # too long
+        ):
+            with pytest.raises(ValueError, match="alpha"):
+                exact_posterior(corpus, HyperParams(2, alpha))
 
 
 class TestWorkers:
     def test_bitwise_identical_across_worker_counts(self):
         rng = np.random.default_rng(9)
-        corpus = small_corpus(rng.integers(0, 2, size=(12, 2)), [2, 2])
-        hp = HyperParams.symmetric(2, 0.5, [2, 2])  # 4096 assignments
+        corpus = small_corpus(rng.integers(0, 2, size=(14, 2)), [2, 2])
+        hp = HyperParams.symmetric(2, 0.5, [2, 2])  # 2**14 assignments, 4 blocks
         a = exact_posterior(corpus, hp, workers=1)
         b = exact_posterior(corpus, hp, workers=4)
         assert a.log_evidence == b.log_evidence
