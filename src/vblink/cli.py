@@ -1,8 +1,12 @@
 """Command-line interface: ``synth``, ``fit``, ``eval``, ``oracle-check``.
 
+Each option takes its value from its flag, else from the ``--config``
+file, else from its default.  A config entry is parsed by the flag's own
+type, so a bad config value is reported exactly like the same bad flag.
 Every run writes ``manifest.json`` into the output directory echoing the
-fully resolved configuration (no timestamps), so identical invocations
-produce byte-identical files and the manifest suffices to reproduce a run.
+options that ran, with the defaults, ``k`` and the alpha actually used
+filled in (no timestamps), so identical invocations produce byte-identical
+files and the manifest suffices to reproduce a run.
 
 Exit codes: 0 success (fit: converged), 2 usage or input error,
 3 numerical failure, 4 fit stopped at the sweep limit without converging,
@@ -26,7 +30,13 @@ from .corpus import (
     write_databases,
     write_schema_file,
 )
-from .engine import HyperParams, NumericalFailureError, fit, save_state
+from .engine import (
+    HyperParams,
+    NumericalFailureError,
+    _check_fit_options,
+    fit,
+    save_state,
+)
 from .evaluate import (
     map_linkage,
     pairwise_metrics,
@@ -46,11 +56,22 @@ EXIT_BOUND_VIOLATION = 5
 
 BOUND_SLACK = 1e-9
 
+# The symmetric concentration of fit and oracle-check when neither --alpha
+# nor --alpha-file is given.  --alpha itself defaults to None, which is how
+# a clash with --alpha-file shows.
+DEFAULT_ALPHA = 0.1
 
-def _read_config_file(path):
-    """Plain ``key=value`` lines; blank lines and ``#`` comments ignored.
-    Keys use the long flag spelling without the dashes (e.g. ``db-sizes``)."""
-    settings = {}
+# Parsed attributes that are not part of a run's configuration.
+_NOT_ECHOED = ("func", "subparser", "config", "out")
+
+
+def _config_defaults(parser, path):
+    """The entries of a ``key=value`` file that name an option of
+    ``parser``, keyed by the option's ``dest``.  Blank lines and ``#``
+    comments are skipped.  Keys use the long flag spelling without the
+    dashes (e.g. ``db-sizes``); other keys are ignored, so a file sets no
+    positional and cannot replace the handler."""
+    defaults = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -59,40 +80,31 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno} is not key=value")
             key, _, value = line.partition("=")
-            settings[key.strip()] = value.strip()
-    return settings
+            action = parser._option_string_actions.get("--" + key.strip())
+            if action is not None and action.dest not in ("help", "config"):
+                defaults[action.dest] = value.strip()
+    return defaults
 
 
-class _Resolver:
-    """Option precedence: explicit flag, then config-file entry, then default."""
-
-    def __init__(self, args):
-        self.args = args
-        config_path = getattr(args, "config", None)
-        self.config = _read_config_file(config_path) if config_path else {}
-
-    def get(self, name, cast, default=None):
-        value = getattr(self.args, name)
-        key = name.replace("_", "-")
-        if value is None and key in self.config:
-            value = cast(self.config[key])
-        return default if value is None else value
-
-    def require(self, name, cast):
-        value = self.get(name, cast)
-        if value is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required")
-        return value
-
-
-def _parse_sizes(text):
+def _db_sizes(text):
+    """``--db-sizes``: comma-separated positive record counts."""
     try:
-        sizes = [int(tok) for tok in str(text).split(",")]
+        sizes = [int(tok) for tok in text.split(",")]
+        if min(sizes) >= 1:
+            return sizes
     except ValueError:
-        raise ValueError(f"cannot parse database sizes from {text!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("database sizes must be positive integers")
-    return sizes
+        pass
+    raise argparse.ArgumentTypeError(
+        f"database sizes must be positive integers, got {text!r}"
+    )
+
+
+def _require(args, *names):
+    """Options with no default that a command needs.  argparse's
+    ``required`` would refuse one that the config file supplies."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
 def _read_alpha_file(path):
@@ -107,24 +119,33 @@ def _read_alpha_file(path):
     return vectors
 
 
-def _alpha_vectors(alpha, alpha_file, cardinalities):
-    if alpha is not None and alpha_file is not None:
-        raise ValueError("give either --alpha or --alpha-file, not both")
-    if alpha_file is not None:
-        return resolve_alpha(_read_alpha_file(alpha_file), cardinalities)
-    return resolve_alpha(0.1 if alpha is None else alpha, cardinalities)
+def _alpha_vectors(args, cardinalities):
+    """The per-field concentrations.  A defaulted alpha is written back into
+    ``args``, so the manifest records the value used."""
+    if args.alpha_file is not None:
+        if args.alpha is not None:
+            raise ValueError("give either --alpha or --alpha-file, not both")
+        return resolve_alpha(_read_alpha_file(args.alpha_file), cardinalities)
+    if args.alpha is None:
+        args.alpha = DEFAULT_ALPHA
+    return resolve_alpha(args.alpha, cardinalities)
 
 
-def _ensure_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
-def _write_manifest(out_dir, payload):
-    payload = dict(payload, version=__version__)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_manifest(args, outputs):
+    """Every parsed option of the run, the outputs and the package version."""
+    manifest = {
+        key: value for key, value in vars(args).items() if key not in _NOT_ECHOED
+    }
+    _write_json(
+        os.path.join(args.out, "manifest.json"),
+        dict(manifest, outputs=outputs, version=__version__),
+    )
 
 
 def _csv_cells(cells):
@@ -156,111 +177,53 @@ def _write_lambda_csv(path, state, schema):
             )
 
 
-def _load_corpus(args, resolver):
-    schema_path = resolver.get("schema", str)
-    schema = read_schema_file(schema_path) if schema_path else None
-    return load_databases(args.databases, schema=schema), schema_path
-
-
-def _fit_options(resolver):
-    opts = {
-        "k": resolver.get("k", int),
-        "alpha": resolver.get("alpha", float),
-        "alpha_file": resolver.get("alpha_file", str),
-        "max_sweeps": resolver.get("max_sweeps", int, 1000),
-        "tol": resolver.get("tol", float, 1e-8),
-        "seed": resolver.get("seed", int, 0),
-        "workers": resolver.get("workers", int, 1),
-    }
-    if opts["max_sweeps"] < 1:
-        raise ValueError("--max-sweeps must be >= 1")
-    if opts["tol"] <= 0.0:
-        raise ValueError("--tol must be positive")
-    if opts["workers"] < 1:
-        raise ValueError("--workers must be >= 1")
-    return opts
-
-
-def _fit_setup(args, resolver):
-    """Options, corpus and hyperparameters shared by ``fit`` and
-    ``oracle-check``, plus the manifest entries that echo them."""
-    opts = _fit_options(resolver)
-    corpus, schema_path = _load_corpus(args, resolver)
-    k = opts["k"] if opts["k"] is not None else corpus.total_records
+def _fit_setup(args):
+    """Check the options, then load the corpus and build the hyperparameters
+    shared by ``fit`` and ``oracle-check``.  The resolved ``k`` and alpha
+    are written back into ``args``, which the manifest echoes."""
+    _require(args, "out")
+    _check_fit_options(args.max_sweeps, args.tol, args.workers)
+    schema = read_schema_file(args.schema) if args.schema else None
+    corpus = load_databases(args.databases, schema=schema)
+    if args.k is None:
+        args.k = corpus.total_records
     hp = HyperParams(
-        entity_count=k,
-        alpha=_alpha_vectors(
-            opts["alpha"], opts["alpha_file"], corpus.schema.cardinalities
-        ),
+        entity_count=args.k,
+        alpha=_alpha_vectors(args, corpus.schema.cardinalities),
     )
-    manifest = {
-        "databases": list(args.databases),
-        "schema": schema_path,
-        "k": k,
-        "alpha": opts["alpha"] if opts["alpha_file"] is None else None,
-        "alpha_file": opts["alpha_file"],
-        "max_sweeps": opts["max_sweeps"],
-        "tol": opts["tol"],
-        "seed": opts["seed"],
-        "workers": opts["workers"],
-    }
-    return opts, corpus, hp, manifest
+    return corpus, hp
 
 
 def cmd_synth(args):
-    resolver = _Resolver(args)
-    out_dir = resolver.require("out", str)
-    entity_count = resolver.require("k", int)
-    db_sizes = _parse_sizes(resolver.require("db_sizes", str))
-    fields = resolver.require("fields", int)
-    cardinality = resolver.require("cardinality", int)
-    distortion = resolver.get("distortion", float)
-    alpha = resolver.get("alpha", float)
-    small_cluster_max = resolver.get("small_cluster_max", int)
-    seed = resolver.get("seed", int, 0)
-
+    _require(args, "out", "k", "db_sizes", "fields", "cardinality")
     config = GenConfig(
-        entity_count=entity_count,
-        db_sizes=db_sizes,
-        cardinalities=[cardinality] * fields,
-        distortion=distortion,
-        dirichlet_alpha=alpha,
-        small_cluster_max=small_cluster_max,
-        seed=seed,
+        entity_count=args.k,
+        db_sizes=args.db_sizes,
+        cardinalities=[args.cardinality] * args.fields,
+        distortion=args.distortion,
+        dirichlet_alpha=args.alpha,
+        small_cluster_max=args.small_cluster_max,
+        seed=args.seed,
     )
     corpus, truth = sample_dataset(config)
 
-    _ensure_out(out_dir)
-    db_names = [f"db{d}.csv" for d in range(1, len(db_sizes) + 1)]
-    write_databases(corpus, [os.path.join(out_dir, name) for name in db_names])
-    write_schema_file(corpus.schema, os.path.join(out_dir, "schema.txt"))
-    write_ground_truth(truth, os.path.join(out_dir, "truth.csv"))
+    os.makedirs(args.out, exist_ok=True)
+    db_names = [f"db{d}.csv" for d in range(1, len(args.db_sizes) + 1)]
+    write_databases(corpus, [os.path.join(args.out, name) for name in db_names])
+    write_schema_file(corpus.schema, os.path.join(args.out, "schema.txt"))
+    write_ground_truth(truth, os.path.join(args.out, "truth.csv"))
     _write_manifest(
-        out_dir,
-        {
-            "command": "synth",
-            "k": entity_count,
-            "db_sizes": db_sizes,
-            "fields": fields,
-            "cardinality": cardinality,
-            "distortion": distortion,
-            "alpha": alpha,
-            "small_cluster_max": small_cluster_max,
-            "seed": seed,
-            "outputs": db_names
-            + ["schema.txt", "truth.csv", "truth_latent.csv", "manifest.json"],
-        },
+        args,
+        db_names + ["schema.txt", "truth.csv", "truth_latent.csv", "manifest.json"],
     )
     return EXIT_OK
 
 
 def cmd_fit(args):
-    resolver = _Resolver(args)
-    out_dir = resolver.require("out", str)
-    opts, corpus, hp, manifest = _fit_setup(args, resolver)
+    corpus, hp = _fit_setup(args)
 
-    _ensure_out(out_dir)
-    trace_path = os.path.join(out_dir, "trace.csv")
+    os.makedirs(args.out, exist_ok=True)
+    trace_path = os.path.join(args.out, "trace.csv")
     with open(trace_path, "w", buffering=1, encoding="utf-8") as trace:
         trace.write("sweep,elbo\n")
 
@@ -270,31 +233,27 @@ def cmd_fit(args):
         state, report = fit(
             corpus,
             hp,
-            max_sweeps=opts["max_sweeps"],
-            rel_tol=opts["tol"],
-            seed=opts["seed"],
-            workers=opts["workers"],
+            max_sweeps=args.max_sweeps,
+            rel_tol=args.tol,
+            seed=args.seed,
+            workers=args.workers,
             on_sweep=on_sweep,
         )
 
     write_linkage(
-        os.path.join(out_dir, "linkage.csv"), map_linkage(state, corpus.db_sizes)
+        os.path.join(args.out, "linkage.csv"), map_linkage(state, corpus.db_sizes)
     )
-    save_state(os.path.join(out_dir, "state.npz"), state, corpus, hp)
-    _write_lambda_csv(os.path.join(out_dir, "lambda.csv"), state, corpus.schema)
+    save_state(os.path.join(args.out, "state.npz"), state, corpus, hp)
+    _write_lambda_csv(os.path.join(args.out, "lambda.csv"), state, corpus.schema)
     _write_manifest(
-        out_dir,
-        {
-            "command": "fit",
-            **manifest,
-            "outputs": [
-                "trace.csv",
-                "linkage.csv",
-                "state.npz",
-                "lambda.csv",
-                "manifest.json",
-            ],
-        },
+        args,
+        [
+            "trace.csv",
+            "linkage.csv",
+            "state.npz",
+            "lambda.csv",
+            "manifest.json",
+        ],
     )
     if report.elbo_decreases:
         print(
@@ -313,41 +272,30 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    resolver = _Resolver(args)
-    out_dir = resolver.require("out", str)
+    _require(args, "out")
     linkage = read_linkage(args.linkage)
     truth = read_ground_truth(args.truth)
     score = pairwise_metrics(linkage, truth)
 
-    _ensure_out(out_dir)
-    write_score_json(os.path.join(out_dir, "score.json"), score)
-    _write_manifest(
-        out_dir,
-        {
-            "command": "eval",
-            "linkage": args.linkage,
-            "truth": args.truth,
-            "outputs": ["score.json", "manifest.json"],
-        },
-    )
+    os.makedirs(args.out, exist_ok=True)
+    write_score_json(os.path.join(args.out, "score.json"), score)
+    _write_manifest(args, ["score.json", "manifest.json"])
     for name, value in asdict(score).items():
         print(f"{name}={value}")
     return EXIT_OK
 
 
 def cmd_oracle_check(args):
-    resolver = _Resolver(args)
-    out_dir = resolver.require("out", str)
-    opts, corpus, hp, manifest = _fit_setup(args, resolver)
+    corpus, hp = _fit_setup(args)
 
-    exact = exact_posterior(corpus, hp, workers=opts["workers"])
+    exact = exact_posterior(corpus, hp, workers=args.workers)
     state, report = fit(
         corpus,
         hp,
-        max_sweeps=opts["max_sweeps"],
-        rel_tol=opts["tol"],
-        seed=opts["seed"],
-        workers=opts["workers"],
+        max_sweeps=args.max_sweeps,
+        rel_tol=args.tol,
+        seed=args.seed,
+        workers=args.workers,
     )
     final_elbo = report.elbo_trace[-1]
     gap = exact.log_evidence - final_elbo
@@ -363,20 +311,9 @@ def cmd_oracle_check(args):
         "gap": gap,
         "max_cocluster_discrepancy": max_discrepancy,
     }
-    _ensure_out(out_dir)
-    with open(
-        os.path.join(out_dir, "oracle_report.json"), "w", encoding="utf-8"
-    ) as fh:
-        json.dump(report_payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(
-        out_dir,
-        {
-            "command": "oracle-check",
-            **manifest,
-            "outputs": ["oracle_report.json", "manifest.json"],
-        },
-    )
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "oracle_report.json"), report_payload)
+    _write_manifest(args, ["oracle_report.json", "manifest.json"])
     for name, value in report_payload.items():
         print(f"{name}={value}")
     if gap < -BOUND_SLACK:
@@ -392,12 +329,12 @@ def _add_fit_flags(parser):
     parser.add_argument("databases", nargs="+", help="database CSV files")
     parser.add_argument("--schema", help="schema file fixing the value dictionaries")
     parser.add_argument("--k", type=int, help="latent entities (default: one per record)")
-    parser.add_argument("--alpha", type=float, help="symmetric Dirichlet concentration (default 0.1)")
+    parser.add_argument("--alpha", type=float, help=f"symmetric Dirichlet concentration (default {DEFAULT_ALPHA})")
     parser.add_argument("--alpha-file", dest="alpha_file", help="per-field concentration vectors, one line per field")
-    parser.add_argument("--max-sweeps", dest="max_sweeps", type=int, help="sweep limit (default 1000)")
-    parser.add_argument("--tol", type=float, help="relative ELBO change for convergence (default 1e-8)")
-    parser.add_argument("--seed", type=int, help="initialization seed (default 0)")
-    parser.add_argument("--workers", type=int, help="worker threads (default 1; results identical)")
+    parser.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=1000, help="sweep limit (default %(default)s)")
+    parser.add_argument("--tol", type=float, default=1e-8, help="relative ELBO change for convergence (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=0, help="initialization seed (default %(default)s)")
+    parser.add_argument("--workers", type=int, default=1, help="worker threads (default %(default)s; results identical)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="key=value defaults file; flags win")
 
@@ -412,40 +349,48 @@ def build_parser():
 
     synth = sub.add_parser("synth", help="sample a synthetic instance with known truth")
     synth.add_argument("--k", type=int, help="number of latent entities")
-    synth.add_argument("--db-sizes", dest="db_sizes", help="records per database, e.g. 300,300")
+    synth.add_argument("--db-sizes", dest="db_sizes", type=_db_sizes, help="records per database, e.g. 300,300")
     synth.add_argument("--fields", type=int, help="number of categorical fields")
     synth.add_argument("--cardinality", type=int, help="values per field")
     synth.add_argument("--distortion", type=float, help="per-field corruption probability")
     synth.add_argument("--alpha", type=float, help="Dirichlet noise mode (instead of --distortion)")
     synth.add_argument("--small-cluster-max", dest="small_cluster_max", type=int, help="cap on records per entity; forces every entity to appear")
-    synth.add_argument("--seed", type=int, help="sampling seed (default 0)")
+    synth.add_argument("--seed", type=int, default=0, help="sampling seed (default %(default)s)")
     synth.add_argument("--out", help="output directory")
     synth.add_argument("--config", help="key=value defaults file; flags win")
-    synth.set_defaults(func=cmd_synth)
+    synth.set_defaults(func=cmd_synth, subparser=synth)
 
     fit_parser = sub.add_parser("fit", help="fit the variational model to database CSVs")
     _add_fit_flags(fit_parser)
-    fit_parser.set_defaults(func=cmd_fit)
+    fit_parser.set_defaults(func=cmd_fit, subparser=fit_parser)
 
     eval_parser = sub.add_parser("eval", help="score a linkage file against ground truth")
     eval_parser.add_argument("linkage", help="linkage CSV from fit")
     eval_parser.add_argument("truth", help="ground-truth db,record,entity CSV")
     eval_parser.add_argument("--out", help="output directory")
     eval_parser.add_argument("--config", help="key=value defaults file; flags win")
-    eval_parser.set_defaults(func=cmd_eval)
+    eval_parser.set_defaults(func=cmd_eval, subparser=eval_parser)
 
     oracle_parser = sub.add_parser(
         "oracle-check",
         help="compare the fitted bound against exact enumeration (tiny instances)",
     )
     _add_fit_flags(oracle_parser)
-    oracle_parser.set_defaults(func=cmd_oracle_check)
+    oracle_parser.set_defaults(func=cmd_oracle_check, subparser=oracle_parser)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # A fresh parser per call, so one call's config defaults never reach
+    # the next.
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            # The config entries become the subcommand's defaults, and argparse
+            # parses them with each flag's type; explicit flags still win.
+            args.subparser.set_defaults(**_config_defaults(args.subparser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

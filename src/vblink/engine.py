@@ -146,18 +146,18 @@ class VariationalState:
         )
 
     def validate(self, atol=1e-12):
-        """Check the row index, simplex and positivity invariants; raise on
-        violation."""
+        """Check the row index, simplex, finiteness and positivity
+        invariants; raise on violation."""
         _check_rows(self.rows, self.phi.shape[0])
-        if self.phi.size and np.min(self.phi) <= 0.0:
-            raise ValueError("phi must be strictly positive")
+        if not np.all(np.isfinite(self.phi) & (self.phi > 0.0)):
+            raise ValueError("phi must be finite and strictly positive")
         if self.phi.size:
             err = np.max(np.abs(self.phi.sum(axis=1) - 1.0))
             if err > atol:
                 raise ValueError(f"phi rows deviate from the simplex by {err}")
-        for f, lam_f in enumerate(self.lam):
-            if np.any(lam_f <= 0.0):
-                raise ValueError(f"lam for field {f} must be strictly positive")
+        _check_lam(
+            self.lam, self.entity_count, [np.shape(lam_f)[-1] for lam_f in self.lam]
+        )
 
 
 @dataclass
@@ -438,8 +438,10 @@ def elbo_grad_lambda(state, corpus, hp, k, f, v):
     :func:`update_lambda`.
     """
     values, weights = _row_patterns(state, corpus.values)
-    counts = _field_counts(state.phi, values, weights, corpus.schema.cardinalities)
-    bracket = hp.alpha[f] - state.lam[f][k] + counts[f][:, k]
+    counts = np.bincount(
+        values[:, f], weights=weights * state.phi[:, k], minlength=hp.alpha[f].size
+    )
+    bracket = hp.alpha[f] - state.lam[f][k] + counts
     return float(
         polygamma(1, state.lam[f][k, v]) * bracket[v]
         - polygamma(1, state.lam[f][k].sum()) * bracket.sum()
@@ -526,17 +528,14 @@ def fit(
     report counts the sweeps where it fell by more than ``DECREASE_SLACK``
     relative.
     """
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    _check_fit_options(max_sweeps, rel_tol, workers)
     start = time.perf_counter()
     _check_compatible(corpus, hp)
     if initial_state is None:
         lam = _seeded_lambda(corpus, hp, seed)
     else:
         lam = list(initial_state.lam)
-        _check_lam_shapes(lam, hp.entity_count, corpus.schema.cardinalities)
+        _check_lam(lam, hp.entity_count, corpus.schema.cardinalities)
     rows = _distinct_rows(corpus.values)
     distinct = int(rows.max(initial=-1)) + 1
     state = VariationalState(
@@ -571,7 +570,19 @@ def fit(
     return state, report
 
 
-def _check_lam_shapes(lam, entity_count, cardinalities):
+def _check_fit_options(max_sweeps, rel_tol, workers):
+    """The checks on :func:`fit`'s options; the command line runs them
+    before it reads any input or writes any output."""
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
+    if not rel_tol > 0.0:
+        raise ValueError("rel_tol must be positive")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
+def _check_lam(lam, entity_count, cardinalities):
+    """Per field, a (K, V_f) table of finite, strictly positive entries."""
     if len(lam) != len(cardinalities):
         raise ValueError(f"{len(lam)} lam tables for {len(cardinalities)} fields")
     for f, (lam_f, v_f) in enumerate(zip(lam, cardinalities)):
@@ -580,6 +591,8 @@ def _check_lam_shapes(lam, entity_count, cardinalities):
                 f"lam for field {f} has shape {np.shape(lam_f)}, "
                 f"not {(entity_count, v_f)}"
             )
+        if not np.all(np.isfinite(lam_f) & (lam_f > 0.0)):
+            raise ValueError(f"lam for field {f} must be finite and strictly positive")
 
 
 def save_state(path, state, corpus, hp):
@@ -645,7 +658,7 @@ def load_state(path):
     if state.phi.ndim != 2 or state.phi.shape[1] != k:
         raise ValueError(f"phi has shape {state.phi.shape}, not (rows, {k})")
     _check_rows(state.rows, state.phi.shape[0])
-    _check_lam_shapes(state.lam, k, cards)
+    _check_lam(state.lam, k, cards)
     for f, (a_f, v_f) in enumerate(zip(header["alpha"], cards)):
         if a_f.shape != (v_f,):
             raise ValueError(f"alpha for field {f} has shape {a_f.shape}, not ({v_f},)")

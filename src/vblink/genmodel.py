@@ -89,8 +89,8 @@ class GenConfig:
                     )
         if self.dirichlet_alpha is not None:
             for a_f in resolve_alpha(self.dirichlet_alpha, self.cardinalities):
-                if np.any(a_f <= 0.0):
-                    raise ValueError("dirichlet_alpha entries must be positive")
+                if not np.all(np.isfinite(a_f) & (a_f > 0.0)):
+                    raise ValueError("dirichlet_alpha entries must be finite and positive")
         if self.small_cluster_max is not None:
             m = int(self.small_cluster_max)
             n = sum(int(s) for s in self.db_sizes)

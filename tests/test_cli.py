@@ -79,6 +79,17 @@ class TestSynth:
         assert run_synth(tmp_path / "x", distortion="1.5") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_rejects_non_finite_alpha(self, tmp_path, capsys, alpha):
+        out = tmp_path / "x"
+        code = main(
+            ["synth", "--k", "2", "--db-sizes", "4", "--fields", "1",
+             "--cardinality", "2", "--alpha", alpha, "--out", str(out)]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_both_noise_modes(self, tmp_path):
         code = main(
             [
@@ -156,6 +167,7 @@ class TestFit:
         assert main(["fit", db, "--schema", schema, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["k"] == 3
+        assert manifest["alpha"] == cli.DEFAULT_ALPHA == 0.1
         _, header = load_state(out / "state.npz")
         assert header["entity_count"] == 3
 
@@ -307,13 +319,22 @@ class TestFit:
         _, header = load_state(out / "state.npz")
         np.testing.assert_array_equal(header["alpha"][0], [0.5, 2.0])
 
-    def test_bad_option_values(self, tmp_path):
+    def test_bad_option_values(self, tmp_path, monkeypatch):
+        def enumerate_nothing(*_args, **_kwargs):
+            raise AssertionError("oracle-check enumerated with a bad option")
+
+        monkeypatch.setattr(cli, "exact_posterior", enumerate_nothing)
         db, schema = write_tiny_db(tmp_path)
-        base = ["fit", db, "--schema", schema, "--out", str(tmp_path / "run")]
+        out = tmp_path / "run"
+        base = ["fit", db, "--schema", schema, "--out", str(out)]
         assert main(base + ["--max-sweeps", "0"]) == 2
         assert main(base + ["--tol", "0"]) == 2
         assert main(base + ["--workers", "0"]) == 2
         assert main(base + ["--k", "0"]) == 2
+        for flags in (["--max-sweeps", "0"], ["--tol", "0"], ["--workers", "0"],
+                      ["--k", "0"]):
+            assert main(["oracle-check", *base[1:], *flags]) == 2
+        assert not out.exists()
 
 
 class TestOutputWriters:
@@ -366,7 +387,11 @@ class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         db, schema = write_tiny_db(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# defaults\nk=1\nseed=7\nunrelated-key=ignored\n")
+        cfg.write_text(
+            "# defaults\nk=1\nseed=7\nunrelated-key=ignored\n"
+            "tol=1e-6\nworkers=2\nalpha=0.5\n"
+            "func=ignored\nconfig=ignored.cfg\ndatabases=ignored.csv\n"
+        )
         out = tmp_path / "run"
         code = main(
             ["fit", db, "--schema", schema, "--config", str(cfg), "--out", str(out)]
@@ -375,6 +400,11 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["k"] == 1
         assert manifest["seed"] == 7
+        assert manifest["tol"] == 1e-6
+        assert manifest["workers"] == 2
+        assert manifest["alpha"] == 0.5
+        assert manifest["databases"] == [db]
+        assert "func" not in manifest and "config" not in manifest
 
     def test_explicit_flag_beats_config(self, tmp_path):
         db, schema = write_tiny_db(tmp_path)
@@ -414,6 +444,22 @@ class TestConfigFile:
             ]
         )
         assert code == 2
+
+
+    def test_mistyped_value_fails_like_the_flag(self, tmp_path, capsys):
+        db, schema = write_tiny_db(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-sweeps=abc\n")
+        out = tmp_path / "run"
+        errors = []
+        for extra in (["--config", str(cfg)], ["--max-sweeps", "abc"]):
+            with pytest.raises(SystemExit) as err:
+                main(["fit", db, "--schema", schema, "--out", str(out), *extra])
+            assert err.value.code == 2
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors[0] == errors[1]
+        assert "--max-sweeps: invalid int value: 'abc'" in errors[0]
+        assert not out.exists()
 
 
 class TestEval:
@@ -538,3 +584,13 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["synth", "fit", "eval", "oracle-check"])
+    def test_help(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: vblink {command}")
+        if command in ("fit", "oracle-check"):
+            assert "(default 1000)" in text and "(default 1e-08)" in text

@@ -261,9 +261,13 @@ class TestGradient:
         corpus = tiny_corpus([0, 1, 1, 0, 1], cardinality=3)
         hp = HyperParams.symmetric(3, 0.7, [3])
         state = init_state(corpus, hp, seed=2)
-        for k in range(3):
-            for v in range(3):
-                assert abs(elbo_grad_lambda(state, corpus, hp, k, 0, v)) <= 1e-8
+        # fit's state shares rows between duplicate records
+        fitted, _ = fit(corpus, hp, max_sweeps=2, seed=2)
+        assert fitted.phi.shape[0] < corpus.total_records
+        for state in (state, fitted):
+            for k in range(3):
+                for v in range(3):
+                    assert abs(elbo_grad_lambda(state, corpus, hp, k, 0, v)) <= 1e-8
 
     def test_zero_for_prior_state_without_data(self):
         corpus = tiny_corpus([])
@@ -349,10 +353,14 @@ class TestFit:
 
     def test_numerical_failure_reports_sweep(self, pair_corpus):
         hp = HyperParams.symmetric(2, 1.0, [2])
+        # finite and positive, so it passes the input checks, but entity 0's
+        # row sum overflows to inf and the first sweep's ELBO is NaN
         state = make_state(
-            np.full((2, 2), 0.5), [np.array([[np.nan, 1.0], [1.0, 1.0]])]
+            np.full((2, 2), 0.5), [np.array([[1e308, 1e308], [1.0, 1.0]])]
         )
-        with pytest.raises(NumericalFailureError) as err:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalFailureError
+        ) as err:
             fit(pair_corpus, hp, initial_state=state, max_sweeps=5)
         assert err.value.sweep == 1
 
@@ -362,6 +370,9 @@ class TestFit:
             fit(pair_corpus, hp, max_sweeps=0)
         with pytest.raises(ValueError):
             fit(pair_corpus, hp, rel_tol=0.0)
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers"):
+                fit(pair_corpus, hp, workers=workers)
 
     def test_on_sweep_sees_every_sweep(self, pair_corpus):
         hp = HyperParams.symmetric(2, 1.0, [2])
@@ -537,14 +548,16 @@ class TestCheckpoint:
 
 class TestStateValidation:
     def test_rejects_broken_simplex(self):
-        state = make_state([[0.6, 0.6]], [np.ones((2, 2))])
-        with pytest.raises(ValueError):
-            state.validate()
+        for phi in ([[0.6, 0.6]], [[np.nan, 0.5]], [[np.inf, 0.5]]):
+            state = make_state(phi, [np.ones((2, 2))])
+            with pytest.raises(ValueError):
+                state.validate()
 
     def test_rejects_nonpositive_lambda(self):
-        state = make_state([[0.5, 0.5]], [np.array([[1.0, 0.0], [1.0, 1.0]])])
-        with pytest.raises(ValueError):
-            state.validate()
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            state = make_state([[0.5, 0.5]], [np.array([[1.0, bad], [1.0, 1.0]])])
+            with pytest.raises(ValueError):
+                state.validate()
 
 
 class TestDistinctRecords:
@@ -642,6 +655,13 @@ class TestDistinctRecords:
         state = make_state(np.full((2, 3), 1 / 3), [np.ones((3, 2))])
         with pytest.raises(ValueError, match="lam for field 0"):
             fit(pair_corpus, hp, initial_state=state)
+        # bad input is a ValueError up front, never a numerical failure
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            state = make_state(
+                np.full((2, 2), 0.5), [np.array([[1.0, bad], [1.0, 1.0]])]
+            )
+            with pytest.raises(ValueError, match="lam for field 0"):
+                fit(pair_corpus, hp, initial_state=state)
 
 
 class TestFusedSweep:

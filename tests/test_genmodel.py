@@ -53,6 +53,9 @@ class TestValidation:
     def test_bad_dirichlet_alpha(self):
         with pytest.raises(ValueError):
             sample_dataset(peaked(eps=None, dirichlet_alpha=-1.0))
+        for alpha in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sample_dataset(peaked(eps=None, dirichlet_alpha=alpha))
 
     def test_entity_count_positive(self):
         with pytest.raises(ValueError):
