@@ -42,7 +42,6 @@ from .evaluate import (
     read_ground_truth,
     read_linkage,
     write_linkage,
-    write_score_json,
 )
 from .genmodel import (
     GenConfig,
@@ -101,5 +100,4 @@ __all__ = [
     "write_ground_truth",
     "write_linkage",
     "write_schema_file",
-    "write_score_json",
 ]

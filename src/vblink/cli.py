@@ -14,21 +14,22 @@ Exit codes: 0 success (fit: converged), 2 usage or input error,
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
 from .corpus import (
     load_databases,
+    quoted_labels,
     read_schema_file,
     write_databases,
     write_schema_file,
+    write_table,
 )
 from .engine import (
     HyperParams,
@@ -43,7 +44,6 @@ from .evaluate import (
     read_ground_truth,
     read_linkage,
     write_linkage,
-    write_score_json,
 )
 from .genmodel import GenConfig, resolve_alpha, sample_dataset, write_ground_truth
 from .oracle import exact_posterior
@@ -87,16 +87,13 @@ def _config_defaults(parser, path):
 
 
 def _db_sizes(text):
-    """``--db-sizes``: comma-separated positive record counts."""
+    """``--db-sizes``: comma-separated record counts; GenConfig checks them."""
     try:
-        sizes = [int(tok) for tok in text.split(",")]
-        if min(sizes) >= 1:
-            return sizes
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"database sizes must be positive integers, got {text!r}"
-    )
+        raise argparse.ArgumentTypeError(
+            f"database sizes must be integers, got {text!r}"
+        ) from None
 
 
 def _require(args, *names):
@@ -148,33 +145,18 @@ def _write_manifest(args, outputs):
     )
 
 
-def _csv_cells(cells):
-    """``cells`` as one CSV line without its terminator, quoted the way
-    ``csv.writer`` quotes them."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow(cells)
-    return buffer.getvalue()[: -len("\r\n")]
-
-
 def _write_lambda_csv(path, state, schema):
-    """One ``entity,field,value,lambda`` line per entity, field and value,
-    built one entity at a time; each field name and value is quoted once."""
-    labels = [
-        [f",{_csv_cells([name, schema.value(f, v)])}," for v in range(lam_f.shape[1])]
-        for f, (name, lam_f) in enumerate(zip(schema.field_names, state.lam))
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("entity,field,value,lambda\r\n")
-        for k in range(state.entity_count):
-            fh.write(
-                "".join(
-                    [
-                        f"{k + 1}{label}{x!r}\r\n"
-                        for labels_f, lam_f in zip(labels, state.lam)
-                        for label, x in zip(labels_f, lam_f[k].tolist())
-                    ]
-                )
-            )
+    """One ``entity,field,value,lambda`` line per entity, field and value."""
+    labels = quoted_labels(schema)
+    lines = chain.from_iterable(
+        [
+            f"{k},{label},{x!r}"
+            for labels_f, lam_kf in zip(labels, lam_k)
+            for label, x in zip(labels_f, lam_kf.tolist())
+        ]
+        for k, lam_k in enumerate(zip(*state.lam), 1)
+    )
+    write_table(path, ["entity", "field", "value", "lambda"], lines)
 
 
 def _fit_setup(args):
@@ -278,7 +260,7 @@ def cmd_eval(args):
     score = pairwise_metrics(linkage, truth)
 
     os.makedirs(args.out, exist_ok=True)
-    write_score_json(os.path.join(args.out, "score.json"), score)
+    _write_json(os.path.join(args.out, "score.json"), asdict(score))
     _write_manifest(args, ["score.json", "manifest.json"])
     for name, value in asdict(score).items():
         print(f"{name}={value}")

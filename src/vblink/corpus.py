@@ -1,4 +1,4 @@
-"""Loading, validation, and integer encoding of multi-database categorical records.
+"""Multi-database categorical records, and the CSV files of the package.
 
 A corpus is a stack of databases (one CSV file each) sharing a common header
 of categorical fields.  Attribute strings are mapped to integer codes through
@@ -7,12 +7,22 @@ in numpy arrays; file formats and documentation count from 1.
 
 Both ``Schema`` and ``Corpus`` are immutable after construction and safe for
 concurrent reads.
+
+Every CSV file the package writes goes through :func:`write_table`: UTF-8,
+``\r\n`` line ends and ``csv.writer``'s quoting.  The files keyed by
+record (ground truth, linkage) are record tables, written by
+:func:`write_record_table` and read back by :func:`read_record_table`.
 """
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from types import SimpleNamespace
 
 import numpy as np
+
+# Data lines per write in write_table: a batch's text stays under about 1 MB.
+WRITE_CHUNK = 8192
 
 
 class SchemaError(ValueError):
@@ -218,6 +228,37 @@ def load_databases(paths, schema=None):
     return Corpus(schema=schema, db_sizes=tuple(db_sizes), values=values)
 
 
+def quote_cells(cells, alone=False):
+    """The strings ``cells`` quoted once, as ``csv.writer`` quotes them, to be
+    reused in every line they appear in.  An empty cell stays empty unless
+    it is ``alone`` on its line, where csv.writer writes ``""``."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows([c] for c in cells)
+    # Each line ends in csv.writer's "\r\n".
+    return [line[:-2] if c or alone else "" for c, line in zip(cells, lines)]
+
+
+def quoted_labels(schema):
+    """``labels[f][c]``: field ``f``'s name and the string of its code ``c``
+    as the two cells ``name,value``, each quoted once."""
+    names = quote_cells(schema.field_names)
+    return [
+        [f"{name},{value}" for value in quote_cells(vals)]
+        for name, vals in zip(names, schema.field_values)
+    ]
+
+
+def write_table(path, header, lines):
+    """Write one CSV file: the ``header`` cells, then the data ``lines``,
+    strings without line ends whose cells are already quoted (see
+    :func:`quote_cells`).  The lines are written ``WRITE_CHUNK`` at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        lines = iter(lines)
+        while batch := list(islice(lines, WRITE_CHUNK)):
+            fh.write("\r\n".join(batch) + "\r\n")
+
+
 def write_databases(corpus, paths):
     """Write one CSV per database: header row of field names, then raw
     attribute strings.  Inverse of :func:`load_databases` when the same
@@ -228,17 +269,56 @@ def write_databases(corpus, paths):
             f"{len(paths)} paths for {corpus.database_count} databases"
         )
     schema = corpus.schema
-    n = 0
-    for path, size in zip(paths, corpus.db_sizes):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(schema.field_names)
-            for _ in range(size):
-                row = corpus.values[n]
-                writer.writerow(
-                    [schema.value(f, int(c)) for f, c in enumerate(row)]
-                )
-                n += 1
+    # Every attribute string, quoted once; code c of field f is at first[f] + c.
+    alone = schema.field_count == 1
+    quoted = [c for vals in schema.field_values for c in quote_cells(vals, alone)]
+    quoted = np.array(quoted, dtype=object)
+    first = np.cumsum([0, *schema.cardinalities])[:-1]
+    for path, start, size in zip(paths, corpus._offsets, corpus.db_sizes):
+        cells = quoted[corpus.values[start : start + size] + first]
+        write_table(path, schema.field_names, map(",".join, cells.tolist()))
+
+
+def write_record_table(path, db_sizes, columns):
+    """Write a record table: header ``db,record`` and the names of
+    ``columns``, then one line per record, database by database, with
+    1-based database and record ids.  ``columns`` maps each name to a
+    numeric array over all records in stacked order; the numbers are
+    written by ``repr``, as csv.writer writes them.  An empty database has
+    no lines."""
+    db = chain.from_iterable(repeat(d, size) for d, size in enumerate(db_sizes, 1))
+    record = chain.from_iterable(range(1, size + 1) for size in db_sizes)
+    line = ",".join(["{!r}"] * (2 + len(columns))).format
+    cells = [col.tolist() for col in columns.values()]
+    write_table(path, ["db", "record", *columns], map(line, db, record, *cells))
+
+
+def read_record_table(path, columns):
+    """Read a record table; ``columns`` maps each value column's name to
+    its dtype.  Returns ``(db_sizes, arrays)``, one array per column.
+
+    Rows come database by database, with record ids 1, 2, ... in each.  A
+    database number that skips ahead, at record 1, marks the databases in
+    between as empty.  An empty last database has no row and is not counted.
+    """
+    header, rows = _read_rows(path)
+    expected = ["db", "record", *columns]
+    if header != expected:
+        raise ValueError(f"{path}: expected header {','.join(expected)}")
+    db_sizes = []
+    for row in rows:
+        if len(row) != len(expected):
+            raise ValueError(f"{path}: malformed row {row!r}")
+        d, r = int(row[0]), int(row[1])
+        if r == 1 and d > len(db_sizes):
+            db_sizes += [0] * (d - len(db_sizes))
+        elif not (db_sizes and d == len(db_sizes) and r == db_sizes[-1] + 1):
+            raise ValueError(f"{path}: record ({d},{r}) out of sequence")
+        db_sizes[-1] = r
+    return tuple(db_sizes), [
+        np.array([row[i] for row in rows]).astype(dtype)
+        for i, dtype in enumerate(columns.values(), start=2)
+    ]
 
 
 def write_schema_file(schema, path):

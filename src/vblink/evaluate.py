@@ -8,18 +8,16 @@ contingency table, not an O(N^2) pair loop.
 
 Entity ids in :class:`Linkage` and in all files are 1-based, matching the
 CSV formats; flat record indices in the programmatic interface are 0-based.
+Linkage and ground-truth files are record tables (see
+:func:`vblink.corpus.write_record_table`).
 """
 
-import csv
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import read_record_table, write_record_table
 from .genmodel import GroundTruth
-
-# Records per write in write_linkage.
-WRITE_CHUNK = 65536
 
 
 @dataclass(eq=False)
@@ -128,76 +126,25 @@ def posterior_cocluster_estimate(state, pairs):
 
 
 def write_linkage(path, linkage):
-    """CSV with header ``db,record,entity,max_prob``; all ids 1-based.
-    Lines are built ``WRITE_CHUNK`` records at a time."""
-    with open(path, "w", newline="") as fh:
-        fh.write("db,record,entity,max_prob\r\n")
-        start = 0
-        for d, size in enumerate(linkage.db_sizes, start=1):
-            for lo in range(0, size, WRITE_CHUNK):
-                hi = min(lo + WRITE_CHUNK, size)
-                entities = linkage.map_entity[start + lo : start + hi].tolist()
-                probs = linkage.max_prob[start + lo : start + hi].tolist()
-                fh.write(
-                    "".join(
-                        [
-                            f"{d},{r},{e},{p!r}\r\n"
-                            for r, e, p in zip(range(lo + 1, hi + 1), entities, probs)
-                        ]
-                    )
-                )
-            start += size
-
-
-def _read_record_table(path, value_columns):
-    """Shared reader for the record-addressed CSVs (linkage and truth).
-
-    Rows must arrive sorted by database then record, with record ids
-    running 1..R_d inside each database; returns (db_sizes, column arrays).
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["db", "record"] + value_columns
-        if header != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}")
-        db_sizes = []
-        columns = [[] for _ in value_columns]
-        for row in reader:
-            if len(row) != len(expected):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            d, r = int(row[0]), int(row[1])
-            if d == len(db_sizes) + 1 and r == 1:
-                db_sizes.append(0)
-            elif not (db_sizes and d == len(db_sizes) and r == db_sizes[-1] + 1):
-                raise ValueError(f"{path}: record ({d},{r}) out of sequence")
-            db_sizes[-1] = r
-            for col, cell in zip(columns, row[2:]):
-                col.append(cell)
-    return tuple(db_sizes), columns
+    """Record table ``db,record,entity,max_prob``; all ids 1-based."""
+    write_record_table(
+        path,
+        linkage.db_sizes,
+        {"entity": linkage.map_entity, "max_prob": linkage.max_prob},
+    )
 
 
 def read_linkage(path):
-    db_sizes, (entities, probs) = _read_record_table(path, ["entity", "max_prob"])
-    return Linkage(
-        db_sizes=db_sizes,
-        map_entity=np.asarray([int(e) for e in entities], dtype=np.int64),
-        max_prob=np.asarray([float(p) for p in probs]),
+    db_sizes, (entities, probs) = read_record_table(
+        path, {"entity": np.int64, "max_prob": np.float64}
     )
+    return Linkage(db_sizes=db_sizes, map_entity=entities, max_prob=probs)
 
 
 def read_ground_truth(path):
     """Read a ``db,record,entity`` file back as a label-only GroundTruth
     (schema, latent values, and noise distributions are not stored there)."""
-    db_sizes, (entities,) = _read_record_table(path, ["entity"])
-    labels = np.asarray([int(e) for e in entities], dtype=np.int64)
+    db_sizes, (labels,) = read_record_table(path, {"entity": np.int64})
     if labels.size and labels.min() < 1:
         raise ValueError(f"{path}: entity ids are 1-based")
     return GroundTruth(schema=None, db_sizes=db_sizes, assignments=labels - 1)
-
-
-def write_score_json(path, score):
-    payload = asdict(score)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

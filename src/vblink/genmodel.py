@@ -20,15 +20,15 @@ receives between 1 and ``small_cluster_max`` records.
 
 All sampling is driven by one seeded generator; draws happen in a fixed,
 documented order (noise, then assignments, then cell values field by field),
-so a config is a complete recipe for its output.
+so a config is a complete recipe for its output.  The truth is saved as a
+record table and a latent-values table, both written by :mod:`vblink.corpus`.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Schema
+from .corpus import Corpus, Schema, quoted_labels, write_record_table, write_table
 
 
 @dataclass(eq=False)
@@ -204,26 +204,18 @@ def latent_path_for(path):
     return f"{stem}_latent.{ext}"
 
 
-def write_ground_truth(truth, path, latent_path=None):
-    """Write assignments (``db,record,entity``) and latent values
-    (``entity,field,value``) as two CSV files; ids are 1-based, attribute
-    values are raw strings."""
-    if latent_path is None:
-        latent_path = latent_path_for(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["db", "record", "entity"])
-        n = 0
-        for d, size in enumerate(truth.db_sizes):
-            for r in range(size):
-                writer.writerow([d + 1, r + 1, int(truth.assignments[n]) + 1])
-                n += 1
+def write_ground_truth(truth, path):
+    """Write the assignments as the record table ``db,record,entity`` and,
+    when known, the latent values as ``entity,field,value`` in the
+    :func:`latent_path_for` file; ids are 1-based, attribute values are raw
+    strings."""
+    write_record_table(path, truth.db_sizes, {"entity": truth.assignments + 1})
     if truth.latent_values is None:
         return
-    with open(latent_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity", "field", "value"])
-        for k in range(truth.latent_values.shape[0]):
-            for f, name in enumerate(truth.schema.field_names):
-                raw = truth.schema.value(f, int(truth.latent_values[k, f]))
-                writer.writerow([k + 1, name, raw])
+    labels = quoted_labels(truth.schema)
+    lines = (
+        f"{k},{labels_f[c]}"
+        for k, row in enumerate(truth.latent_values.tolist(), 1)
+        for labels_f, c in zip(labels, row)
+    )
+    write_table(latent_path_for(path), ["entity", "field", "value"], lines)

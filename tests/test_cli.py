@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import vblink.cli as cli
+import vblink.corpus as corpus_module
 import vblink.engine as engine
 import vblink.evaluate as evaluate
 from vblink.cli import main
-from vblink.corpus import Corpus, Schema
+from vblink.corpus import Corpus, Schema, write_databases
 from vblink.engine import HyperParams, NumericalFailureError, fit, load_state
+from vblink.genmodel import GroundTruth, write_ground_truth
 
 
 def write_tiny_db(tmp_path, rows=("red", "red"), field="color"):
@@ -111,6 +113,34 @@ class TestSynth:
             ]
         )
         assert code == 2
+
+    def test_empty_first_database_runs_end_to_end(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(
+            ["synth", "--k", "2", "--db-sizes", "0,3", "--fields", "2",
+             "--cardinality", "3", "--distortion", "0.1", "--out", str(data)]
+        ) == 0
+        assert (data / "db1.csv").read_text() == "f1,f2\n"
+        assert main(
+            ["fit", str(data / "db1.csv"), str(data / "db2.csv"), "--schema",
+             str(data / "schema.txt"), "--out", str(run)]
+        ) == 0
+        assert main(
+            ["eval", str(run / "linkage.csv"), str(data / "truth.csv"),
+             "--out", str(tmp_path / "score")]
+        ) == 0
+
+    def test_negative_db_size_is_usage_error(self, tmp_path, capsys):
+        """--db-sizes parses integers; GenConfig alone checks their range."""
+        out = tmp_path / "x"
+        base = ["synth", "--k", "2", "--fields", "1", "--cardinality", "2",
+                "--distortion", "0.1", "--out", str(out)]
+        assert main([*base, "--db-sizes=-1,3"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:  # argparse reads -1,3 as a flag
+            main([*base, "--db-sizes", "-1,3"])
+        assert err.value.code == 2
+        assert not out.exists()
 
     def test_out_is_required(self, tmp_path):
         code = main(
@@ -337,50 +367,97 @@ class TestFit:
         assert not out.exists()
 
 
+def csv_writer_bytes(path, rows):
+    """The bytes a csv.writer writes for ``rows``, one row per call."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow(row)
+    return path.read_bytes()
+
+
 class TestOutputWriters:
-    """linkage.csv and lambda.csv are byte-identical to a csv.writer that
-    writes one row per line."""
+    """Every CSV file the package writes is byte-identical to a csv.writer
+    that writes one row per line."""
 
     def test_match_csv_writer_with_commas_and_quotes(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(evaluate, "WRITE_CHUNK", 3)  # chunk ends inside a db
-        schema = Schema(
-            ("name, full", 'say "hi"', "", "plain"),
-            (("a,b", '"q"', "x"), ('y"', ""), ("1", "2"), ("\n", " z ", "w,")),
-        )
-        rng = np.random.default_rng(5)
-        values = np.stack(
-            [rng.integers(0, v, size=11) for v in schema.cardinalities], axis=1
-        )
-        corpus = Corpus(schema=schema, db_sizes=(7, 4), values=values)
-        hp = HyperParams.symmetric(3, 0.5, schema.cardinalities)
-        state, _ = fit(corpus, hp, max_sweeps=3, seed=1)
-        linkage = evaluate.map_linkage(state, corpus.db_sizes)
+        monkeypatch.setattr(corpus_module, "WRITE_CHUNK", 5)  # ends inside a db
+        schemas = [
+            Schema(
+                ("name, full", 'say "hi"', "", "plain"),
+                (("a,b", '"q"', "x"), ('y"', ""), ("1", "2"), ("\n", " z ", "w,")),
+            ),
+            # Alone on its line, an empty cell is written "".
+            Schema(("",), (("", "a,b", "c"),)),
+            Schema((), ()),  # every line is empty
+        ]
+        for i, schema in enumerate(schemas):
+            out = tmp_path / str(i)
+            out.mkdir()
+            rng = np.random.default_rng(5)
+            values = np.empty((11, schema.field_count), dtype=np.int64)
+            for f, v in enumerate(schema.cardinalities):
+                values[:, f] = rng.integers(0, v, size=11)
+            corpus = Corpus(schema=schema, db_sizes=(7, 4), values=values)
+            truth = GroundTruth(
+                schema=schema,
+                db_sizes=corpus.db_sizes,
+                assignments=rng.integers(0, 3, size=11),
+                latent_values=values[[0, 5, 9]],
+            )
+            hp = HyperParams.symmetric(3, 0.5, schema.cardinalities)
+            state, _ = fit(corpus, hp, max_sweeps=3, seed=1)
+            linkage = evaluate.map_linkage(state, corpus.db_sizes)
 
-        evaluate.write_linkage(tmp_path / "linkage.csv", linkage)
-        cli._write_lambda_csv(tmp_path / "lambda.csv", state, schema)
+            write_databases(corpus, [out / "db1.csv", out / "db2.csv"])
+            write_ground_truth(truth, out / "truth.csv")
+            evaluate.write_linkage(out / "linkage.csv", linkage)
+            cli._write_lambda_csv(out / "lambda.csv", state, schema)
 
-        with open(tmp_path / "want_linkage.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["db", "record", "entity", "max_prob"])
             records = [(1, r) for r in range(1, 8)] + [(2, r) for r in range(1, 5)]
-            for (d, r), ent, prob in zip(
-                records, linkage.map_entity, linkage.max_prob
-            ):
-                writer.writerow([d, r, int(ent), repr(float(prob))])
-        want_lambda = tmp_path / "want_lambda.csv"
-        with open(want_lambda, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["entity", "field", "value", "lambda"])
-            for k in range(hp.entity_count):
-                for f, name in enumerate(schema.field_names):
-                    for v, lam in enumerate(state.lam[f][k]):
-                        writer.writerow(
-                            [k + 1, name, schema.value(f, v), repr(float(lam))]
+            raw = [
+                [schema.value(f, c) for f, c in enumerate(row)]
+                for row in values.tolist()
+            ]
+            want = {
+                "db1.csv": [schema.field_names, *raw[:7]],
+                "db2.csv": [schema.field_names, *raw[7:]],
+                "truth.csv": [
+                    ["db", "record", "entity"],
+                    *[[d, r, int(a) + 1] for (d, r), a in zip(records, truth.assignments)],
+                ],
+                "truth_latent.csv": [
+                    ["entity", "field", "value"],
+                    *[
+                        [k + 1, name, schema.value(f, int(truth.latent_values[k, f]))]
+                        for k in range(3)
+                        for f, name in enumerate(schema.field_names)
+                    ],
+                ],
+                "linkage.csv": [
+                    ["db", "record", "entity", "max_prob"],
+                    *[
+                        [d, r, int(ent), repr(float(prob))]
+                        for (d, r), ent, prob in zip(
+                            records, linkage.map_entity, linkage.max_prob
                         )
-        for name in ("linkage.csv", "lambda.csv"):
-            got = (tmp_path / name).read_bytes()
-            assert got == (tmp_path / f"want_{name}").read_bytes(), name
-        assert b'"a,b"' in (tmp_path / "lambda.csv").read_bytes()
+                    ],
+                ],
+                "lambda.csv": [
+                    ["entity", "field", "value", "lambda"],
+                    *[
+                        [k + 1, name, schema.value(f, v), repr(float(lam))]
+                        for k in range(hp.entity_count)
+                        for f, name in enumerate(schema.field_names)
+                        for v, lam in enumerate(state.lam[f][k])
+                    ],
+                ],
+            }
+            for name, rows in want.items():
+                expected = csv_writer_bytes(out / f"want_{name}", rows)
+                assert (out / name).read_bytes() == expected, (i, name)
+        assert b'"a,b"' in (tmp_path / "0" / "lambda.csv").read_bytes()
+        assert (tmp_path / "1" / "db1.csv").read_bytes().startswith(b'""\r\n')
 
 
 class TestConfigFile:

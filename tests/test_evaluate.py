@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vblink.cli import main
 from vblink.engine import VariationalState
 from vblink.evaluate import (
     Linkage,
@@ -13,9 +14,8 @@ from vblink.evaluate import (
     read_ground_truth,
     read_linkage,
     write_linkage,
-    write_score_json,
 )
-from vblink.genmodel import GroundTruth
+from vblink.genmodel import GenConfig, GroundTruth, sample_dataset, write_ground_truth
 
 
 def state_from_phi(phi):
@@ -203,9 +203,37 @@ class TestLinkageFiles:
         with pytest.raises(ValueError, match="sequence"):
             read_linkage(path)
 
-    def test_rejects_database_starting_past_one(self, tmp_path):
+    def test_reads_skipped_databases_as_empty(self, tmp_path):
         path = tmp_path / "linkage.csv"
         path.write_text("db,record,entity,max_prob\n2,1,1,1.0\n")
+        assert read_linkage(path).db_sizes == (0, 1)
+
+    @pytest.mark.parametrize(
+        "written, read",
+        [((0, 2, 0, 1), (0, 2, 0, 1)), ((0, 0, 3), (0, 0, 3)), ((2, 0), (2,))],
+    )
+    def test_empty_databases_round_trip(self, tmp_path, written, read):
+        """An empty database has no row, so only a trailing one is lost."""
+        n = sum(written)
+        path = tmp_path / "linkage.csv"
+        write_linkage(path, Linkage(written, np.arange(1, n + 1), np.ones(n)))
+        loaded = read_linkage(path)
+        assert loaded.db_sizes == read
+        np.testing.assert_array_equal(loaded.map_entity, np.arange(1, n + 1))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "1,2,1,1.0\n",  # first record id other than 1
+            "1,1,1,1.0\n2,2,1,1.0\n",  # a database starting past record 1
+            "1,1,1,1.0\n2,1,1,1.0\n1,2,1,1.0\n",  # database number goes back
+            "1,1,1,1.0\n1,1,1,1.0\n",  # record repeated
+            "0,1,1,1.0\n",  # database ids are 1-based
+        ],
+    )
+    def test_rejects_rows_out_of_order(self, tmp_path, rows):
+        path = tmp_path / "linkage.csv"
+        path.write_text("db,record,entity,max_prob\n" + rows)
         with pytest.raises(ValueError, match="sequence"):
             read_linkage(path)
 
@@ -227,6 +255,17 @@ class TestGroundTruthFile:
         np.testing.assert_array_equal(truth.assignments, [2, 0, 2])
         assert truth.schema is None
 
+    def test_empty_first_database_round_trip(self, tmp_path):
+        _, truth = sample_dataset(
+            GenConfig(entity_count=2, db_sizes=[0, 3], cardinalities=[2],
+                      distortion=0.1, seed=0)
+        )
+        path = tmp_path / "truth.csv"
+        write_ground_truth(truth, path)
+        back = read_ground_truth(path)
+        assert back.db_sizes == (0, 3)
+        np.testing.assert_array_equal(back.assignments, truth.assignments)
+
     def test_rejects_zero_entity_id(self, tmp_path):
         path = tmp_path / "truth.csv"
         path.write_text("db,record,entity\n1,1,0\n")
@@ -235,16 +274,15 @@ class TestGroundTruthFile:
 
 
 def test_score_json_content(tmp_path):
-    score = LinkageScore(
-        pairwise_precision=0.5,
-        pairwise_recall=1.0,
-        pairwise_f1=2 / 3,
-        true_entity_count=4,
-        estimated_entity_count=2,
-    )
+    """score.json as ``vblink eval`` writes it, through the package's one
+    JSON writer."""
+    linkage = tmp_path / "linkage.csv"
+    write_linkage(linkage, linkage_of([1, 1, 1, 2, 2, 2]))
+    truth = tmp_path / "truth.csv"
+    write_ground_truth(truth_of([0, 0, 0, 1, 2, 3]), truth)
+    assert main(["eval", str(linkage), str(truth), "--out", str(tmp_path)]) == 0
     path = tmp_path / "score.json"
-    write_score_json(path, score)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload == {
         "pairwise_precision": 0.5,
         "pairwise_recall": 1.0,
@@ -252,4 +290,4 @@ def test_score_json_content(tmp_path):
         "true_entity_count": 4,
         "estimated_entity_count": 2,
     }
-    assert path.read_text().endswith("\n")
+    assert path.read_text(encoding="utf-8").endswith("\n")
