@@ -53,8 +53,6 @@ from .genmodel import (
 from .oracle import (
     EnumerationBudgetError,
     ExactPosterior,
-    exact_cocluster,
-    exact_log_evidence,
     exact_posterior,
 )
 
@@ -78,8 +76,6 @@ __all__ = [
     "VariationalState",
     "elbo",
     "elbo_grad_lambda",
-    "exact_cocluster",
-    "exact_log_evidence",
     "exact_posterior",
     "fit",
     "init_state",

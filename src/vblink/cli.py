@@ -225,7 +225,7 @@ def cmd_fit(args):
     write_linkage(
         os.path.join(args.out, "linkage.csv"), map_linkage(state, corpus.db_sizes)
     )
-    save_state(os.path.join(args.out, "state.npz"), state, corpus, hp)
+    save_state(os.path.join(args.out, "state.npz"), state.lam, corpus, hp)
     _write_lambda_csv(os.path.join(args.out, "lambda.csv"), state, corpus.schema)
     _write_manifest(
         args,

@@ -300,6 +300,8 @@ def read_record_table(path, columns):
     Rows come database by database, with record ids 1, 2, ... in each.  A
     database number that skips ahead, at record 1, marks the databases in
     between as empty.  An empty last database has no row and is not counted.
+    A cell that does not parse raises ``ValueError`` naming the file and
+    the row or the column.
     """
     header, rows = _read_rows(path)
     expected = ["db", "record", *columns]
@@ -307,7 +309,7 @@ def read_record_table(path, columns):
         raise ValueError(f"{path}: expected header {','.join(expected)}")
     db_sizes = []
     for row in rows:
-        if len(row) != len(expected):
+        if len(row) != len(expected) or not all(c.isdecimal() for c in row[:2]):
             raise ValueError(f"{path}: malformed row {row!r}")
         d, r = int(row[0]), int(row[1])
         if r == 1 and d > len(db_sizes):
@@ -315,17 +317,32 @@ def read_record_table(path, columns):
         elif not (db_sizes and d == len(db_sizes) and r == db_sizes[-1] + 1):
             raise ValueError(f"{path}: record ({d},{r}) out of sequence")
         db_sizes[-1] = r
-    return tuple(db_sizes), [
-        np.array([row[i] for row in rows]).astype(dtype)
-        for i, dtype in enumerate(columns.values(), start=2)
-    ]
+    arrays = []
+    for i, (name, dtype) in enumerate(columns.items(), start=2):
+        try:
+            arrays.append(np.array([row[i] for row in rows]).astype(dtype))
+        except (ValueError, OverflowError) as err:
+            raise ValueError(
+                f"{path}: column {name!r} is not all {np.dtype(dtype).name}: {err}"
+            ) from None
+    return tuple(db_sizes), arrays
 
 
 def write_schema_file(schema, path):
-    """Write the dictionary definition: one ``name<TAB>v1,v2,...`` line per field."""
+    """Write the dictionary definition: one ``name<TAB>values`` line per
+    field, the values one CSV line quoted by :func:`quote_cells`.  Raises
+    :class:`SchemaError` for what such a line cannot hold: a tab or a line
+    break in a field name, or a line break in a value."""
+    lines = []
+    for name, vals in zip(schema.field_names, schema.field_values):
+        if any(c in name for c in "\t\r\n"):
+            raise SchemaError(f"field name {name!r} holds a tab or a line break")
+        for v in vals:
+            if "\r" in v or "\n" in v:
+                raise SchemaError(f"field {name!r}: value {v!r} holds a line break")
+        lines.append(f"{name}\t{','.join(quote_cells(vals))}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for name, vals in zip(schema.field_names, schema.field_values):
-            fh.write(f"{name}\t{','.join(vals)}\n")
+        fh.writelines(lines)
 
 
 def read_schema_file(path):
@@ -340,5 +357,6 @@ def read_schema_file(path):
                 raise SchemaError(f"{path}: line {lineno} has no tab separator")
             name, _, joined = line.partition("\t")
             names.append(name)
-            values.append(tuple(joined.split(",")))
+            # csv reads an empty line as no cells; it is the one empty value
+            values.append(tuple(next(csv.reader([joined]))) or ("",))
     return Schema(field_names=tuple(names), field_values=tuple(values))

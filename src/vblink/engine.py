@@ -56,18 +56,16 @@ Within a pass ``lam`` is read-only and blocks write disjoint rows of phi.
 
 import math
 import time
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib import format as npformat
 from scipy.special import digamma, gammaln, polygamma
 
 # Fixed record-block size; part of the determinism contract above.
 BLOCK_RECORDS = 8192
 
-STATE_FORMAT_VERSION = 2
+STATE_FORMAT_VERSION = 3
 
 # An ELBO fall larger than this share of |ELBO| is beyond roundoff and is
 # counted in FitReport.elbo_decreases.
@@ -509,7 +507,7 @@ def fit(
     rel_tol=1e-8,
     seed=0,
     workers=1,
-    initial_state=None,
+    initial_lam=None,
     on_sweep=None,
 ):
     """Run coordinate ascent until the relative ELBO change drops below
@@ -520,9 +518,12 @@ def fit(
     distinct tuple.  Each sweep is one blocked pass over phi that does the
     phi update, the lam update and the ELBO (see :func:`_sweep`); it gives
     what :func:`update_phi`, :func:`update_lambda` and :func:`elbo` give.
-    ``initial_state`` overrides the seeded initialization (the seed is then
-    unused): only its ``lam`` is read, and the caller's arrays are not
-    written.  ``on_sweep(sweep, elbo, state)`` is called after every sweep.
+    ``initial_lam`` (per field, a (K, V_f) array) overrides the seeded
+    start and the seed is then unused; the caller's arrays are not
+    written.  lam is the whole state of a fit, so a fit started from the
+    lam of sweep S (say, from :func:`load_state`) repeats sweeps S+1, ...
+    of the fit it came from bit for bit.  ``on_sweep(sweep, elbo, state)``
+    is called after every sweep.
     Returns ``(state, FitReport)``; the trace is nondecreasing up to
     roundoff because each step maximizes the same objective, and the
     report counts the sweeps where it fell by more than ``DECREASE_SLACK``
@@ -531,10 +532,10 @@ def fit(
     _check_fit_options(max_sweeps, rel_tol, workers)
     start = time.perf_counter()
     _check_compatible(corpus, hp)
-    if initial_state is None:
+    if initial_lam is None:
         lam = _seeded_lambda(corpus, hp, seed)
     else:
-        lam = list(initial_state.lam)
+        lam = list(initial_lam)
         _check_lam(lam, hp.entity_count, corpus.schema.cardinalities)
     rows = _distinct_rows(corpus.values)
     distinct = int(rows.max(initial=-1)) + 1
@@ -595,71 +596,54 @@ def _check_lam(lam, entity_count, cardinalities):
             raise ValueError(f"lam for field {f} must be finite and strictly positive")
 
 
-def save_state(path, state, corpus, hp):
-    """Checkpoint phi, its record index ``rows`` and lam, with a header
-    describing the problem shape.
+def save_state(path, lam, corpus, hp):
+    """Checkpoint ``lam`` with alpha and a header describing the problem
+    shape, as an ``.npz`` archive written to ``path`` as given.
 
-    The layout is an ``.npz`` archive that ``np.load`` reads; loading it
-    back reproduces every array bit-exactly.  Each array is written
-    straight from its buffer into a stored zip member, after its ``.npy``
-    header, so saving copies no array.
+    lam is the whole state of a fit: each sweep computes phi from lam, so
+    ``fit(corpus, hp, initial_lam=lam)`` on the loaded lam continues the
+    fit bit for bit, and :func:`update_phi` gives its phi.
     """
     arrays = {
         "version": np.asarray(STATE_FORMAT_VERSION),
         "db_sizes": np.asarray(corpus.db_sizes, dtype=np.int64),
         "cardinalities": np.asarray(corpus.schema.cardinalities, dtype=np.int64),
         "entity_count": np.asarray(hp.entity_count),
-        "phi": state.phi,
-        "rows": state.rows,
     }
-    for f, (a_f, lam_f) in enumerate(zip(hp.alpha, state.lam)):
+    for f, (a_f, lam_f) in enumerate(zip(hp.alpha, lam)):
         arrays[f"alpha_{f}"] = a_f
         arrays[f"lam_{f}"] = lam_f
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-        for name, array in arrays.items():
-            # ascontiguousarray would turn a 0-d array into a 1-d one
-            array = np.require(array, requirements="C")
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                npformat.write_array_header_1_0(
-                    member, npformat.header_data_from_array_1_0(array)
-                )
-                member.write(array)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_state(path):
-    """Read a checkpoint; returns ``(VariationalState, header_dict)``.
+    """Read a checkpoint; returns ``(lam, header_dict)``.
 
-    Raises ``ValueError`` when the version is not the current one or an
-    array's shape disagrees with the header.
+    Raises ``ValueError`` when an array is missing, the version is not the
+    current one, or an array's shape disagrees with the header.
     """
     with np.load(path) as data:
-        version = int(data["version"])
+
+        def read(name):
+            if name not in data.files:
+                raise ValueError(f"{path}: array {name!r} is missing")
+            return data[name]
+
+        version = int(read("version"))
         if version != STATE_FORMAT_VERSION:
             raise ValueError(f"unsupported state format version {version}")
-        cards = [int(v) for v in data["cardinalities"]]
+        cards = [int(v) for v in read("cardinalities")]
         header = {
             "version": version,
-            "db_sizes": tuple(int(s) for s in data["db_sizes"]),
+            "db_sizes": tuple(int(s) for s in read("db_sizes")),
             "cardinalities": cards,
-            "entity_count": int(data["entity_count"]),
-            "alpha": [data[f"alpha_{f}"] for f in range(len(cards))],
+            "entity_count": int(read("entity_count")),
+            "alpha": [read(f"alpha_{f}") for f in range(len(cards))],
         }
-        state = VariationalState(
-            phi=data["phi"],
-            lam=[data[f"lam_{f}"] for f in range(len(cards))],
-            rows=data["rows"],
-        )
-    k = header["entity_count"]
-    if state.rows.shape != (sum(header["db_sizes"]),):
-        raise ValueError(
-            f"rows has shape {state.rows.shape}, "
-            f"not one entry per record of {header['db_sizes']}"
-        )
-    if state.phi.ndim != 2 or state.phi.shape[1] != k:
-        raise ValueError(f"phi has shape {state.phi.shape}, not (rows, {k})")
-    _check_rows(state.rows, state.phi.shape[0])
-    _check_lam(state.lam, k, cards)
+        lam = [read(f"lam_{f}") for f in range(len(cards))]
+    _check_lam(lam, header["entity_count"], cards)
     for f, (a_f, v_f) in enumerate(zip(header["alpha"], cards)):
         if a_f.shape != (v_f,):
             raise ValueError(f"alpha for field {f} has shape {a_f.shape}, not ({v_f},)")
-    return state, header
+    return lam, header

@@ -119,13 +119,3 @@ def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
         assignment_log_probs=assignment_log_probs,
         cocluster=cocluster,
     )
-
-
-def exact_log_evidence(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
-    """log p(x) with attribute distributions marginalized analytically."""
-    return exact_posterior(corpus, hp, budget, workers).log_evidence
-
-
-def exact_cocluster(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
-    """Matrix of P(z_i = z_j | x) over flat record indices."""
-    return exact_posterior(corpus, hp, budget, workers).cocluster

@@ -201,14 +201,20 @@ class TestFit:
         _, header = load_state(out / "state.npz")
         assert header["entity_count"] == 3
 
-    def test_state_holds_one_row_per_distinct_record(self, tmp_path):
+    def test_state_holds_lambda_without_phi(self, tmp_path):
         db, schema = write_tiny_db(tmp_path, rows=("red", "blue", "red"))
         out = tmp_path / "run"
         assert main(["fit", db, "--schema", schema, "--out", str(out)]) == 0
-        state, _ = load_state(out / "state.npz")
-        assert state.phi.shape == (2, 3)
-        rows = state.rows.tolist()
-        assert len(rows) == 3 and rows[0] == rows[2] != rows[1]
+        with np.load(out / "state.npz") as data:
+            assert data.files == [
+                "version", "db_sizes", "cardinalities", "entity_count",
+                "alpha_0", "lam_0",
+            ]
+        lam, header = load_state(out / "state.npz")
+        assert header["db_sizes"] == (3,)
+        assert lam[0].shape == (3, 2)
+        # the prior mass 3 x 2 x 0.1 plus one count per record
+        assert lam[0].sum() == pytest.approx(3.6, rel=1e-12)
 
     def test_lambda_dump_covers_every_cell(self, tmp_path):
         db, schema = write_tiny_db(tmp_path)
@@ -572,6 +578,19 @@ class TestEval:
     def test_mismatched_record_sets(self, tmp_path, capsys):
         linkage = tmp_path / "linkage.csv"
         linkage.write_text("db,record,entity,max_prob\n1,1,1,1.0\n1,2,1,1.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("db,record,entity\n1,1,1\n")
+        code = main(
+            ["eval", str(linkage), str(truth), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_entity_id_beyond_int64(self, tmp_path, capsys):
+        linkage = tmp_path / "linkage.csv"
+        linkage.write_text(
+            "db,record,entity,max_prob\n1,1,99999999999999999999,1.0\n"
+        )
         truth = tmp_path / "truth.csv"
         truth.write_text("db,record,entity\n1,1,1\n")
         code = main(

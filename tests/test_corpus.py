@@ -202,12 +202,36 @@ class TestCorpus:
 
 class TestFileRoundTrips:
     def test_schema_file(self, tmp_path, two_files):
-        schema = load_databases(two_files).schema
+        loaded = load_databases(two_files).schema
+        quoted = Schema(
+            ("f", "g h", "e"),
+            (("a,b", "c"), ('say "hi"', "x\ty", ""), ("",)),
+        )
         path = tmp_path / "schema.txt"
-        write_schema_file(schema, path)
-        back = read_schema_file(path)
-        assert back.field_names == schema.field_names
-        assert back.field_values == schema.field_values
+        for schema in (loaded, quoted):
+            write_schema_file(schema, path)
+            back = read_schema_file(path)
+            assert back.field_names == schema.field_names
+            assert back.field_values == schema.field_values
+        # values that need no quoting are written bare
+        write_schema_file(loaded, path)
+        assert path.read_text() == "gender\tM,F\ncounty\tA,B\n"
+
+    @pytest.mark.parametrize(
+        "names, values",
+        [
+            (("a\tb",), (("x",),)),
+            (("a\nb",), (("x",),)),
+            (("f",), (("x", "y\nz"),)),
+            (("f",), (("x\r",),)),
+        ],
+        ids=["tab_in_name", "newline_in_name", "newline_in_value", "return_in_value"],
+    )
+    def test_schema_file_refuses_what_a_line_cannot_hold(self, tmp_path, names, values):
+        path = tmp_path / "schema.txt"
+        with pytest.raises(SchemaError):
+            write_schema_file(Schema(names, values), path)
+        assert not path.exists()
 
     def test_databases_round_trip(self, tmp_path, two_files):
         corpus = load_databases(two_files)

@@ -1,10 +1,12 @@
 import math
 import threading
 import time
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import softmax
 
 import vblink.engine as engine
@@ -337,9 +339,9 @@ class TestFit:
         hp = HyperParams.symmetric(4, 0.5, corpus.schema.cardinalities)
         start = init_state(corpus, hp, seed=9)
         perm = np.array([2, 0, 3, 1])
-        state_a, report_a = fit(corpus, hp, initial_state=start.copy(), max_sweeps=25)
+        state_a, report_a = fit(corpus, hp, initial_lam=start.lam, max_sweeps=25)
         state_b, report_b = fit(
-            corpus, hp, initial_state=start.permute_entities(perm), max_sweeps=25
+            corpus, hp, initial_lam=start.permute_entities(perm).lam, max_sweeps=25
         )
         for ea, eb in zip(report_a.elbo_trace, report_b.elbo_trace):
             assert eb == pytest.approx(ea, rel=1e-12)
@@ -355,13 +357,11 @@ class TestFit:
         hp = HyperParams.symmetric(2, 1.0, [2])
         # finite and positive, so it passes the input checks, but entity 0's
         # row sum overflows to inf and the first sweep's ELBO is NaN
-        state = make_state(
-            np.full((2, 2), 0.5), [np.array([[1e308, 1e308], [1.0, 1.0]])]
-        )
+        lam = [np.array([[1e308, 1e308], [1.0, 1.0]])]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericalFailureError
         ) as err:
-            fit(pair_corpus, hp, initial_state=state, max_sweeps=5)
+            fit(pair_corpus, hp, initial_lam=lam, max_sweeps=5)
         assert err.value.sweep == 1
 
     def test_option_validation(self, pair_corpus):
@@ -463,6 +463,59 @@ class TestWorkers:
         np.testing.assert_array_equal(s1.lam[0], s4.lam[0])
 
 
+def fit_sweeps(corpus, hp, **options):
+    """Run fit to the sweep limit or an exactly flat ELBO, keeping each
+    sweep's ELBO, phi and lam."""
+    sweeps = []
+
+    def keep(_sweep, value, state):
+        sweeps.append((value, state.phi.copy(), [l.copy() for l in state.lam]))
+
+    state, _ = fit(corpus, hp, rel_tol=1e-300, on_sweep=keep, **options)
+    return state, sweeps
+
+
+def assert_resume_is_exact(corpus, hp, path, first, then, workers, seed=0):
+    """Fit ``first`` sweeps, checkpoint, and fit ``then`` more sweeps from
+    the loaded lam: each sweep that both this and an uninterrupted fit
+    made has the same ELBO, phi and lam bit for bit.  Returns how many
+    sweeps were compared."""
+    options = dict(workers=workers, seed=seed)
+    _, whole = fit_sweeps(corpus, hp, max_sweeps=first + then, **options)
+    state, head = fit_sweeps(corpus, hp, max_sweeps=first, **options)
+    save_state(path, state.lam, corpus, hp)
+    lam, _ = load_state(path)
+    _, tail = fit_sweeps(corpus, hp, initial_lam=lam, max_sweeps=then, **options)
+    compared = list(zip(whole[len(head) :], tail))
+    for (elbo_a, phi_a, lam_a), (elbo_b, phi_b, lam_b) in compared:
+        assert elbo_a == elbo_b
+        np.testing.assert_array_equal(phi_a, phi_b)
+        for got, want in zip(lam_b, lam_a):
+            np.testing.assert_array_equal(got, want)
+    return len(compared)
+
+
+@st.composite
+def tiny_problems(draw):
+    """A random corpus of at most 12 records, 3 fields of at most 4 values
+    and 1 or 2 databases, with at most 5 entities."""
+    cards = draw(st.lists(st.integers(1, 4), max_size=3))
+    n = draw(st.integers(1, 12))
+    row = st.tuples(*(st.integers(0, v - 1) for v in cards))
+    values = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.int32)
+    first_db = draw(st.integers(0, n))
+    corpus = Corpus(
+        schema=Schema(
+            tuple(f"f{f}" for f in range(len(cards))),
+            tuple(tuple(str(c) for c in range(v)) for v in cards),
+        ),
+        db_sizes=(first_db, n - first_db),
+        values=values.reshape(n, len(cards)),
+    )
+    alpha = draw(st.sampled_from([0.1, 0.5, 2.0]))
+    return corpus, HyperParams.symmetric(draw(st.integers(1, 5)), alpha, cards)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         corpus, _ = sample_dataset(
@@ -476,39 +529,43 @@ class TestCheckpoint:
         )
         hp = HyperParams.symmetric(5, 0.4, corpus.schema.cardinalities)
         state, _ = fit(corpus, hp, max_sweeps=5, seed=3)
-        path = tmp_path / "state.npz"
-        save_state(path, state, corpus, hp)
-        loaded, header = load_state(path)
-        np.testing.assert_array_equal(loaded.phi, state.phi)
-        np.testing.assert_array_equal(loaded.rows, state.rows)
+        path = tmp_path / "state"
+        save_state(path, state.lam, corpus, hp)
+        with np.load(path) as data:
+            assert data.files == [
+                "version", "db_sizes", "cardinalities", "entity_count",
+                "alpha_0", "lam_0", "alpha_1", "lam_1",
+            ]
+            assert data["version"].shape == ()
+        lam, header = load_state(path)
         for f in range(2):
-            np.testing.assert_array_equal(loaded.lam[f], state.lam[f])
+            np.testing.assert_array_equal(lam[f], state.lam[f])
             np.testing.assert_array_equal(header["alpha"][f], hp.alpha[f])
+        assert header["version"] == engine.STATE_FORMAT_VERSION == 3
         assert header["db_sizes"] == (12, 9)
         assert header["cardinalities"] == [3, 2]
         assert header["entity_count"] == 5
 
-    def test_save_copies_no_array(self, tmp_path):
-        # an 8 MiB phi: a chunked copy on the way to the archive would show
-        n = k = 1024
-        corpus = tiny_corpus(np.arange(n) % 2)
-        hp = HyperParams.symmetric(k, 0.5, [2])
-        rng = np.random.default_rng(1)
-        state = make_state(rng.dirichlet(np.ones(k), size=n), [np.ones((k, 2))])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_resume_matches_uninterrupted_fit(self, tmp_path, monkeypatch, workers):
+        corpus, _ = sample_dataset(DUPLICATE_HEAVY)
+        hp = HyperParams.symmetric(600, 0.1, corpus.schema.cardinalities)
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)
+        distinct = engine._distinct_rows(corpus.values).max() + 1
+        assert len(engine._blocks(distinct, hp.entity_count)) > 3
         path = tmp_path / "state.npz"
-        tracemalloc.start()
-        try:
-            save_state(path, state, corpus, hp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < state.phi.nbytes / 4
-        loaded, header = load_state(path)
-        np.testing.assert_array_equal(loaded.phi, state.phi)
-        np.testing.assert_array_equal(loaded.rows, state.rows)
-        assert header["version"] == engine.STATE_FORMAT_VERSION
-        with np.load(path) as data:
-            assert data["version"].shape == ()
+        assert assert_resume_is_exact(corpus, hp, path, 3, 3, workers, seed=4) == 3
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(problem=tiny_problems(), first=st.integers(1, 3), then=st.integers(1, 3))
+    def test_resume_is_exact_on_random_corpora(
+        self, tmp_path_factory, problem, first, then
+    ):
+        corpus, hp = problem
+        path = tmp_path_factory.mktemp("resume") / "state.npz"
+        with mock.patch.object(engine, "BLOCK_RECORDS", 2):
+            for workers in (1, 3):
+                assert_resume_is_exact(corpus, hp, path, first, then, workers)
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.npz"
@@ -519,13 +576,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "name, corrupt, message",
         [
-            ("rows", lambda a: a[:-1], "one entry per record"),
-            ("rows", lambda a: np.where(a == a.max(), a.max() + 1, a), "index"),
-            ("phi", lambda a: a[:, :-1], "phi has shape"),
             ("lam_1", lambda a: a[:, :-1], "lam for field 1"),
             ("alpha_0", lambda a: np.append(a, 1.0), "alpha for field 0"),
+            ("lam_1", None, "'lam_1' is missing"),
         ],
-        ids=["rows_length", "rows_range", "phi_columns", "lam_shape", "alpha_length"],
+        ids=["lam_shape", "alpha_length", "missing_array"],
     )
     def test_rejects_inconsistent_arrays(self, tmp_path, name, corrupt, message):
         corpus = Corpus(
@@ -536,11 +591,14 @@ class TestCheckpoint:
         hp = HyperParams.symmetric(3, 0.5, corpus.schema.cardinalities)
         state, _ = fit(corpus, hp, max_sweeps=2, seed=0)
         good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
-        save_state(good, state, corpus, hp)
+        save_state(good, state.lam, corpus, hp)
         load_state(good)
         with np.load(good) as data:
             arrays = dict(data)
-        arrays[name] = corrupt(arrays[name])
+        if corrupt is None:
+            del arrays[name]
+        else:
+            arrays[name] = corrupt(arrays[name])
         np.savez(bad, **arrays)
         with pytest.raises(ValueError, match=message):
             load_state(bad)
@@ -641,27 +699,21 @@ class TestDistinctRecords:
 
     def test_caller_initial_state_is_not_written(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
-        start = init_state(corpus, hp, seed=2)
-        before = start.copy()
-        state, _ = fit(corpus, hp, initial_state=start, max_sweeps=3)
-        np.testing.assert_array_equal(start.phi, before.phi)
-        np.testing.assert_array_equal(start.rows, before.rows)
-        for now, then in zip(start.lam, before.lam):
+        start = init_state(corpus, hp, seed=2).lam
+        before = [l.copy() for l in start]
+        state, _ = fit(corpus, hp, initial_lam=start, max_sweeps=3)
+        for now, then in zip(start, before):
             np.testing.assert_array_equal(now, then)
-        assert all(a is not b for a, b in zip(state.lam, start.lam))
+        assert all(a is not b for a, b in zip(state.lam, start))
 
     def test_initial_state_of_wrong_shape_rejected(self, pair_corpus):
         hp = HyperParams.symmetric(2, 1.0, [2])
-        state = make_state(np.full((2, 3), 1 / 3), [np.ones((3, 2))])
         with pytest.raises(ValueError, match="lam for field 0"):
-            fit(pair_corpus, hp, initial_state=state)
+            fit(pair_corpus, hp, initial_lam=[np.ones((3, 2))])
         # bad input is a ValueError up front, never a numerical failure
         for bad in (0.0, -1.0, np.nan, np.inf):
-            state = make_state(
-                np.full((2, 2), 0.5), [np.array([[1.0, bad], [1.0, 1.0]])]
-            )
             with pytest.raises(ValueError, match="lam for field 0"):
-                fit(pair_corpus, hp, initial_state=state)
+                fit(pair_corpus, hp, initial_lam=[np.array([[1.0, bad], [1.0, 1.0]])])
 
 
 class TestFusedSweep:
@@ -701,8 +753,9 @@ class TestFusedSweep:
         update_lambda(updated, corpus, hp)
         assert all(l.flags.c_contiguous for l in state.lam + updated.lam)
         copied = state.copy()
-        save_state(tmp_path / "state.npz", state, corpus, hp)
-        reloaded, _ = load_state(tmp_path / "state.npz")
+        save_state(tmp_path / "state.npz", state.lam, corpus, hp)
+        lam, _ = load_state(tmp_path / "state.npz")
+        reloaded = VariationalState(phi=state.phi.copy(), lam=lam, rows=state.rows)
         for s in (state, copied, reloaded):
             update_phi(s, corpus, hp)
         np.testing.assert_array_equal(copied.phi, state.phi)

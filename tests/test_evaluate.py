@@ -243,6 +243,23 @@ class TestLinkageFiles:
         with pytest.raises(ValueError, match="malformed"):
             read_linkage(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1,99999999999999999999,1.0", "column 'entity'"),  # beyond int64
+            ("1,1,1.5,1.0", "column 'entity'"),
+            ("1,1,1,abc", "column 'max_prob'"),
+            ("x,1,1,1.0", "malformed row"),
+            ("1,1.0,1,1.0", "malformed row"),
+        ],
+        ids=["overflow", "fraction", "text", "text_db", "fraction_record"],
+    )
+    def test_rejects_unparsable_cells(self, tmp_path, row, message):
+        path = tmp_path / "linkage.csv"
+        path.write_text(f"db,record,entity,max_prob\n{row}\n")
+        with pytest.raises(ValueError, match=f"linkage.csv: {message}"):
+            read_linkage(path)
+
 
 class TestGroundTruthFile:
     def test_read_back_zero_based(self, tmp_path):

@@ -8,12 +8,7 @@ from scipy.special import gammaln, logsumexp
 from vblink.corpus import Corpus, Schema
 from vblink.engine import HyperParams
 from vblink.genmodel import GenConfig, sample_dataset
-from vblink.oracle import (
-    EnumerationBudgetError,
-    exact_cocluster,
-    exact_log_evidence,
-    exact_posterior,
-)
+from vblink.oracle import EnumerationBudgetError, exact_posterior
 
 
 def small_corpus(columns, cardinalities, db_sizes=None):
@@ -64,7 +59,7 @@ class TestClosedForms:
     def test_single_entity_two_identical_records(self):
         corpus = small_corpus([[0], [0]], [2])
         hp = HyperParams.symmetric(1, 1.0, [2])
-        assert exact_log_evidence(corpus, hp) == pytest.approx(
+        assert exact_posterior(corpus, hp).log_evidence == pytest.approx(
             math.log(1 / 3), abs=1e-14
         )
 
@@ -81,7 +76,7 @@ class TestClosedForms:
         corpus = small_corpus([[1, 2]], [3, 4])
         for k in (1, 2, 5):
             hp = HyperParams.symmetric(k, 0.7, [3, 4])
-            assert exact_log_evidence(corpus, hp) == pytest.approx(
+            assert exact_posterior(corpus, hp).log_evidence == pytest.approx(
                 math.log(1 / 3) + math.log(1 / 4), abs=1e-13
             )
 
@@ -160,9 +155,9 @@ class TestGuards:
     def test_budget_boundary_is_inclusive(self):
         corpus = small_corpus([[0], [1]], [2])
         hp = HyperParams.symmetric(2, 1.0, [2])
-        assert math.isfinite(exact_log_evidence(corpus, hp, budget=4))
+        assert math.isfinite(exact_posterior(corpus, hp, budget=4).log_evidence)
         with pytest.raises(EnumerationBudgetError):
-            exact_log_evidence(corpus, hp, budget=3)
+            exact_posterior(corpus, hp, budget=3)
 
     def test_alpha_cardinality_mismatch(self):
         corpus = small_corpus([[0, 1]], [3, 2])
@@ -188,11 +183,3 @@ class TestWorkers:
             a.assignment_log_probs, b.assignment_log_probs
         )
         np.testing.assert_array_equal(a.cocluster, b.cocluster)
-
-
-def test_exact_cocluster_wrapper_matches_full_posterior():
-    corpus = small_corpus([[0], [0], [1]], [2])
-    hp = HyperParams.symmetric(2, 1.0, [2])
-    np.testing.assert_array_equal(
-        exact_cocluster(corpus, hp), exact_posterior(corpus, hp).cocluster
-    )
