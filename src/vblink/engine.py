@@ -36,21 +36,23 @@ sum_u m[u] sum_k phi[u, k] log phi[u, k] = sum_f <counts_f, T_f>
 - sum_u m[u] lse[u].  So a sweep reads phi once and its ELBO costs
 O(K * sum V_f + U).  The public
 :func:`update_phi`, :func:`update_lambda` and :func:`elbo` are the general
-updates for any (phi, lam); they share the block normalisation, the
-lam = alpha + counts step, the score tables and ln B with the sweep, and
-the tests hold the sweep to them.  The reference :func:`elbo` is in
-bracket form: its bracket alpha + counts - lam vanishes at
-lam = alpha + counts, which leaves the sweep's closed form.  The
-enumeration oracle (:mod:`vblink.oracle`) weighs each
-hard assignment by the ln B terms at its counts, with the same ln B and
-the same block map.
+updates for any (phi, lam), run serially; the tests hold the sweep to
+them.  :func:`update_phi` is the sweep's block normalisation alone,
+:func:`update_lambda` and :func:`elbo` each make one blocked pass like the
+sweep's (:func:`_pass`), and they share the score tables, ln B and
+lam = alpha + counts with it.  The reference :func:`elbo` is in bracket
+form: its bracket alpha + counts - lam vanishes at lam = alpha + counts,
+which leaves the sweep's closed form.  The enumeration oracle
+(:mod:`vblink.oracle`) weighs each hard assignment by the ln B terms at
+its counts, with the same ln B and the same block map.
 
 A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20 entries of
 phi (8 MiB), so wide-K blocks still fit in cache.  Determinism contract:
 the blocks are fixed by the row count and K, and per-block partial results
 are added in block index order, so results are bit-identical for a given
-seed regardless of the worker count.  Workers take the blocks in rounds of
-``workers``, so at most that many partial results are alive at once.
+seed regardless of the worker count.  Only :func:`fit` (and the oracle)
+take a worker count; workers take the blocks in rounds of ``workers``, so
+at most that many partial results are alive at once.
 Within a pass ``lam`` is read-only and blocks write disjoint rows of phi.
 """
 
@@ -60,7 +62,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
+from scipy.special import digamma, entr, gammaln, polygamma
 
 # Fixed record-block size; part of the determinism contract above.
 BLOCK_RECORDS = 8192
@@ -194,16 +196,6 @@ def _map_blocks(fn, blocks, workers):
             yield from pool.map(fn, blocks[lo : lo + workers])
 
 
-def _fold_blocks(fn, totals, shape, workers):
-    """Add each block's list of partial results from fn into ``totals``,
-    in place and strictly in block order, so the sums are bit-identical
-    for any worker count."""
-    for parts in _map_blocks(fn, _blocks(*shape), workers):
-        for total, part in zip(totals, parts):
-            total += part
-    return totals
-
-
 def _check_rows(rows, row_count):
     if (
         rows.ndim != 1
@@ -248,17 +240,28 @@ def _block_counts(p, values, weights, cardinalities):
     return parts
 
 
-def _field_counts(phi, values, weights, cardinalities, workers=1):
-    """Weighted value counts of every field, in one pass over ``phi``:
-    ``out[f][v, k]`` = sum over rows with ``values[u, f] == v`` of
-    ``weights[u] * phi[u, k]``.  Deterministic for any worker count."""
+def _pass(phi, values, weights, cardinalities, step, workers=1):
+    """One blocked pass over ``phi`` (row values ``values``, multiplicities
+    ``weights``).  Each block of rows ``p`` goes first to ``step(p, x, m)``,
+    which may rewrite ``p`` in place and returns a number; while the block
+    is still in cache its weighted field counts are then taken.  The
+    blocks' partials are added strictly in block order, so the results are
+    bit-identical for any worker count.  Returns the summed number and,
+    per field, the (V_f, K) table ``counts[f][v, k]`` = sum over rows with
+    ``values[u, f] == v`` of ``weights[u] * phi[u, k]``."""
 
     def block(bounds):
         lo, hi = bounds
-        return _block_counts(phi[lo:hi], values[lo:hi], weights[lo:hi], cardinalities)
+        p, x, m = phi[lo:hi], values[lo:hi], weights[lo:hi]
+        return step(p, x, m), _block_counts(p, x, m, cardinalities)
 
-    totals = [np.zeros((v_f, phi.shape[1])) for v_f in cardinalities]
-    return _fold_blocks(block, totals, phi.shape, workers)
+    total = 0.0
+    counts = [np.zeros((v_f, phi.shape[1])) for v_f in cardinalities]
+    for number, parts in _map_blocks(block, _blocks(*phi.shape), workers):
+        total += number
+        for c_f, part in zip(counts, parts):
+            c_f += part
+    return total, counts
 
 
 def _anchor_weights(n, seed):
@@ -330,12 +333,12 @@ def _lambda_of_counts(alpha, counts):
     return [np.add(a_f, c_f.T, order="C") for a_f, c_f in zip(alpha, counts)]
 
 
-def update_lambda(state, corpus, hp, workers=1):
+def update_lambda(state, corpus, hp):
     """Closed-form Dirichlet update: prior plus multiplicity- and
-    responsibility-weighted counts."""
+    responsibility-weighted counts, from a pass that leaves phi as it is."""
     values, weights = _row_patterns(state, corpus.values)
-    counts = _field_counts(
-        state.phi, values, weights, corpus.schema.cardinalities, workers
+    _, counts = _pass(
+        state.phi, values, weights, corpus.schema.cardinalities, lambda p, x, m: 0.0
     )
     state.lam[:] = _lambda_of_counts(hp.alpha, counts)
     return state.lam
@@ -372,60 +375,39 @@ def _normalise_block(out, tables, values):
     return top + np.log(total)
 
 
-def update_phi(state, corpus, hp, workers=1):
+def update_phi(state, corpus, hp):
     """Log-space responsibility update, one block of rows at a time,
     normalized in place in ``phi``."""
     tables = _score_tables(state)
     x, _ = _row_patterns(state, corpus.values)
-
-    def block(bounds):
-        lo, hi = bounds
+    for lo, hi in _blocks(*state.phi.shape):
         _normalise_block(state.phi[lo:hi], tables, x[lo:hi])
-
-    for _ in _map_blocks(block, _blocks(*state.phi.shape), workers):
-        pass
     return state.phi
 
 
-def _phi_entropy_sum(phi, weights, workers=1):
-    """sum over rows of weights[u] * sum_k phi[u, k] * log(phi[u, k]), with
-    0 log 0 = 0."""
-
-    def block(bounds):
-        lo, hi = bounds
-        p = phi[lo:hi]
-        out = np.zeros_like(p)
-        mask = p > 0.0
-        np.log(p, out=out, where=mask)
-        out *= p
-        return float(out.sum(axis=1) @ weights[lo:hi])
-
-    return math.fsum(_map_blocks(block, _blocks(*phi.shape), workers))
-
-
-def elbo(state, corpus, hp, workers=1):
+def elbo(state, corpus, hp):
     """Evidence lower bound of the current state, in bracket form:
 
         sum_{k,f} [ <alpha_f + counts[k, f] - lam[k, f], T_f[:, k]>
                     + ln B(lam[k, f]) - ln B(alpha_f) ]
         - sum_u m[u] sum_k phi[u, k] log phi[u, k] - N log K
 
-    with T_f the score tables of ``lam``.  The expected log likelihood,
+    with T_f the score tables of ``lam`` and 0 log 0 = 0.  The counts and
+    the entropy come from one pass over phi.  The expected log likelihood,
     the Dirichlet prior and the q(beta) terms collect into the bracket,
     which vanishes at lam = alpha + counts.  Valid for any (phi, lam);
     equals log p(x) exactly when K = 1.
     """
     k = state.entity_count
     values, weights = _row_patterns(state, corpus.values)
-    counts = _field_counts(
-        state.phi, values, weights, corpus.schema.cardinalities, workers
+    entropy, counts = _pass(
+        state.phi, values, weights, corpus.schema.cardinalities,
+        lambda p, x, m: entr(p).sum(axis=1) @ m,
     )
-    total = 0.0
+    total = float(entropy) - float(weights.sum()) * math.log(k)
     for lam_f, a_f, c_f, t_f in zip(state.lam, hp.alpha, counts, _score_tables(state)):
         total += float(np.sum((a_f[:, None] + c_f - lam_f.T) * t_f))
         total += float(np.sum(_log_beta(lam_f))) - k * float(_log_beta(a_f))
-    total -= _phi_entropy_sum(state.phi, weights, workers)
-    total -= float(weights.sum()) * math.log(k)
     return total
 
 
@@ -465,17 +447,10 @@ def _sweep(state, values, weights, hp, workers):
     phi and the ELBO costs O(K * sum V_f + U).
     """
     tables = _score_tables(state)
-    cards = [a_f.size for a_f in hp.alpha]
-    phi = state.phi
-
-    def block(bounds):
-        lo, hi = bounds
-        x, m = values[lo:hi], weights[lo:hi]
-        lse = _normalise_block(phi[lo:hi], tables, x)
-        return [lse @ m, *_block_counts(phi[lo:hi], x, m, cards)]
-
-    totals = [np.zeros(()), *(np.zeros((v_f, phi.shape[1])) for v_f in cards)]
-    log_normaliser, *counts = _fold_blocks(block, totals, phi.shape, workers)
+    log_normaliser, counts = _pass(
+        state.phi, values, weights, [a_f.size for a_f in hp.alpha],
+        lambda p, x, m: _normalise_block(p, tables, x) @ m, workers,
+    )
     state.lam[:] = _lambda_of_counts(hp.alpha, counts)
     k = state.entity_count
     total = float(log_normaliser) - float(weights.sum()) * math.log(k)
@@ -602,7 +577,9 @@ def save_state(path, lam, corpus, hp):
 
     lam is the whole state of a fit: each sweep computes phi from lam, so
     ``fit(corpus, hp, initial_lam=lam)`` on the loaded lam continues the
-    fit bit for bit, and :func:`update_phi` gives its phi.
+    fit bit for bit.  The fit's last phi came from the lam before its last
+    lam update; :func:`update_phi` on the saved lam gives the next sweep's
+    phi.
     """
     arrays = {
         "version": np.asarray(STATE_FORMAT_VERSION),

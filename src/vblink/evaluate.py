@@ -114,15 +114,15 @@ def pairwise_metrics(predicted, truth):
 
 def posterior_cocluster_estimate(state, pairs):
     """Mean-field co-clustering probability sum_k phi[i, k] * phi[j, k]
-    for each (i, j) pair of flat record indices."""
-    rows = state.rows
-    n = rows.shape[0]
-    out = np.empty(len(pairs))
-    for idx, (i, j) in enumerate(pairs):
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"record pair ({i}, {j}) outside 0..{n - 1}")
-        out[idx] = float(np.dot(state.phi[rows[i]], state.phi[rows[j]]))
-    return out
+    for each (i, j) pair of flat record indices, as a row-wise dot."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    n = state.rows.shape[0]
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if outside.any():
+        i, j = pairs[outside][0]
+        raise IndexError(f"record pair ({i}, {j}) outside 0..{n - 1}")
+    phi = state.phi[state.rows[pairs]]  # (pairs, 2, K)
+    return np.einsum("pk,pk->p", phi[:, 0], phi[:, 1])
 
 
 def write_linkage(path, linkage):

@@ -12,7 +12,7 @@ engine's ln B.  The counts of a block of assignments come from one
 ``bincount`` over (assignment, entity, value) keys, and the blocks run
 through the engine's block map.  The evidence is then
 log p(x) = -N*log(K) + log sum_z w(z), a sum over all K**N assignment
-vectors taken with the largest log w(z) shifted out so it cannot overflow.
+vectors taken by ``scipy.special.logsumexp``, so it cannot overflow.
 This is a test fixture for the variational engine, not a scalable
 inference path: instances beyond the enumeration budget are refused, never
 approximated.
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.special import logsumexp
 
 from vblink.engine import _check_compatible, _log_beta, _map_blocks
 
@@ -68,11 +69,12 @@ def _decode(ids, n, k):
     return labels
 
 
-def _block_log_weights(corpus, hp, ids):
-    """log w(z) for the assignments ``ids``.  The counts c_kfv(z) of the
-    whole block come from one bincount: the fields' values sit side by
-    side in sum_f V_f columns, and (assignment b, entity z, column c) has
-    the key (b * K + z) * sum_f V_f + c."""
+def _block_log_weights(corpus, hp, bounds):
+    """log w(z) for the assignments ``lo..hi-1`` of ``bounds``.  The counts
+    c_kfv(z) of the whole block come from one bincount: the fields' values
+    sit side by side in sum_f V_f columns, and (assignment b, entity z,
+    column c) has the key (b * K + z) * sum_f V_f + c."""
+    ids = np.arange(*bounds)
     k = hp.entity_count
     offsets = np.cumsum([0, *corpus.schema.cardinalities])
     width = offsets[-1]
@@ -96,19 +98,18 @@ def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
     total = _assignment_total(corpus, hp, budget)
     n = corpus.total_records
     k = hp.entity_count
-    blocks = [np.arange(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
+    blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
     weigh = partial(_block_log_weights, corpus, hp)
     logw = np.concatenate(list(_map_blocks(weigh, blocks, workers)))
 
-    shift = logw.max()
-    log_total = shift + np.log(np.exp(logw - shift).sum())
+    log_total = logsumexp(logw)
     log_evidence = float(log_total - n * np.log(k))
     assignment_log_probs = logw - log_total
 
     cocluster = np.zeros((n, n))
-    for ids in blocks:
-        labels = _decode(ids, n, k)
-        probs = np.exp(assignment_log_probs[ids[0] : ids[-1] + 1])
+    for lo, hi in blocks:
+        labels = _decode(np.arange(lo, hi), n, k)
+        probs = np.exp(assignment_log_probs[lo:hi])
         same = (labels[:, :, None] == labels[:, None, :]).astype(np.float64)
         cocluster += np.einsum("b,bij->ij", probs, same)
     cocluster = (cocluster + cocluster.T) / 2.0

@@ -93,7 +93,14 @@ class TestSpecialFunctions:
             assert engine.polygamma(1, x) == pytest.approx(want, rel=1e-10)
 
 
+def weight_sum(p, x, m):
+    """A pass step that leaves the block as it is and returns its weight."""
+    return m.sum()
+
+
 class TestFieldCounts:
+    """The counts and the summed step numbers of one blocked pass."""
+
     def test_matches_add_at_reference_across_blocks(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 3)
         rng = np.random.default_rng(11)
@@ -101,23 +108,27 @@ class TestFieldCounts:
         values = np.stack([rng.integers(0, v, size=n) for v in cards], axis=1)
         phi = rng.dirichlet(np.ones(k), size=n)
         weights = rng.integers(1, 5, size=n).astype(np.float64)
-        counts = engine._field_counts(phi, values, weights, cards, workers=1)
+        total, counts = engine._pass(phi, values, weights, cards, weight_sum, workers=1)
+        assert total == weights.sum()
         for f, v_f in enumerate(cards):
             want = np.zeros((v_f, k))
             np.add.at(want, values[:, f], phi * weights[:, None])
             np.testing.assert_allclose(counts[f], want, rtol=1e-12, atol=1e-15)
-        for got, want in zip(
-            engine._field_counts(phi, values, weights, cards, workers=3), counts
-        ):
+        total_3, counts_3 = engine._pass(
+            phi, values, weights, cards, weight_sum, workers=3
+        )
+        assert total_3 == total
+        for got, want in zip(counts_3, counts):
             np.testing.assert_array_equal(got, want)
 
     def test_no_records_gives_zero_tables(self):
         cards = (3, 5)
         for workers in (1, 3):
-            counts = engine._field_counts(
+            total, counts = engine._pass(
                 np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int32), np.zeros(0),
-                cards, workers,
+                cards, weight_sum, workers,
             )
+            assert total == 0.0
             assert [c.shape for c in counts] == [(3, 4), (5, 4)]
             assert not any(np.any(c) for c in counts)
 
@@ -251,6 +262,19 @@ class TestElbo:
         assert elbo(state, pair_corpus, hp) == pytest.approx(
             math.log(1.0 / 3.0), abs=1e-12
         )
+
+    def test_exact_zeros_in_phi_have_zero_entropy(self):
+        # Hard assignment of record 0 (value 1) to entity 0 and record 1
+        # (value 2) to entity 1 at lam = alpha + counts: the bracket
+        # vanishes, 0 log 0 = 0, and each entity adds
+        # ln B([2, 1]) - ln B([1, 1]) = -ln 2, so the ELBO is
+        # -2 ln 2 - 2 ln 2 = log p(x, z) = ln(1/16).
+        corpus = tiny_corpus([0, 1])
+        hp = HyperParams.symmetric(2, 1.0, [2])
+        state = make_state([[1.0, 0.0], [0.0, 1.0]], [[[2.0, 1.0], [1.0, 2.0]]])
+        value = elbo(state, corpus, hp)
+        assert math.isfinite(value)
+        assert value == pytest.approx(math.log(1.0 / 16.0), abs=1e-12)
 
     def test_two_entity_bound(self, pair_corpus):
         hp = HyperParams.symmetric(2, 1.0, [2])
@@ -442,25 +466,6 @@ class TestHyperParams:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 HyperParams(2, [np.array([1.0, bad])])
-
-
-class TestWorkers:
-    def test_results_bitwise_identical_across_worker_counts(self):
-        rng = np.random.default_rng(17)
-        n = 20_000  # spans several record blocks
-        corpus = tiny_corpus(rng.integers(0, 3, size=n), cardinality=3)
-        hp = HyperParams.symmetric(4, 0.3, [3])
-        results = []
-        for workers in (1, 4):
-            state = init_state(corpus, hp, seed=2)
-            update_phi(state, corpus, hp, workers=workers)
-            update_lambda(state, corpus, hp, workers=workers)
-            value = elbo(state, corpus, hp, workers=workers)
-            results.append((state, value))
-        (s1, e1), (s4, e4) = results
-        assert e1 == e4
-        np.testing.assert_array_equal(s1.phi, s4.phi)
-        np.testing.assert_array_equal(s1.lam[0], s4.lam[0])
 
 
 def fit_sweeps(corpus, hp, **options):
