@@ -5,8 +5,9 @@ file, else from its default.  A config entry is parsed by the flag's own
 type, so a bad config value is reported exactly like the same bad flag.
 Every run writes ``manifest.json`` into the output directory echoing the
 options that ran, with the defaults, ``k`` and the alpha actually used
-filled in (no timestamps), so identical invocations produce byte-identical
-files and the manifest suffices to reproduce a run.
+filled in, and the environment: the numpy and scipy versions and the CPU
+count (no timestamps), so identical invocations on one machine produce
+byte-identical files and the manifest suffices to reproduce a run.
 
 Exit codes: 0 success (fit: converged), 2 usage or input error,
 3 numerical failure, 4 fit stopped at the sweep limit without converging,
@@ -21,6 +22,7 @@ from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .corpus import (
@@ -136,13 +138,21 @@ def _write_json(path, payload):
 
 
 def _write_manifest(args, outputs):
-    """Every parsed option of the run, the outputs and the package version."""
+    """Every parsed option of the run, the outputs, the package version and
+    the environment: the numpy and scipy versions and the CPU count."""
     manifest = {
         key: value for key, value in vars(args).items() if key not in _NOT_ECHOED
     }
     _write_json(
         os.path.join(args.out, "manifest.json"),
-        dict(manifest, outputs=outputs, version=__version__),
+        dict(
+            manifest,
+            outputs=outputs,
+            version=__version__,
+            numpy=np.__version__,
+            scipy=scipy.__version__,
+            nproc=os.cpu_count(),
+        ),
     )
 
 

@@ -4,27 +4,34 @@ With the per-entity attribute distributions integrated out analytically
 (Dirichlet-multinomial conjugacy), the weight of one assignment vector z is
 
     log w(z) = sum_k sum_f [ log B(alpha_f + c_kf(z)) - log B(alpha_f) ]
+             = sum_{k,f,v} [ lnG(alpha_fv + c_kfv(z)) - lnG(alpha_fv) ]
+               - sum_k S(N_k(z)),
+    S(n) = sum_f [ lnG(A_f + n) - lnG(A_f) ],   A_f = sum_v alpha_fv,
 
 where c_kfv(z) counts records assigned to entity k carrying value v in
-field f and B is the multivariate beta function.  This is the first term
-of the engine's telescoped ELBO evaluated at hard counts, and it uses the
-engine's ln B.  The counts of a block of assignments come from one
-``bincount`` over (assignment, entity, value) keys, and the blocks run
-through the engine's block map.  The evidence is then
-log p(x) = -N*log(K) + log sum_z w(z), a sum over all K**N assignment
-vectors taken by ``scipy.special.logsumexp``, so it cannot overflow.
-This is a test fixture for the variational engine, not a scalable
-inference path: instances beyond the enumeration budget are refused, never
-approximated.
+field f, B is the multivariate beta function and lnG is ln Gamma.  This is
+the first term of the engine's telescoped ELBO evaluated at hard counts.
+Every record carries exactly one value per field, so sum_v c_kfv(z) is the
+entity size N_k(z), the same for every field, and S needs one table.
+Every count is an integer in 0..N, so both terms are exact lookups: one
+(sum_f V_f, N+1) table of the first and the (N+1,) table of S, built once
+per call.  The counts of a block of assignments come from one ``bincount``
+over (assignment, entity, value) keys and the entity sizes from one over
+(assignment, entity) keys; the blocks run through the engine's block map.
+The evidence is then log p(x) = -N*log(K) + log sum_z w(z), a sum over
+all K**N assignment vectors taken by ``scipy.special.logsumexp``, so it
+cannot overflow.  This is a test fixture for the variational engine, not a
+scalable inference path: instances beyond the enumeration budget are
+refused, never approximated.
 """
 
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
-from vblink.engine import _check_compatible, _log_beta, _map_blocks
+from vblink.engine import _check_compatible, _map_blocks
 
 ENUMERATION_BUDGET = 10**6
 
@@ -69,23 +76,41 @@ def _decode(ids, n, k):
     return labels
 
 
-def _block_log_weights(corpus, hp, bounds):
+def _lngamma_tables(corpus, hp):
+    """The flat table whose entry c * (N+1) + n is lnG(alpha_c + n) -
+    lnG(alpha_c), for the sum_f V_f columns c of all fields side by side,
+    and the (N+1,) table of S(n)."""
+    n = np.arange(corpus.total_records + 1)
+
+    def log_rising(a):
+        """lnG(a + n) - lnG(a), one row per entry of a."""
+        return gammaln(a[:, None] + n) - gammaln(a)[:, None]
+
+    alpha = np.concatenate([np.zeros(0), *hp.alpha])
+    totals = np.array([a_f.sum() for a_f in hp.alpha])
+    return log_rising(alpha).ravel(), log_rising(totals).sum(axis=0)
+
+
+def _block_log_weights(corpus, hp, tables, bounds):
     """log w(z) for the assignments ``lo..hi-1`` of ``bounds``.  The counts
     c_kfv(z) of the whole block come from one bincount: the fields' values
     sit side by side in sum_f V_f columns, and (assignment b, entity z,
-    column c) has the key (b * K + z) * sum_f V_f + c."""
+    column c) has the key (b * K + z) * sum_f V_f + c.  The sizes N_k(z)
+    come from one bincount over the keys b * K + z."""
+    column, size = tables
     ids = np.arange(*bounds)
+    n = corpus.total_records
     k = hp.entity_count
     offsets = np.cumsum([0, *corpus.schema.cardinalities])
     width = offsets[-1]
-    entity = np.arange(ids.size)[:, None] * k + _decode(ids, corpus.total_records, k)
+    entity = np.arange(ids.size)[:, None] * k + _decode(ids, n, k)
     keys = entity[:, :, None] * width + (corpus.values + offsets[:-1])
     counts = np.bincount(keys.ravel(), minlength=ids.size * k * width)
     counts = counts.reshape(ids.size, k, width)
-    logw = np.zeros(ids.size)
-    for a_f, lo, hi in zip(hp.alpha, offsets[:-1], offsets[1:]):
-        logw += (_log_beta(a_f + counts[:, :, lo:hi]) - _log_beta(a_f)).sum(axis=1)
-    return logw
+    counts += np.arange(width) * (n + 1)
+    sizes = np.bincount(entity.ravel(), minlength=ids.size * k)
+    terms = column[counts].reshape(ids.size, -1).sum(axis=1)
+    return terms - size[sizes].reshape(ids.size, k).sum(axis=1)
 
 
 def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
@@ -99,7 +124,7 @@ def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
     n = corpus.total_records
     k = hp.entity_count
     blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
-    weigh = partial(_block_log_weights, corpus, hp)
+    weigh = partial(_block_log_weights, corpus, hp, _lngamma_tables(corpus, hp))
     logw = np.concatenate(list(_map_blocks(weigh, blocks, workers)))
 
     log_total = logsumexp(logw)

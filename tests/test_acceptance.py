@@ -267,26 +267,28 @@ def test_08_linear_sweep_scaling(capsys):
         )
         hp = HyperParams.symmetric(k, 0.1, [cardinality] * field_count)
         sizes = [10_000, 50_000, 100_000]
-        times = []
-        for n in sizes:
-            rng = np.random.default_rng(n)
-            corpus = Corpus(
+        corpora = [
+            Corpus(
                 schema=schema,
                 db_sizes=(n,),
-                values=rng.integers(
+                values=np.random.default_rng(n).integers(
                     0, cardinality, size=(n, field_count), dtype=np.int32
                 ),
             )
-            state = init_state(corpus, hp, seed=0)
-            best = math.inf
-            for _ in range(2):
+            for n in sizes
+        ]
+        # rounds run across all sizes in turn, so a stretch of CPU
+        # contention slows every size alike; one state is alive at a time
+        times = [math.inf] * len(sizes)
+        for _ in range(3):
+            for i, corpus in enumerate(corpora):
+                state = init_state(corpus, hp, seed=0)
                 tic = time.perf_counter()
                 update_phi(state, corpus, hp)
                 update_lambda(state, corpus, hp)
                 elbo(state, corpus, hp)
-                best = min(best, time.perf_counter() - tic)
-            times.append(best)
-            del state, corpus
+                times[i] = min(times[i], time.perf_counter() - tic)
+                del state
         slope, intercept = np.polyfit(sizes, times, 1)
         predicted = slope * np.asarray(sizes) + intercept
         residual = np.sum((np.asarray(times) - predicted) ** 2)

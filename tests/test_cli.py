@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 
 import vblink.cli as cli
 import vblink.corpus as corpus_module
@@ -63,6 +65,9 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["db_sizes"] == [8, 6]
         assert "version" in manifest
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["nproc"] == os.cpu_count()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -27,6 +27,8 @@ from vblink.engine import (
 from vblink.evaluate import map_linkage
 from vblink.genmodel import GenConfig, sample_dataset
 
+from problems import tiny_problems
+
 # Duplicate-heavy: the paper's recovery config, 600 records in about 280
 # distinct value tuples.
 DUPLICATE_HEAVY = GenConfig(
@@ -498,27 +500,6 @@ def assert_resume_is_exact(corpus, hp, path, first, then, workers, seed=0):
         for got, want in zip(lam_b, lam_a):
             np.testing.assert_array_equal(got, want)
     return len(compared)
-
-
-@st.composite
-def tiny_problems(draw):
-    """A random corpus of at most 12 records, 3 fields of at most 4 values
-    and 1 or 2 databases, with at most 5 entities."""
-    cards = draw(st.lists(st.integers(1, 4), max_size=3))
-    n = draw(st.integers(1, 12))
-    row = st.tuples(*(st.integers(0, v - 1) for v in cards))
-    values = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.int32)
-    first_db = draw(st.integers(0, n))
-    corpus = Corpus(
-        schema=Schema(
-            tuple(f"f{f}" for f in range(len(cards))),
-            tuple(tuple(str(c) for c in range(v)) for v in cards),
-        ),
-        db_sizes=(first_db, n - first_db),
-        values=values.reshape(n, len(cards)),
-    )
-    alpha = draw(st.sampled_from([0.1, 0.5, 2.0]))
-    return corpus, HyperParams.symmetric(draw(st.integers(1, 5)), alpha, cards)
 
 
 class TestCheckpoint:

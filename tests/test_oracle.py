@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.special import gammaln, logsumexp
 
+from vblink.cli import BOUND_SLACK
 from vblink.corpus import Corpus, Schema
-from vblink.engine import HyperParams
+from vblink.engine import HyperParams, fit
 from vblink.genmodel import GenConfig, sample_dataset
 from vblink.oracle import EnumerationBudgetError, exact_posterior
+
+from problems import tiny_problems
 
 
 def small_corpus(columns, cardinalities, db_sizes=None):
@@ -55,6 +59,14 @@ def brute_force(corpus, hp):
     return log_evidence, cocluster
 
 
+def assert_matches_brute_force(corpus, hp):
+    post = exact_posterior(corpus, hp)
+    ref_evidence, ref_cocluster = brute_force(corpus, hp)
+    assert post.log_evidence == pytest.approx(ref_evidence, abs=1e-11)
+    np.testing.assert_allclose(post.cocluster, ref_cocluster, atol=1e-12)
+    return post
+
+
 class TestClosedForms:
     def test_single_entity_two_identical_records(self):
         corpus = small_corpus([[0], [0]], [2])
@@ -91,6 +103,13 @@ class TestClosedForms:
         off = ~np.eye(3, dtype=bool)
         np.testing.assert_allclose(post.cocluster[off], 1 / 4, atol=1e-14)
 
+    def test_no_records_gives_unit_evidence(self):
+        corpus = small_corpus(np.zeros((0, 2)), [3, 2])
+        post = exact_posterior(corpus, HyperParams.symmetric(3, 0.5, [3, 2]))
+        assert post.log_evidence == 0.0
+        assert post.assignment_log_probs.shape == (1,)
+        assert post.cocluster.shape == (0, 0)
+
 
 class TestPosteriorStructure:
     @pytest.fixture
@@ -125,10 +144,23 @@ class TestAgainstBruteForce:
             rng.integers(0, [3, 2], size=(5, 2)), [3, 2], db_sizes=[3, 2]
         )
         hp = HyperParams(3, [np.array([0.5, 1.0, 2.0]), np.array([0.8, 0.8])])
-        post = exact_posterior(corpus, hp)
-        ref_evidence, ref_cocluster = brute_force(corpus, hp)
-        assert post.log_evidence == pytest.approx(ref_evidence, abs=1e-11)
-        np.testing.assert_allclose(post.cocluster, ref_cocluster, atol=1e-12)
+        assert_matches_brute_force(corpus, hp)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_all_records_in_one_entity_reads_the_table_ends(self, k):
+        # identical records: some assignment puts all N of them in one
+        # entity, so the lnGamma tables are read at n = N
+        corpus = small_corpus([[2, 0, 1]] * 5, [3, 2, 4])
+        alpha = [np.array([0.3, 1.7, 0.9]), np.array([2.5, 0.4]), np.full(4, 0.05)]
+        assert_matches_brute_force(corpus, HyperParams(k, alpha))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(problem=tiny_problems(max_records=6, max_entities=3))
+    def test_random_corpora_match_and_bound_the_elbo(self, problem):
+        corpus, hp = problem
+        post = assert_matches_brute_force(corpus, hp)
+        _, report = fit(corpus, hp, seed=0)
+        assert report.elbo_trace[-1] <= post.log_evidence + BOUND_SLACK
 
     def test_label_permutation_leaves_summaries_invariant(self):
         corpus = small_corpus([[0], [1], [0]], [2])
