@@ -12,6 +12,8 @@ Every CSV file the package writes goes through :func:`write_table`: UTF-8,
 ``\r\n`` line ends and ``csv.writer``'s quoting.  The files keyed by
 record (ground truth, linkage) are record tables, written by
 :func:`write_record_table` and read back by :func:`read_record_table`.
+The files keyed by entity (the true latent values, the fitted modal
+values) are entity tables, written by :func:`write_entity_table`.
 """
 
 import csv
@@ -128,27 +130,6 @@ class Corpus:
     def total_records(self):
         return int(self.values.shape[0])
 
-    def flat_index(self, d, r):
-        """Flat record index of record ``r`` of database ``d`` (0-based)."""
-        if not 0 <= d < self.database_count:
-            raise IndexError(f"database index {d} out of range")
-        if not 0 <= r < self.db_sizes[d]:
-            raise IndexError(f"record index {r} out of range for database {d}")
-        return int(self._offsets[d] + r)
-
-    def record_location(self, n):
-        """(database, record) pair (0-based) for flat index ``n``."""
-        if not 0 <= n < self.total_records:
-            raise IndexError(f"flat record index {n} out of range")
-        d = int(np.searchsorted(self._offsets, n, side="right") - 1)
-        return d, int(n - self._offsets[d])
-
-
-def decode(corpus, d, r):
-    """Raw attribute strings of record ``r`` in database ``d`` (0-based)."""
-    row = corpus.values[corpus.flat_index(d, r)]
-    return [corpus.schema.value(f, int(c)) for f, c in enumerate(row)]
-
 
 def _read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
@@ -238,16 +219,6 @@ def quote_cells(cells, alone=False):
     return [line[:-2] if c or alone else "" for c, line in zip(cells, lines)]
 
 
-def quoted_labels(schema):
-    """``labels[f][c]``: field ``f``'s name and the string of its code ``c``
-    as the two cells ``name,value``, each quoted once."""
-    names = quote_cells(schema.field_names)
-    return [
-        [f"{name},{value}" for value in quote_cells(vals)]
-        for name, vals in zip(names, schema.field_values)
-    ]
-
-
 def write_table(path, header, lines):
     """Write one CSV file: the ``header`` cells, then the data ``lines``,
     strings without line ends whose cells are already quoted (see
@@ -326,6 +297,23 @@ def read_record_table(path, columns):
                 f"{path}: column {name!r} is not all {np.dtype(dtype).name}: {err}"
             ) from None
     return tuple(db_sizes), arrays
+
+
+def write_entity_table(path, schema, entity_ids, codes):
+    """Write an entity table: header ``entity,field,value``, then one line
+    per entity and field, the id from ``entity_ids`` (1-based) and the raw
+    string of the 0-based code ``codes[e, f]``.  Each field name and value
+    is quoted once."""
+    labels = [
+        [f"{name},{value}" for value in quote_cells(vals)]
+        for name, vals in zip(quote_cells(schema.field_names), schema.field_values)
+    ]
+    lines = (
+        f"{k},{labels_f[c]}"
+        for k, row in zip(entity_ids.tolist(), codes.tolist())
+        for labels_f, c in zip(labels, row)
+    )
+    write_table(path, ["entity", "field", "value"], lines)
 
 
 def write_schema_file(schema, path):

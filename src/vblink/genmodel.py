@@ -21,14 +21,16 @@ receives between 1 and ``small_cluster_max`` records.
 All sampling is driven by one seeded generator; draws happen in a fixed,
 documented order (noise, then assignments, then cell values field by field),
 so a config is a complete recipe for its output.  The truth is saved as a
-record table and a latent-values table, both written by :mod:`vblink.corpus`.
+record table and an entity table of latent values, both written by
+:mod:`vblink.corpus`; ``vblink fit`` writes its estimate of the latent
+values through the same entity-table writer.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Schema, quoted_labels, write_record_table, write_table
+from .corpus import Corpus, Schema, write_entity_table, write_record_table
 
 
 @dataclass(eq=False)
@@ -206,16 +208,14 @@ def latent_path_for(path):
 
 def write_ground_truth(truth, path):
     """Write the assignments as the record table ``db,record,entity`` and,
-    when known, the latent values as ``entity,field,value`` in the
-    :func:`latent_path_for` file; ids are 1-based, attribute values are raw
-    strings."""
+    when known, the latent values as the entity table ``entity,field,value``
+    in the :func:`latent_path_for` file; ids are 1-based, attribute values
+    are raw strings."""
     write_record_table(path, truth.db_sizes, {"entity": truth.assignments + 1})
-    if truth.latent_values is None:
-        return
-    labels = quoted_labels(truth.schema)
-    lines = (
-        f"{k},{labels_f[c]}"
-        for k, row in enumerate(truth.latent_values.tolist(), 1)
-        for labels_f, c in zip(labels, row)
-    )
-    write_table(latent_path_for(path), ["entity", "field", "value"], lines)
+    if truth.latent_values is not None:
+        write_entity_table(
+            latent_path_for(path),
+            truth.schema,
+            np.arange(1, len(truth.latent_values) + 1),
+            truth.latent_values,
+        )

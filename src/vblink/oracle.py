@@ -20,9 +20,13 @@ over (assignment, entity, value) keys and the entity sizes from one over
 (assignment, entity) keys; the blocks run through the engine's block map.
 The evidence is then log p(x) = -N*log(K) + log sum_z w(z), a sum over
 all K**N assignment vectors taken by ``scipy.special.logsumexp``, so it
-cannot overflow.  This is a test fixture for the variational engine, not a
-scalable inference path: instances beyond the enumeration budget are
-refused, never approximated.
+cannot overflow.  Each block also sums its co-clustering indicators
+weighted by exp(log w(z) - m_b), m_b the block's largest log weight, in
+the same pass over its labels; the blocks' sums C_b combine in block
+order as sum_b exp(m_b - log sum_z w(z)) * C_b = P(z_i = z_j | x).  This
+is a test fixture for the variational engine, not a scalable inference
+path: instances beyond the enumeration budget are refused, never
+approximated.
 """
 
 from dataclasses import dataclass
@@ -91,52 +95,61 @@ def _lngamma_tables(corpus, hp):
     return log_rising(alpha).ravel(), log_rising(totals).sum(axis=0)
 
 
-def _block_log_weights(corpus, hp, tables, bounds):
-    """log w(z) for the assignments ``lo..hi-1`` of ``bounds``.  The counts
-    c_kfv(z) of the whole block come from one bincount: the fields' values
-    sit side by side in sum_f V_f columns, and (assignment b, entity z,
-    column c) has the key (b * K + z) * sum_f V_f + c.  The sizes N_k(z)
-    come from one bincount over the keys b * K + z."""
+def _weigh_block(corpus, hp, tables, bounds):
+    """For the assignments ``lo..hi-1`` of ``bounds``: their log w(z), its
+    maximum m, and the (N, N) co-clustering sum of the block,
+    sum_z exp(log w(z) - m) * 1{z_i = z_j}, all from one decode of the
+    labels.  The counts c_kfv(z) of the whole block come from one bincount:
+    the fields' values sit side by side in sum_f V_f columns, and
+    (assignment b, entity z, column c) has the key (b * K + z) * sum_f V_f
+    + c.  The sizes N_k(z) come from one bincount over the keys b * K + z."""
     column, size = tables
     ids = np.arange(*bounds)
     n = corpus.total_records
     k = hp.entity_count
+    labels = _decode(ids, n, k)
     offsets = np.cumsum([0, *corpus.schema.cardinalities])
     width = offsets[-1]
-    entity = np.arange(ids.size)[:, None] * k + _decode(ids, n, k)
+    entity = np.arange(ids.size)[:, None] * k + labels
     keys = entity[:, :, None] * width + (corpus.values + offsets[:-1])
     counts = np.bincount(keys.ravel(), minlength=ids.size * k * width)
     counts = counts.reshape(ids.size, k, width)
     counts += np.arange(width) * (n + 1)
     sizes = np.bincount(entity.ravel(), minlength=ids.size * k)
     terms = column[counts].reshape(ids.size, -1).sum(axis=1)
-    return terms - size[sizes].reshape(ids.size, k).sum(axis=1)
+    logw = terms - size[sizes].reshape(ids.size, k).sum(axis=1)
+    top = logw.max()
+    weights = np.exp(logw - top)
+    same = np.empty((n, n))
+    for i in range(n):
+        same[i] = weights @ (labels == labels[:, i : i + 1])
+    return logw, top, same
 
 
 def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
     """Enumerate all assignments; see :class:`ExactPosterior`.
 
-    Results are deterministic for any worker count: block weights are
-    computed independently and combined in block index order.
+    Results are deterministic for any worker count: blocks are weighed
+    independently and combined in block index order.
     """
     _check_compatible(corpus, hp)
     total = _assignment_total(corpus, hp, budget)
     n = corpus.total_records
     k = hp.entity_count
     blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
-    weigh = partial(_block_log_weights, corpus, hp, _lngamma_tables(corpus, hp))
-    logw = np.concatenate(list(_map_blocks(weigh, blocks, workers)))
+    weigh = partial(_weigh_block, corpus, hp, _lngamma_tables(corpus, hp))
+    logw, tops, cocluster = zip(*_map_blocks(weigh, blocks, workers))
+    logw = np.concatenate(logw)
+    # The blocks' co-clustering sums are folded, in block order and relative
+    # to the largest block maximum, before logsumexp's temporaries are made.
+    top = max(tops)
+    cocluster = sum(np.exp(m - top) * c for m, c in zip(tops, cocluster))
 
     log_total = logsumexp(logw)
     log_evidence = float(log_total - n * np.log(k))
     assignment_log_probs = logw - log_total
 
-    cocluster = np.zeros((n, n))
-    for lo, hi in blocks:
-        labels = _decode(np.arange(lo, hi), n, k)
-        probs = np.exp(assignment_log_probs[lo:hi])
-        same = (labels[:, :, None] == labels[:, None, :]).astype(np.float64)
-        cocluster += np.einsum("b,bij->ij", probs, same)
+    cocluster *= np.exp(top - log_total)
     cocluster = (cocluster + cocluster.T) / 2.0
     np.fill_diagonal(cocluster, 1.0)
 

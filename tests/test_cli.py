@@ -13,7 +13,7 @@ import vblink.corpus as corpus_module
 import vblink.engine as engine
 import vblink.evaluate as evaluate
 from vblink.cli import main
-from vblink.corpus import Corpus, Schema, write_databases
+from vblink.corpus import Corpus, Schema, read_schema_file, write_databases
 from vblink.engine import HyperParams, NumericalFailureError, fit, load_state
 from vblink.genmodel import GroundTruth, write_ground_truth
 
@@ -221,14 +221,47 @@ class TestFit:
         # the prior mass 3 x 2 x 0.1 plus one count per record
         assert lam[0].sum() == pytest.approx(3.6, rel=1e-12)
 
-    def test_lambda_dump_covers_every_cell(self, tmp_path):
-        db, schema = write_tiny_db(tmp_path)
+    def test_entities_break_ties_at_the_smallest_code(self, tmp_path):
+        # one entity holds one "blue" and one "red": lambda ties, and "red"
+        # comes first in the schema although "blue" comes first in the file
+        db, schema = write_tiny_db(tmp_path, rows=("blue", "red"))
         out = tmp_path / "run"
-        main(["fit", db, "--schema", schema, "--k", "2", "--out", str(out)])
-        rows = (out / "lambda.csv").read_text().splitlines()
-        assert rows[0] == "entity,field,value,lambda"
-        assert len(rows) == 1 + 2 * 1 * 2  # entities x fields x values
-        assert rows[1].startswith("1,color,red,")
+        assert main(["fit", db, "--schema", schema, "--k", "1", "--out", str(out)]) == 0
+        assert (out / "entities.csv").read_bytes() == (
+            b"entity,field,value\r\n1,color,red\r\n"
+        )
+
+    def test_entities_are_the_linked_entities_at_their_modes(self, tmp_path):
+        data = tmp_path / "data"
+        run_synth(data)
+        schema = read_schema_file(data / "schema.txt")
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"run{workers}"
+            assert main(
+                ["fit", str(data / "db1.csv"), str(data / "db2.csv"), "--schema",
+                 str(data / "schema.txt"), "--workers", workers, "--out", str(out)]
+            ) == 0
+            with open(out / "entities.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            lam, _ = load_state(out / "state.npz")
+            linked = np.unique(evaluate.read_linkage(out / "linkage.csv").map_entity)
+            assert rows == [
+                ["entity", "field", "value"],
+                *[
+                    [str(k), name, schema.value(f, int(np.argmax(lam[f][k - 1])))]
+                    for k in linked.tolist()
+                    for f, name in enumerate(schema.field_names)
+                ],
+            ]
+            assert main(
+                ["eval", str(out / "linkage.csv"), str(data / "truth.csv"),
+                 "--out", str(out / "score")]
+            ) == 0
+            score = json.loads((out / "score" / "score.json").read_text())
+            assert score["estimated_entity_count"] == linked.size > 1
+            written.append((out / "entities.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_sweep_limit_reports_non_convergence(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -422,8 +455,13 @@ class TestOutputWriters:
 
             write_databases(corpus, [out / "db1.csv", out / "db2.csv"])
             write_ground_truth(truth, out / "truth.csv")
-            evaluate.write_linkage(out / "linkage.csv", linkage)
-            cli._write_lambda_csv(out / "lambda.csv", state, schema)
+            # fit on this corpus writes linkage.csv and entities.csv; only
+            # the zero-field fit converges within 3 sweeps
+            monkeypatch.setattr(cli, "load_databases", lambda *_a, **_k: corpus)
+            assert main(
+                ["fit", "db1.csv", "--k", "3", "--alpha", "0.5", "--max-sweeps",
+                 "3", "--seed", "1", "--out", str(out)]
+            ) == (0 if i == 2 else 4)
 
             records = [(1, r) for r in range(1, 8)] + [(2, r) for r in range(1, 5)]
             raw = [
@@ -454,20 +492,20 @@ class TestOutputWriters:
                         )
                     ],
                 ],
-                "lambda.csv": [
-                    ["entity", "field", "value", "lambda"],
+                "entities.csv": [
+                    ["entity", "field", "value"],
                     *[
-                        [k + 1, name, schema.value(f, v), repr(float(lam))]
-                        for k in range(hp.entity_count)
+                        [k, name, schema.value(f, int(np.argmax(state.lam[f][k - 1])))]
+                        for k in np.unique(linkage.map_entity).tolist()
                         for f, name in enumerate(schema.field_names)
-                        for v, lam in enumerate(state.lam[f][k])
                     ],
                 ],
             }
             for name, rows in want.items():
                 expected = csv_writer_bytes(out / f"want_{name}", rows)
                 assert (out / name).read_bytes() == expected, (i, name)
-        assert b'"a,b"' in (tmp_path / "0" / "lambda.csv").read_bytes()
+        assert b'"name, full"' in (tmp_path / "0" / "entities.csv").read_bytes()
+        assert (tmp_path / "2" / "entities.csv").read_bytes() == b"entity,field,value\r\n"
         assert (tmp_path / "1" / "db1.csv").read_bytes().startswith(b'""\r\n')
 
 
@@ -673,6 +711,28 @@ class TestOracleCheck:
         )
         assert code == 5
         assert "bound violated" in capsys.readouterr().err
+
+
+class TestManifest:
+    def test_outputs_are_exactly_the_files_written(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        score, check = tmp_path / "score", tmp_path / "check"
+        assert run_synth(data) == 0
+        assert main(
+            ["fit", str(data / "db1.csv"), str(data / "db2.csv"), "--schema",
+             str(data / "schema.txt"), "--out", str(run)]
+        ) == 0
+        assert main(
+            ["eval", str(run / "linkage.csv"), str(data / "truth.csv"),
+             "--out", str(score)]
+        ) == 0
+        db, schema = write_tiny_db(tmp_path)
+        assert main(
+            ["oracle-check", db, "--schema", schema, "--k", "2", "--out", str(check)]
+        ) == 0
+        for out in (data, run, score, check):
+            outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+            assert sorted(outputs) == sorted(p.name for p in out.iterdir()), out.name
 
 
 class TestParser:

@@ -7,7 +7,6 @@ from vblink.corpus import (
     Schema,
     SchemaError,
     UnknownAttributeError,
-    decode,
     load_databases,
     read_schema_file,
     write_databases,
@@ -41,15 +40,15 @@ class TestLoadDatabases:
 
     def test_decode_round_trip(self, two_files):
         corpus = load_databases(two_files)
-        assert decode(corpus, 0, 0) == ["M", "A"]
-        assert decode(corpus, 1, 0) == ["F", "A"]
-        for d in range(corpus.database_count):
-            for r in range(corpus.db_sizes[d]):
-                raw = decode(corpus, d, r)
-                codes = [corpus.schema.code(f, s) for f, s in enumerate(raw)]
-                np.testing.assert_array_equal(
-                    codes, corpus.values[corpus.flat_index(d, r)]
-                )
+        schema = corpus.schema
+        raw = [
+            [schema.value(f, c) for f, c in enumerate(row)]
+            for row in corpus.values.tolist()
+        ]
+        # records stacked database by database in file order
+        assert raw == [["M", "A"], ["F", "B"], ["F", "A"]]
+        for row, codes in zip(raw, corpus.values.tolist()):
+            assert [schema.code(f, s) for f, s in enumerate(row)] == codes
 
     def test_empty_database_with_schema(self, tmp_path):
         path = _write(tmp_path / "empty.csv", ["gender,county"])
@@ -181,23 +180,6 @@ class TestCorpus:
                 db_sizes=(3,),
                 values=np.zeros((2, 1), dtype=np.int32),
             )
-
-    def test_flat_index_round_trip(self):
-        schema = Schema(field_names=("f",), field_values=(("a",),))
-        corpus = Corpus(
-            schema=schema, db_sizes=(2, 3), values=np.zeros((5, 1), np.int32)
-        )
-        seen = []
-        for d, size in enumerate(corpus.db_sizes):
-            for r in range(size):
-                n = corpus.flat_index(d, r)
-                assert corpus.record_location(n) == (d, r)
-                seen.append(n)
-        assert seen == list(range(5))
-        with pytest.raises(IndexError):
-            corpus.flat_index(0, 2)
-        with pytest.raises(IndexError):
-            corpus.record_location(5)
 
 
 class TestFileRoundTrips:
