@@ -24,27 +24,33 @@ same updates; :func:`fit` finds the distinct tuples once and runs every
 sweep on them, so per-sweep cost scales with U, not N.
 
 A fit sweep is one blocked pass over phi (:func:`_sweep`).  The digamma
-tables T_f over ``lam`` are built once per sweep (O(K * sum V_f)), so
-scoring reduces to O(U * K * F) table lookups.  Each block of phi rows is
-scored and normalized in place (max shift, exp, divide by the row sum),
-keeps its weighted log-normaliser sum sum_u m[u] lse[u] (lse[u] = row max
-+ log row sum), and adds its weighted field counts while it is still in
-cache.  The lam update is then lam = alpha + counts, and the ELBO
-telescopes to a closed form in lam, the counts, T_f and the
-log-normalisers: since log phi[u, k] = sum_f T_f[x[u, f], k] - lse[u],
-sum_u m[u] sum_k phi[u, k] log phi[u, k] = sum_f <counts_f, T_f>
+tables T_f over ``lam`` are built once per sweep (O(K * sum V_f)) and
+stacked into one (sum V_f, K) table T, field f's rows after those of
+fields 0..f-1.  A block of rows has one sparse one-hot indicator X (rows,
+sum V_f) with F entries per row, one in each field's column x[u, f] +
+offset_f (:func:`_one_hot`).  Its scores are the product X @ T, which
+adds each row's F table rows in field order, at O(rows * K * F) cost.
+Each block is scored and normalized (max shift, exp, divide by the row
+sum) into phi, keeps its weighted log-normaliser sum sum_u m[u] lse[u]
+(lse[u] = row max + log row sum), and adds its weighted counts
+X^T diag(m) phi, one (sum V_f, K) table for all fields, while it is still
+in cache.  The lam update is then lam = alpha + counts, and the ELBO
+telescopes to a closed form in lam, the counts, T and the
+log-normalisers: since log phi[u, k] = (X @ T)[u, k] - lse[u],
+sum_u m[u] sum_k phi[u, k] log phi[u, k] = <counts, T>
 - sum_u m[u] lse[u].  So a sweep reads phi once and its ELBO costs
-O(K * sum V_f + U).  The public
-:func:`update_phi`, :func:`update_lambda` and :func:`elbo` are the general
-updates for any (phi, lam), run serially; the tests hold the sweep to
-them.  :func:`update_phi` is the sweep's block normalisation alone,
+O(K * sum V_f + U).  The public :func:`update_phi`,
+:func:`update_lambda` and :func:`elbo` are the general updates for any
+(phi, lam), run serially; the tests hold the sweep to them.
+:func:`update_phi` is the sweep's block normalisation alone,
 :func:`update_lambda` and :func:`elbo` each make one blocked pass like the
-sweep's (:func:`_pass`), and they share the score tables, ln B and
-lam = alpha + counts with it.  The reference :func:`elbo` is in bracket
-form: its bracket alpha + counts - lam vanishes at lam = alpha + counts,
-which leaves the sweep's closed form.  The enumeration oracle
-(:mod:`vblink.oracle`) weighs each hard assignment by the ln B terms at
-its counts, with the same ln B and the same block map.
+sweep's (:func:`_pass`), and they share the stacked score table, the
+one-hot indicator, ln B and lam = alpha + counts with it.  The reference
+:func:`elbo` is in bracket form: its bracket alpha + counts - lam
+vanishes at lam = alpha + counts, which leaves the sweep's closed form.
+The enumeration oracle (:mod:`vblink.oracle`) weighs each hard
+assignment by the ln B terms at its counts, with the same ln B and the
+same block map.
 
 A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20 entries of
 phi (8 MiB), so wide-K blocks still fit in cache.  Determinism contract:
@@ -129,36 +135,6 @@ class VariationalState:
     def entity_count(self):
         return int(self.phi.shape[1])
 
-    def copy(self):
-        return VariationalState(
-            phi=self.phi.copy(),
-            lam=[l.copy() for l in self.lam],
-            rows=self.rows.copy(),
-        )
-
-    def permute_entities(self, perm):
-        """Relabel entities: new entity ``i`` is old entity ``perm[i]``."""
-        perm = np.asarray(perm)
-        return VariationalState(
-            phi=np.ascontiguousarray(self.phi[:, perm]),
-            lam=[np.ascontiguousarray(l[perm]) for l in self.lam],
-            rows=self.rows.copy(),
-        )
-
-    def validate(self, atol=1e-12):
-        """Check the row index, simplex, finiteness and positivity
-        invariants; raise on violation."""
-        _check_rows(self.rows, self.phi.shape[0])
-        if not np.all(np.isfinite(self.phi) & (self.phi > 0.0)):
-            raise ValueError("phi must be finite and strictly positive")
-        if self.phi.size:
-            err = np.max(np.abs(self.phi.sum(axis=1) - 1.0))
-            if err > atol:
-                raise ValueError(f"phi rows deviate from the simplex by {err}")
-        _check_lam(
-            self.lam, self.entity_count, [np.shape(lam_f)[-1] for lam_f in self.lam]
-        )
-
 
 @dataclass
 class FitReport:
@@ -196,15 +172,6 @@ def _map_blocks(fn, blocks, workers):
             yield from pool.map(fn, blocks[lo : lo + workers])
 
 
-def _check_rows(rows, row_count):
-    if (
-        rows.ndim != 1
-        or not np.issubdtype(rows.dtype, np.integer)
-        or (rows.size and (rows.min() < 0 or rows.max() >= row_count))
-    ):
-        raise ValueError(f"rows must be a 1-D index into the {row_count} phi rows")
-
-
 def _row_patterns(state, values):
     """Value tuple ``(U, F)`` and multiplicity ``(U,)`` of each phi row,
     read off ``state.rows``."""
@@ -227,40 +194,55 @@ def _distinct_rows(values):
     return np.unique(as_bytes.ravel(), return_inverse=True)[1]
 
 
-def _block_counts(p, values, weights, cardinalities):
-    """Weighted value counts of every field over one block of phi rows
-    ``p``: per field, a (V_f, K) table.  The row weights are scattered
-    into a (rows, V_f) indicator per field, which multiplies into ``p``."""
-    at = np.arange(p.shape[0])
-    parts = []
-    for f, v_f in enumerate(cardinalities):
-        indicator = np.zeros((p.shape[0], v_f))
-        indicator[at, values[:, f]] = weights
-        parts.append(indicator.T @ p)
-    return parts
+def _columns(values, cardinalities):
+    """Each row's column of each field in the stacked (sum V_f) value axis:
+    value v of field f is column V_0 + ... + V_{f-1} + v.  The columns keep
+    the codes' integer type (int32 in a corpus), so they take no more
+    memory than the codes; sum V_f cannot overflow it while the (sum V_f,
+    K) table T fits in memory."""
+    cards = np.asarray(cardinalities, dtype=values.dtype)
+    return values + (np.cumsum(cards, dtype=values.dtype) - cards)
 
 
-def _pass(phi, values, weights, cardinalities, step, workers=1):
-    """One blocked pass over ``phi`` (row values ``values``, multiplicities
-    ``weights``).  Each block of rows ``p`` goes first to ``step(p, x, m)``,
-    which may rewrite ``p`` in place and returns a number; while the block
-    is still in cache its weighted field counts are then taken.  The
-    blocks' partials are added strictly in block order, so the results are
-    bit-identical for any worker count.  Returns the summed number and,
-    per field, the (V_f, K) table ``counts[f][v, k]`` = sum over rows with
-    ``values[u, f] == v`` of ``weights[u] * phi[u, k]``."""
+def _by_field(stacked, cardinalities):
+    """The per-field (V_f, ...) views of a stacked (sum V_f, ...) table."""
+    return np.split(stacked, np.cumsum(cardinalities, dtype=np.intp)[:-1])
+
+
+def _one_hot(columns, width, data):
+    """The sparse (rows, width) indicator X of a block of rows with stacked
+    columns ``columns`` (rows, F): row u holds ``data[u * F + f]`` in
+    column ``columns[u, f]`` for each field f, in field order."""
+    # Imported here, not at the top, so `vblink synth` (no fit) skips its cost.
+    from scipy.sparse import csr_array
+
+    rows, fields = columns.shape
+    indptr = fields * np.arange(rows + 1)
+    return csr_array((data, columns.ravel(), indptr), shape=(rows, width))
+
+
+def _pass(phi, columns, weights, width, step, workers=1):
+    """One blocked pass over ``phi`` (stacked columns ``columns``, see
+    :func:`_columns`, multiplicities ``weights``).  Each block of rows
+    ``p`` goes first to ``step(p, c, m)``, which may rewrite ``p`` in place
+    and returns a number; while the block is still in cache its weighted
+    counts X^T diag(m) p are then taken, with X the block's one-hot
+    indicator.  The blocks' partials are added strictly in block order, so
+    the results are bit-identical for any worker count.  Returns the
+    summed number and the (width, K) table ``counts[j, k]`` = sum over rows
+    with a value in column j of ``weights[u] * phi[u, k]``."""
+    fields = columns.shape[1]
 
     def block(bounds):
         lo, hi = bounds
-        p, x, m = phi[lo:hi], values[lo:hi], weights[lo:hi]
-        return step(p, x, m), _block_counts(p, x, m, cardinalities)
+        p, c, m = phi[lo:hi], columns[lo:hi], weights[lo:hi]
+        return step(p, c, m), _one_hot(c, width, np.repeat(m, fields)).T @ p
 
     total = 0.0
-    counts = [np.zeros((v_f, phi.shape[1])) for v_f in cardinalities]
-    for number, parts in _map_blocks(block, _blocks(*phi.shape), workers):
+    counts = np.zeros((width, phi.shape[1]))
+    for number, part in _map_blocks(block, _blocks(*phi.shape), workers):
         total += number
-        for c_f, part in zip(counts, parts):
-            c_f += part
+        counts += part
     return total, counts
 
 
@@ -328,29 +310,32 @@ def _check_compatible(corpus, hp):
 
 
 def _lambda_of_counts(alpha, counts):
-    """lam = alpha + counts, per field a C-ordered (K, V_f) array, so a copy
-    or a reloaded checkpoint sums each row of lam in the same order."""
-    return [np.add(a_f, c_f.T, order="C") for a_f, c_f in zip(alpha, counts)]
+    """lam = alpha + counts for the stacked (sum V_f, K) counts: per field
+    a C-ordered (K, V_f) array, so a copy or a reloaded checkpoint sums
+    each row of lam in the same order."""
+    parts = _by_field(counts, [a_f.size for a_f in alpha])
+    return [np.add(a_f, c_f.T, order="C") for a_f, c_f in zip(alpha, parts)]
 
 
 def update_lambda(state, corpus, hp):
     """Closed-form Dirichlet update: prior plus multiplicity- and
     responsibility-weighted counts, from a pass that leaves phi as it is."""
     values, weights = _row_patterns(state, corpus.values)
+    cards = corpus.schema.cardinalities
     _, counts = _pass(
-        state.phi, values, weights, corpus.schema.cardinalities, lambda p, x, m: 0.0
+        state.phi, _columns(values, cards), weights, sum(cards), lambda p, c, m: 0.0
     )
     state.lam[:] = _lambda_of_counts(hp.alpha, counts)
     return state.lam
 
 
 def _score_tables(state):
-    """Per field, the (V_f, K) table of psi(lam) - psi(row sum of lam)."""
-    tables = []
-    for lam_f in state.lam:
-        t = digamma(lam_f) - digamma(lam_f.sum(axis=1))[:, None]
-        tables.append(np.ascontiguousarray(t.T))
-    return tables
+    """The stacked (sum V_f, K) table T: field f's rows are the (V_f, K)
+    table psi(lam[f]) - psi(row sum of lam[f]), transposed."""
+    parts = [
+        (digamma(lam_f) - digamma(lam_f.sum(axis=1))[:, None]).T for lam_f in state.lam
+    ]
+    return np.concatenate([np.empty((0, state.entity_count)), *parts])
 
 
 def _log_beta(a):
@@ -358,30 +343,30 @@ def _log_beta(a):
     return gammaln(a).sum(axis=-1) - gammaln(a.sum(axis=-1))
 
 
-def _normalise_block(out, tables, values):
-    """Responsibilities of one block of rows, written into ``out`` (rows,
-    K): the rows' scores are summed in place, the row max is subtracted
-    before the exp so large field counts cannot overflow, and each row is
-    divided by its sum.  Returns each row's log normaliser, the row max
-    plus the log of the row sum."""
-    out.fill(0.0)
-    for f, table in enumerate(tables):
-        out += table[values[:, f]]
-    top = out.max(axis=1)
-    out -= top[:, None]
-    np.exp(out, out=out)
-    total = out.sum(axis=1)
-    out /= total[:, None]
+def _normalise_block(out, table, columns):
+    """Responsibilities of one block of rows (stacked columns ``columns``),
+    written into ``out`` (rows, K): the scores X @ T of the block's one-hot
+    X and the stacked table T, with the row max subtracted before the exp
+    so large field counts cannot overflow, each row divided by its sum.
+    Returns each row's log normaliser, the row max plus the log of the row
+    sum."""
+    scores = _one_hot(columns, table.shape[0], np.ones(columns.size)) @ table
+    top = scores.max(axis=1)
+    scores -= top[:, None]
+    np.exp(scores, out=scores)
+    total = scores.sum(axis=1)
+    np.divide(scores, total[:, None], out=out)
     return top + np.log(total)
 
 
 def update_phi(state, corpus, hp):
     """Log-space responsibility update, one block of rows at a time,
-    normalized in place in ``phi``."""
-    tables = _score_tables(state)
+    normalized into ``phi``."""
+    table = _score_tables(state)
     x, _ = _row_patterns(state, corpus.values)
+    columns = _columns(x, corpus.schema.cardinalities)
     for lo, hi in _blocks(*state.phi.shape):
-        _normalise_block(state.phi[lo:hi], tables, x[lo:hi])
+        _normalise_block(state.phi[lo:hi], table, columns[lo:hi])
     return state.phi
 
 
@@ -400,12 +385,14 @@ def elbo(state, corpus, hp):
     """
     k = state.entity_count
     values, weights = _row_patterns(state, corpus.values)
+    cards = corpus.schema.cardinalities
     entropy, counts = _pass(
-        state.phi, values, weights, corpus.schema.cardinalities,
-        lambda p, x, m: entr(p).sum(axis=1) @ m,
+        state.phi, _columns(values, cards), weights, sum(cards),
+        lambda p, c, m: entr(p).sum(axis=1) @ m,
     )
     total = float(entropy) - float(weights.sum()) * math.log(k)
-    for lam_f, a_f, c_f, t_f in zip(state.lam, hp.alpha, counts, _score_tables(state)):
+    counts, tables = _by_field(counts, cards), _by_field(_score_tables(state), cards)
+    for lam_f, a_f, c_f, t_f in zip(state.lam, hp.alpha, counts, tables):
         total += float(np.sum((a_f[:, None] + c_f - lam_f.T) * t_f))
         total += float(np.sum(_log_beta(lam_f))) - k * float(_log_beta(a_f))
     return total
@@ -428,36 +415,35 @@ def elbo_grad_lambda(state, corpus, hp, k, f, v):
     )
 
 
-def _sweep(state, values, weights, hp, workers):
+def _sweep(state, columns, weights, hp, workers):
     """One fit sweep on a state with one phi row per distinct tuple
-    (``values`` (U, F), multiplicities ``weights`` (U,)): the phi update,
-    the lam update and the ELBO, from one blocked pass over phi.  Returns
-    the ELBO.
+    (stacked columns ``columns`` (U, F), multiplicities ``weights`` (U,)):
+    the phi update, the lam update and the ELBO, from one blocked pass
+    over phi.  Returns the ELBO.
 
-    Each block of rows is normalized in place and, while it is still in
-    cache, returns its weighted log-normaliser sum and field counts.  With
+    Each block of rows is normalized into phi and, while it is still in
+    cache, returns its weighted log-normaliser sum and counts.  With
     lam = alpha + counts the likelihood, prior and q(beta) terms telescope:
 
         ELBO = sum_{k,f} [ln B(lam[k, f]) - ln B(alpha[f])]
-               - (sum_f <counts_f, T_f> - sum_u m[u] lse[u]) - N log K
+               - (<counts, T> - sum_u m[u] lse[u]) - N log K
 
-    where T_f are the score tables of the lam that produced phi.  Since
-    log phi[u, k] = sum_f T_f[x[u, f], k] - lse[u], the bracket is the
+    where T is the stacked score table of the lam that produced phi.
+    Since log phi[u, k] = (X @ T)[u, k] - lse[u], the bracket is the
     weighted sum of phi log phi, so the entropy needs no second read of
     phi and the ELBO costs O(K * sum V_f + U).
     """
-    tables = _score_tables(state)
+    table = _score_tables(state)
     log_normaliser, counts = _pass(
-        state.phi, values, weights, [a_f.size for a_f in hp.alpha],
-        lambda p, x, m: _normalise_block(p, tables, x) @ m, workers,
+        state.phi, columns, weights, table.shape[0],
+        lambda p, c, m: _normalise_block(p, table, c) @ m, workers,
     )
     state.lam[:] = _lambda_of_counts(hp.alpha, counts)
     k = state.entity_count
     total = float(log_normaliser) - float(weights.sum()) * math.log(k)
-    for lam_f, a_f, c_f, t_f in zip(state.lam, hp.alpha, counts, tables):
+    for lam_f, a_f in zip(state.lam, hp.alpha):
         total += float(np.sum(_log_beta(lam_f))) - k * float(_log_beta(a_f))
-        total -= float(np.sum(c_f * t_f))
-    return total
+    return total - float(np.vdot(counts, table))
 
 
 def _state_stats(state):
@@ -518,11 +504,12 @@ def fit(
         phi=np.empty((distinct, hp.entity_count)), lam=lam, rows=rows
     )
     values, weights = _row_patterns(state, corpus.values)
+    columns = _columns(values, corpus.schema.cardinalities)
     trace = []
     decreases = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        value = _sweep(state, values, weights, hp, workers)
+        value = _sweep(state, columns, weights, hp, workers)
         if not math.isfinite(value):
             raise NumericalFailureError(
                 sweep, f"ELBO is {value}; {_state_stats(state)}"

@@ -1,10 +1,10 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and state helpers shared by the test modules."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from vblink.corpus import Corpus, Schema
-from vblink.engine import HyperParams
+from vblink.engine import HyperParams, VariationalState, _check_lam
 
 
 @st.composite
@@ -29,3 +29,38 @@ def tiny_problems(draw, max_records=12, max_entities=5):
     return corpus, HyperParams.symmetric(
         draw(st.integers(1, max_entities)), alpha, cards
     )
+
+
+def copy_state(state):
+    return VariationalState(
+        phi=state.phi.copy(), lam=[l.copy() for l in state.lam], rows=state.rows.copy()
+    )
+
+
+def permute_entities(state, perm):
+    """Relabel entities: new entity ``i`` is old entity ``perm[i]``."""
+    perm = np.asarray(perm)
+    return VariationalState(
+        phi=np.ascontiguousarray(state.phi[:, perm]),
+        lam=[np.ascontiguousarray(l[perm]) for l in state.lam],
+        rows=state.rows.copy(),
+    )
+
+
+def validate(state, atol=1e-12):
+    """Check the row index, simplex, finiteness and positivity invariants of
+    a state; raise ``ValueError`` on violation."""
+    rows, row_count = state.rows, state.phi.shape[0]
+    if (
+        rows.ndim != 1
+        or not np.issubdtype(rows.dtype, np.integer)
+        or (rows.size and (rows.min() < 0 or rows.max() >= row_count))
+    ):
+        raise ValueError(f"rows must be a 1-D index into the {row_count} phi rows")
+    if not np.all(np.isfinite(state.phi) & (state.phi > 0.0)):
+        raise ValueError("phi must be finite and strictly positive")
+    if state.phi.size:
+        err = np.max(np.abs(state.phi.sum(axis=1) - 1.0))
+        if err > atol:
+            raise ValueError(f"phi rows deviate from the simplex by {err}")
+    _check_lam(state.lam, state.entity_count, [np.shape(l)[-1] for l in state.lam])

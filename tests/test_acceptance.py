@@ -36,6 +36,8 @@ from vblink.evaluate import map_linkage, pairwise_metrics
 from vblink.genmodel import GenConfig, sample_dataset
 from vblink.oracle import exact_posterior
 
+from problems import copy_state, permute_entities
+
 
 @contextlib.contextmanager
 def criterion(capsys, number, label):
@@ -164,7 +166,7 @@ def test_03_gradient_matches_finite_differences(capsys):
             ff = int(rng.integers(2))
             vv = int(rng.integers(3))
             grad = elbo_grad_lambda(state, corpus, hp, kk, ff, vv)
-            hi, lo = state.copy(), state.copy()
+            hi, lo = copy_state(state), copy_state(state)
             hi.lam[ff][kk, vv] += h
             lo.lam[ff][kk, vv] -= h
             fd = (elbo(hi, corpus, hp) - elbo(lo, corpus, hp)) / (2 * h)
@@ -219,7 +221,7 @@ def test_06_label_permutation_equivariance(capsys):
         perm = rng.permutation(k)
         state_a, report_a = fit(corpus, hp, initial_lam=start.lam, max_sweeps=15)
         state_b, report_b = fit(
-            corpus, hp, initial_lam=start.permute_entities(perm).lam, max_sweeps=15
+            corpus, hp, initial_lam=permute_entities(start, perm).lam, max_sweeps=15
         )
         assert len(report_a.elbo_trace) == len(report_b.elbo_trace)
         for ea, eb in zip(report_a.elbo_trace, report_b.elbo_trace):

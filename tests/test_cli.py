@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -755,3 +758,27 @@ class TestParser:
         assert text.startswith(f"usage: vblink {command}")
         if command in ("fit", "oracle-check"):
             assert "(default 1000)" in text and "(default 1e-08)" in text
+
+
+class TestImports:
+    def test_cli_and_synth_leave_scipy_sparse_unloaded(self, tmp_path):
+        # Only a fit needs scipy.sparse; `vblink synth` pays for none of it.
+        code = (
+            "import sys\n"
+            "import vblink.cli\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "assert vblink.cli.main(['synth', '--k', '2', '--db-sizes', '3', "
+            "'--fields', '2', '--cardinality', '3', '--distortion', '0.1', "
+            f"'--out', {str(tmp_path / 'data')!r}]) == 0\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.split() == ["False", "False"]

@@ -5,9 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import softmax
+from scipy.special import logsumexp, softmax
 
 import vblink.engine as engine
 from vblink.corpus import Corpus, Schema
@@ -27,7 +27,7 @@ from vblink.engine import (
 from vblink.evaluate import map_linkage
 from vblink.genmodel import GenConfig, sample_dataset
 
-from problems import tiny_problems
+from problems import copy_state, permute_entities, tiny_problems, validate
 
 # Duplicate-heavy: the paper's recovery config, 600 records in about 280
 # distinct value tuples.
@@ -95,44 +95,120 @@ class TestSpecialFunctions:
             assert engine.polygamma(1, x) == pytest.approx(want, rel=1e-10)
 
 
-def weight_sum(p, x, m):
+def weight_sum(p, c, m):
     """A pass step that leaves the block as it is and returns its weight."""
     return m.sum()
 
 
+def stacked_counts(phi, values, weights, cards):
+    """The stacked (sum V_f, K) counts of a pass, by ``np.add.at``."""
+    offsets = np.cumsum((0, *cards[:-1]))
+    want = np.zeros((sum(cards), phi.shape[1]))
+    for f in range(len(cards)):
+        np.add.at(want, offsets[f] + values[:, f], phi * weights[:, None])
+    return want
+
+
 class TestFieldCounts:
-    """The counts and the summed step numbers of one blocked pass."""
+    """The stacked counts and the summed step numbers of one blocked pass."""
 
     def test_matches_add_at_reference_across_blocks(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 3)
         rng = np.random.default_rng(11)
-        n, k, cards = 10, 4, (3, 5)
+        n, k, cards = 10, 4, (3, 1, 5)
         values = np.stack([rng.integers(0, v, size=n) for v in cards], axis=1)
         phi = rng.dirichlet(np.ones(k), size=n)
         weights = rng.integers(1, 5, size=n).astype(np.float64)
-        total, counts = engine._pass(phi, values, weights, cards, weight_sum, workers=1)
+        columns = engine._columns(values, cards)
+        want = stacked_counts(phi, values, weights, cards)
+        total, counts = engine._pass(phi, columns, weights, 9, weight_sum)
         assert total == weights.sum()
-        for f, v_f in enumerate(cards):
-            want = np.zeros((v_f, k))
-            np.add.at(want, values[:, f], phi * weights[:, None])
-            np.testing.assert_allclose(counts[f], want, rtol=1e-12, atol=1e-15)
-        total_3, counts_3 = engine._pass(
-            phi, values, weights, cards, weight_sum, workers=3
-        )
+        assert counts.shape == (9, k)
+        np.testing.assert_allclose(counts, want, rtol=1e-12, atol=1e-15)
+        total_3, counts_3 = engine._pass(phi, columns, weights, 9, weight_sum, 3)
         assert total_3 == total
-        for got, want in zip(counts_3, counts):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(counts_3, counts)
+
+    def test_by_field_views_and_lambda_split(self):
+        counts = np.arange(18.0).reshape(9, 2)
+        parts = engine._by_field(counts, (3, 1, 5))
+        assert [p.shape for p in parts] == [(3, 2), (1, 2), (5, 2)]
+        np.testing.assert_array_equal(np.concatenate(parts), counts)
+        alpha = [np.full(v, 0.5) for v in (3, 1, 5)]
+        lam = engine._lambda_of_counts(alpha, counts)
+        for lam_f, a_f, c_f in zip(lam, alpha, parts):
+            assert lam_f.flags.c_contiguous
+            np.testing.assert_array_equal(lam_f, a_f + c_f.T)
 
     def test_no_records_gives_zero_tables(self):
-        cards = (3, 5)
         for workers in (1, 3):
             total, counts = engine._pass(
-                np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int32), np.zeros(0),
-                cards, weight_sum, workers,
+                np.zeros((0, 4)), np.zeros((0, 2), dtype=np.intp), np.zeros(0),
+                8, weight_sum, workers,
             )
             assert total == 0.0
-            assert [c.shape for c in counts] == [(3, 4), (5, 4)]
-            assert not any(np.any(c) for c in counts)
+            assert counts.shape == (8, 4) and not np.any(counts)
+
+    def test_no_fields_gives_an_empty_table(self, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 2)
+        phi = np.full((5, 3), 1 / 3)
+        for workers in (1, 3):
+            total, counts = engine._pass(
+                phi, np.zeros((5, 0), dtype=np.intp), np.ones(5), 0, weight_sum, workers
+            )
+            assert total == 5.0
+            assert counts.shape == (0, 3)
+
+
+class TestScores:
+    """The scores of a block are the product of its one-hot indicator and
+    the stacked table, summed in field order."""
+
+    def test_product_equals_field_ordered_table_sum_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        n, k, cards = 40, 7, (1, 4, 2, 9, 1)
+        values = np.stack([rng.integers(0, v, size=n) for v in cards], axis=1)
+        # magnitudes far apart, so any other summation order would round
+        # differently
+        tables = [
+            rng.standard_normal((v, k)) * 10.0 ** rng.integers(-8, 9, size=(v, k))
+            for v in cards
+        ]
+        want = np.zeros((n, k))
+        for f, t_f in enumerate(tables):
+            want += t_f[values[:, f]]
+        columns = engine._columns(values, cards)
+        table = np.concatenate(tables)
+        scores = engine._one_hot(columns, table.shape[0], np.ones(columns.size)) @ table
+        np.testing.assert_array_equal(scores, want)
+        out = np.empty((n, k))
+        lse = engine._normalise_block(out, table, columns)
+        np.testing.assert_allclose(out, softmax(want, axis=1), rtol=1e-13, atol=1e-300)
+        np.testing.assert_allclose(lse, logsumexp(want, axis=1), rtol=1e-14)
+
+    def test_score_table_stacks_each_field(self):
+        lam = [[[1.0, 2.0, 3.0], [0.5, 0.5, 4.0]], [[2.0], [7.0]]]
+        state = make_state(np.zeros((1, 2)), lam)
+        table = engine._score_tables(state)
+        assert table.shape == (4, 2) and table.flags.c_contiguous
+        for lam_f, t_f in zip(state.lam, engine._by_field(table, (3, 1))):
+            want = engine.digamma(lam_f) - engine.digamma(lam_f.sum(axis=1))[:, None]
+            np.testing.assert_array_equal(t_f, want.T)
+
+    def test_no_fields_gives_uniform_rows(self):
+        out = np.empty((3, 4))
+        no_columns = np.zeros((3, 0), dtype=np.intp)
+        lse = engine._normalise_block(out, np.zeros((0, 4)), no_columns)
+        np.testing.assert_array_equal(out, np.full((3, 4), 0.25))
+        np.testing.assert_allclose(lse, np.full(3, math.log(4.0)), rtol=1e-15)
+        state = make_state(np.zeros((1, 4)), [])
+        assert engine._score_tables(state).shape == (0, 4)
+
+    def test_no_rows_gives_an_empty_block(self):
+        out = np.empty((0, 4))
+        no_rows = np.zeros((0, 2), dtype=np.intp)
+        lse = engine._normalise_block(out, np.zeros((6, 4)), no_rows)
+        assert lse.shape == (0,)
 
 
 class TestUpdateLambda:
@@ -212,7 +288,7 @@ class TestUpdatePhi:
         state = init_state(corpus, hp, seed=1)
         update_phi(state, corpus, hp)
         np.testing.assert_allclose(state.phi.sum(axis=1), 1.0, atol=1e-12)
-        state.validate()
+        validate(state)
 
     def test_extreme_scores_stay_finite_on_simplex(self, monkeypatch):
         # value 0 overflows a plain exp, value 1 underflows it in every entity
@@ -222,7 +298,7 @@ class TestUpdatePhi:
                 [-800.0, -800.0 - math.log(2.0), -1500.0],
             ]
         )
-        monkeypatch.setattr(engine, "_score_tables", lambda _state: [table])
+        monkeypatch.setattr(engine, "_score_tables", lambda _state: table)
         corpus = tiny_corpus([0, 1, 0])
         hp = HyperParams.symmetric(3, 1.0, [2])
         state = make_state(np.zeros((3, 3)), [np.ones((3, 2))])
@@ -244,7 +320,7 @@ class TestUpdatePhi:
         base = elbo(state, corpus, hp)
         rng = np.random.default_rng(0)
         for _ in range(30):
-            other = state.copy()
+            other = copy_state(state)
             row = rng.integers(0, 5)
             other.phi[row] = rng.dirichlet(np.ones(3))
             assert elbo(other, corpus, hp) <= base + 1e-12
@@ -320,9 +396,9 @@ class TestGradient:
             k = int(rng.integers(2))
             v = int(rng.integers(2))
             grad = elbo_grad_lambda(state, corpus, hp, k, 0, v)
-            hi = state.copy()
+            hi = copy_state(state)
             hi.lam[0][k, v] += h
-            lo = state.copy()
+            lo = copy_state(state)
             lo.lam[0][k, v] -= h
             fd = (elbo(hi, corpus, hp) - elbo(lo, corpus, hp)) / (2 * h)
             assert grad == pytest.approx(fd, rel=1e-5)
@@ -367,7 +443,7 @@ class TestFit:
         perm = np.array([2, 0, 3, 1])
         state_a, report_a = fit(corpus, hp, initial_lam=start.lam, max_sweeps=25)
         state_b, report_b = fit(
-            corpus, hp, initial_lam=start.permute_entities(perm).lam, max_sweeps=25
+            corpus, hp, initial_lam=permute_entities(start, perm).lam, max_sweeps=25
         )
         for ea, eb in zip(report_a.elbo_trace, report_b.elbo_trace):
             assert eb == pytest.approx(ea, rel=1e-12)
@@ -434,14 +510,14 @@ class TestInitState:
         assert state.phi.shape == (10, 3)
         assert np.min(state.phi) > 0.0
         np.testing.assert_allclose(state.phi.sum(axis=1), 1.0, atol=1e-12)
-        state.validate()
+        validate(state)
 
     def test_more_entities_than_records(self):
         corpus = tiny_corpus([0, 1])
         hp = HyperParams.symmetric(5, 0.5, [2])
         state = init_state(corpus, hp, seed=0)
         assert state.phi.shape == (2, 5)
-        state.validate()
+        validate(state)
 
     def test_alpha_shape_mismatch_rejected(self, pair_corpus):
         with pytest.raises(ValueError):
@@ -595,13 +671,13 @@ class TestStateValidation:
         for phi in ([[0.6, 0.6]], [[np.nan, 0.5]], [[np.inf, 0.5]]):
             state = make_state(phi, [np.ones((2, 2))])
             with pytest.raises(ValueError):
-                state.validate()
+                validate(state)
 
     def test_rejects_nonpositive_lambda(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
             state = make_state([[0.5, 0.5]], [np.array([[1.0, bad], [1.0, 1.0]])])
             with pytest.raises(ValueError):
-                state.validate()
+                validate(state)
 
 
 class TestDistinctRecords:
@@ -669,7 +745,7 @@ class TestDistinctRecords:
         assert rows[0] == rows[2] == rows[3]
         assert rows[1] == rows[5]
         assert len({rows[0], rows[1], rows[4]}) == 3
-        state.validate()
+        validate(state)
 
     def test_records_without_fields_share_one_row(self):
         corpus = Corpus(
@@ -725,7 +801,7 @@ class TestFusedSweep:
     def test_lambda_is_the_update_of_the_returned_phi(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
         state, _ = fit(corpus, hp, max_sweeps=5, seed=6)
-        reference = state.copy()
+        reference = copy_state(state)
         update_lambda(reference, corpus, hp)
         for got, want in zip(state.lam, reference.lam):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -735,10 +811,10 @@ class TestFusedSweep:
     ):
         corpus, hp = duplicate_heavy
         state, _ = fit(corpus, hp, max_sweeps=2, seed=6)
-        updated = state.copy()
+        updated = copy_state(state)
         update_lambda(updated, corpus, hp)
         assert all(l.flags.c_contiguous for l in state.lam + updated.lam)
-        copied = state.copy()
+        copied = copy_state(state)
         save_state(tmp_path / "state.npz", state.lam, corpus, hp)
         lam, _ = load_state(tmp_path / "state.npz")
         reloaded = VariationalState(phi=state.phi.copy(), lam=lam, rows=state.rows)
@@ -770,6 +846,24 @@ class TestFusedSweep:
         np.testing.assert_array_equal(s1.phi, s3.phi)
         for lam1, lam3 in zip(s1.lam, s3.lam):
             np.testing.assert_array_equal(lam1, lam3)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(problem=tiny_problems(), sweeps=st.integers(1, 4), seed=st.integers(0, 3))
+    def test_fit_is_bit_identical_for_any_worker_count(self, problem, sweeps, seed):
+        corpus, hp = problem
+        with mock.patch.object(engine, "BLOCK_RECORDS", 2):
+            distinct = engine._distinct_rows(corpus.values).max() + 1
+            assume(len(engine._blocks(distinct, hp.entity_count)) > 1)
+            runs = [
+                fit(corpus, hp, max_sweeps=sweeps, rel_tol=1e-300, seed=seed, workers=w)
+                for w in (1, 2, 3)
+            ]
+        (state, report), others = runs[0], runs[1:]
+        for other, other_report in others:
+            assert other_report.elbo_trace == report.elbo_trace
+            np.testing.assert_array_equal(other.phi, state.phi)
+            for got, want in zip(other.lam, state.lam):
+                np.testing.assert_array_equal(got, want)
 
     def test_workers_hold_at_most_one_round_of_partials(self):
         lock = threading.Lock()
