@@ -41,7 +41,7 @@ sum_u m[u] sum_k phi[u, k] log phi[u, k] = <counts, T>
 - sum_u m[u] lse[u].  So a sweep reads phi once and its ELBO costs
 O(K * sum V_f + U).  The public :func:`update_phi`,
 :func:`update_lambda` and :func:`elbo` are the general updates for any
-(phi, lam), run serially; the tests hold the sweep to them.
+(phi, lam); the tests hold the sweep to them.
 :func:`update_phi` is the sweep's block normalisation alone,
 :func:`update_lambda` and :func:`elbo` each make one blocked pass like the
 sweep's (:func:`_pass`), and they share the stacked score table, the
@@ -49,22 +49,18 @@ one-hot indicator, ln B and lam = alpha + counts with it.  The reference
 :func:`elbo` is in bracket form: its bracket alpha + counts - lam
 vanishes at lam = alpha + counts, which leaves the sweep's closed form.
 The enumeration oracle (:mod:`vblink.oracle`) weighs each hard
-assignment by the ln B terms at its counts, with the same ln B and the
-same block map.
+assignment by the ln B terms at its counts.
 
 A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20 entries of
 phi (8 MiB), so wide-K blocks still fit in cache.  Determinism contract:
-the blocks are fixed by the row count and K, and per-block partial results
-are added in block index order, so results are bit-identical for a given
-seed regardless of the worker count.  Only :func:`fit` (and the oracle)
-take a worker count; workers take the blocks in rounds of ``workers``, so
-at most that many partial results are alive at once.
-Within a pass ``lam`` is read-only and blocks write disjoint rows of phi.
+the blocks are fixed by the row count and K, and they run one after
+another with their partial results added in block index order, so
+results are bit-identical for a given seed.  Within a pass ``lam`` is
+read-only and blocks write disjoint rows of phi.
 """
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,19 +155,6 @@ def _blocks(row_count, entity_count):
     return [(lo, min(lo + step, row_count)) for lo in range(0, row_count, step)]
 
 
-def _map_blocks(fn, blocks, workers):
-    """Apply fn to each block in the list ``blocks`` and yield the results
-    in block order.  Blocks run in rounds of ``workers``, so a caller that
-    folds each result as it comes holds at most ``workers`` of them at
-    once."""
-    if workers <= 1 or len(blocks) <= 1:
-        yield from map(fn, blocks)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for lo in range(0, len(blocks), workers):
-            yield from pool.map(fn, blocks[lo : lo + workers])
-
-
 def _row_patterns(state, values):
     """Value tuple ``(U, F)`` and multiplicity ``(U,)`` of each phi row,
     read off ``state.rows``."""
@@ -221,28 +204,23 @@ def _one_hot(columns, width, data):
     return csr_array((data, columns.ravel(), indptr), shape=(rows, width))
 
 
-def _pass(phi, columns, weights, width, step, workers=1):
+def _pass(phi, columns, weights, width, step):
     """One blocked pass over ``phi`` (stacked columns ``columns``, see
     :func:`_columns`, multiplicities ``weights``).  Each block of rows
     ``p`` goes first to ``step(p, c, m)``, which may rewrite ``p`` in place
     and returns a number; while the block is still in cache its weighted
     counts X^T diag(m) p are then taken, with X the block's one-hot
-    indicator.  The blocks' partials are added strictly in block order, so
-    the results are bit-identical for any worker count.  Returns the
-    summed number and the (width, K) table ``counts[j, k]`` = sum over rows
-    with a value in column j of ``weights[u] * phi[u, k]``."""
+    indicator.  The blocks run in order and their partials are added in
+    block order.  Returns the summed number and the (width, K) table
+    ``counts[j, k]`` = sum over rows with a value in column j of
+    ``weights[u] * phi[u, k]``."""
     fields = columns.shape[1]
-
-    def block(bounds):
-        lo, hi = bounds
-        p, c, m = phi[lo:hi], columns[lo:hi], weights[lo:hi]
-        return step(p, c, m), _one_hot(c, width, np.repeat(m, fields)).T @ p
-
     total = 0.0
     counts = np.zeros((width, phi.shape[1]))
-    for number, part in _map_blocks(block, _blocks(*phi.shape), workers):
-        total += number
-        counts += part
+    for lo, hi in _blocks(*phi.shape):
+        p, c, m = phi[lo:hi], columns[lo:hi], weights[lo:hi]
+        total += step(p, c, m)
+        counts += _one_hot(c, width, np.repeat(m, fields)).T @ p
     return total, counts
 
 
@@ -415,7 +393,7 @@ def elbo_grad_lambda(state, corpus, hp, k, f, v):
     )
 
 
-def _sweep(state, columns, weights, hp, workers):
+def _sweep(state, columns, weights, hp):
     """One fit sweep on a state with one phi row per distinct tuple
     (stacked columns ``columns`` (U, F), multiplicities ``weights`` (U,)):
     the phi update, the lam update and the ELBO, from one blocked pass
@@ -436,7 +414,7 @@ def _sweep(state, columns, weights, hp, workers):
     table = _score_tables(state)
     log_normaliser, counts = _pass(
         state.phi, columns, weights, table.shape[0],
-        lambda p, c, m: _normalise_block(p, table, c) @ m, workers,
+        lambda p, c, m: _normalise_block(p, table, c) @ m,
     )
     state.lam[:] = _lambda_of_counts(hp.alpha, counts)
     k = state.entity_count
@@ -467,7 +445,6 @@ def fit(
     max_sweeps=1000,
     rel_tol=1e-8,
     seed=0,
-    workers=1,
     initial_lam=None,
     on_sweep=None,
 ):
@@ -490,7 +467,7 @@ def fit(
     report counts the sweeps where it fell by more than ``DECREASE_SLACK``
     relative.
     """
-    _check_fit_options(max_sweeps, rel_tol, workers)
+    _check_fit_options(max_sweeps, rel_tol)
     start = time.perf_counter()
     _check_compatible(corpus, hp)
     if initial_lam is None:
@@ -509,7 +486,7 @@ def fit(
     decreases = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        value = _sweep(state, columns, weights, hp, workers)
+        value = _sweep(state, columns, weights, hp)
         if not math.isfinite(value):
             raise NumericalFailureError(
                 sweep, f"ELBO is {value}; {_state_stats(state)}"
@@ -533,15 +510,13 @@ def fit(
     return state, report
 
 
-def _check_fit_options(max_sweeps, rel_tol, workers):
+def _check_fit_options(max_sweeps, rel_tol):
     """The checks on :func:`fit`'s options; the command line runs them
     before it reads any input or writes any output."""
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
 
 
 def _check_lam(lam, entity_count, cardinalities):

@@ -83,8 +83,11 @@ class GenConfig:
         if (self.distortion is None) == (self.dirichlet_alpha is None):
             raise ValueError("set exactly one of distortion and dirichlet_alpha")
         if self.distortion is not None:
+            # A one-valued field has nothing to corrupt into: only 0 is valid.
             for v_f in self.cardinalities:
-                if not 0.0 <= self.distortion < 1.0 - 1.0 / v_f:
+                if v_f == 1 and self.distortion != 0.0:
+                    raise ValueError("distortion must be 0 for a 1-valued field")
+                if v_f > 1 and not 0.0 <= self.distortion < 1.0 - 1.0 / v_f:
                     raise ValueError(
                         f"distortion must lie in [0, 1 - 1/{v_f}) for a "
                         f"{v_f}-valued field"

@@ -17,7 +17,7 @@ Every count is an integer in 0..N, so both terms are exact lookups: one
 (sum_f V_f, N+1) table of the first and the (N+1,) table of S, built once
 per call.  The counts of a block of assignments come from one ``bincount``
 over (assignment, entity, value) keys and the entity sizes from one over
-(assignment, entity) keys; the blocks run through the engine's block map.
+(assignment, entity) keys; the blocks run one after another.
 The evidence is then log p(x) = -N*log(K) + log sum_z w(z), a sum over
 all K**N assignment vectors taken by ``scipy.special.logsumexp``, so it
 cannot overflow.  Each block also sums its co-clustering indicators
@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from vblink.engine import _check_compatible, _map_blocks
+from vblink.engine import _check_compatible
 
 ENUMERATION_BUDGET = 10**6
 
@@ -71,13 +71,9 @@ def _assignment_total(corpus, hp, budget):
 
 
 def _decode(ids, n, k):
-    """Mixed-radix digits of each id: labels[b, i] = (ids[b] // k**i) % k."""
-    labels = np.empty((ids.size, n), dtype=np.int64)
-    rest = ids.copy()
-    for i in range(n):
-        labels[:, i] = rest % k
-        rest //= k
-    return labels
+    """Mixed-radix digits of each id: labels[b, i] = (ids[b] // k**i) % k.
+    k**n is within the enumeration budget, so the powers fit in int64."""
+    return ids[:, None] // k ** np.arange(n) % k
 
 
 def _lngamma_tables(corpus, hp):
@@ -126,11 +122,11 @@ def _weigh_block(corpus, hp, tables, bounds):
     return logw, top, same
 
 
-def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
+def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET):
     """Enumerate all assignments; see :class:`ExactPosterior`.
 
-    Results are deterministic for any worker count: blocks are weighed
-    independently and combined in block index order.
+    The blocks are weighed independently, in order, and combined in block
+    index order.
     """
     _check_compatible(corpus, hp)
     total = _assignment_total(corpus, hp, budget)
@@ -138,7 +134,7 @@ def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET, workers=1):
     k = hp.entity_count
     blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
     weigh = partial(_weigh_block, corpus, hp, _lngamma_tables(corpus, hp))
-    logw, tops, cocluster = zip(*_map_blocks(weigh, blocks, workers))
+    logw, tops, cocluster = zip(*map(weigh, blocks))
     logw = np.concatenate(logw)
     # The blocks' co-clustering sums are folded, in block order and relative
     # to the largest block maximum, before logsumexp's temporaries are made.

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -88,6 +89,19 @@ class TestSynth:
     def test_rejects_distortion_outside_unit_interval(self, tmp_path, capsys):
         assert run_synth(tmp_path / "x", distortion="1.5") == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_one_valued_field_takes_only_zero_distortion(self, tmp_path, capsys):
+        def synth(distortion, out):
+            return main(
+                ["synth", "--k", "2", "--db-sizes", "3", "--fields", "2",
+                 "--cardinality", "1", "--distortion", distortion, "--out", str(out)]
+            )
+
+        assert synth("0", tmp_path / "ok") == 0
+        assert (tmp_path / "ok" / "db1.csv").read_text() == "f1,f2\n" + "v1,v1\n" * 3
+        assert synth("0.1", tmp_path / "bad") == 2
+        assert "distortion must be 0 for a 1-valued field" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_rejects_non_finite_alpha(self, tmp_path, capsys, alpha):
@@ -690,7 +704,7 @@ class TestOracleCheck:
         assert code == 2
 
     def test_bound_violation_exit_code(self, tmp_path, capsys, monkeypatch):
-        def fake_exact(corpus, hp, workers=1):
+        def fake_exact(corpus, hp):
             n = corpus.total_records
             return SimpleNamespace(
                 log_evidence=-1e6, cocluster=np.zeros((n, n))
@@ -736,6 +750,42 @@ class TestManifest:
         for out in (data, run, score, check):
             outputs = json.loads((out / "manifest.json").read_text())["outputs"]
             assert sorted(outputs) == sorted(p.name for p in out.iterdir()), out.name
+
+
+class TestOneThread:
+    def test_workers_flag_starts_no_thread(self, tmp_path, monkeypatch):
+        # --workers is accepted and echoed, but every block runs on the
+        # calling thread, so any worker count writes the same files.
+        def refuse(_thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 2)
+        data = tmp_path / "data"
+        assert run_synth(data) == 0
+        fit_argv = ["fit", str(data / "db1.csv"), str(data / "db2.csv"),
+                    "--schema", str(data / "schema.txt")]
+        assert engine._distinct_rows(
+            corpus_module.load_databases([data / "db1.csv", data / "db2.csv"]).values
+        ).max() >= 4  # at least 3 blocks of 2 rows
+        db, schema = write_tiny_db(tmp_path, rows=("red", "blue") * 6 + ("red",))
+        # 2**13 assignments: 2 oracle blocks of 4096
+        oracle_argv = ["oracle-check", db, "--schema", schema, "--k", "2"]
+        for argv in (fit_argv, oracle_argv):
+            outs = [tmp_path / f"{argv[0]}_w{w}" for w in (1, 4)]
+            codes = [
+                main(argv + ["--workers", w, "--out", str(out)])
+                for w, out in zip(("1", "4"), outs)
+            ]
+            assert codes[0] == codes[1] == 0
+            names = sorted(p.name for p in outs[0].iterdir())
+            assert names == sorted(p.name for p in outs[1].iterdir())
+            for name in names:
+                one, four = ((out / name).read_bytes() for out in outs)
+                if name == "manifest.json":
+                    one, four = (json.loads(m) for m in (one, four))
+                    assert (one.pop("workers"), four.pop("workers")) == (1, 4)
+                assert one == four, name
 
 
 class TestParser:

@@ -1,11 +1,9 @@
 import math
-import threading
-import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
@@ -125,9 +123,6 @@ class TestFieldCounts:
         assert total == weights.sum()
         assert counts.shape == (9, k)
         np.testing.assert_allclose(counts, want, rtol=1e-12, atol=1e-15)
-        total_3, counts_3 = engine._pass(phi, columns, weights, 9, weight_sum, 3)
-        assert total_3 == total
-        np.testing.assert_array_equal(counts_3, counts)
 
     def test_by_field_views_and_lambda_split(self):
         counts = np.arange(18.0).reshape(9, 2)
@@ -141,23 +136,20 @@ class TestFieldCounts:
             np.testing.assert_array_equal(lam_f, a_f + c_f.T)
 
     def test_no_records_gives_zero_tables(self):
-        for workers in (1, 3):
-            total, counts = engine._pass(
-                np.zeros((0, 4)), np.zeros((0, 2), dtype=np.intp), np.zeros(0),
-                8, weight_sum, workers,
-            )
-            assert total == 0.0
-            assert counts.shape == (8, 4) and not np.any(counts)
+        total, counts = engine._pass(
+            np.zeros((0, 4)), np.zeros((0, 2), dtype=np.intp), np.zeros(0), 8, weight_sum
+        )
+        assert total == 0.0
+        assert counts.shape == (8, 4) and not np.any(counts)
 
     def test_no_fields_gives_an_empty_table(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 2)
         phi = np.full((5, 3), 1 / 3)
-        for workers in (1, 3):
-            total, counts = engine._pass(
-                phi, np.zeros((5, 0), dtype=np.intp), np.ones(5), 0, weight_sum, workers
-            )
-            assert total == 5.0
-            assert counts.shape == (0, 3)
+        total, counts = engine._pass(
+            phi, np.zeros((5, 0), dtype=np.intp), np.ones(5), 0, weight_sum
+        )
+        assert total == 5.0
+        assert counts.shape == (0, 3)
 
 
 class TestScores:
@@ -472,9 +464,6 @@ class TestFit:
             fit(pair_corpus, hp, max_sweeps=0)
         with pytest.raises(ValueError):
             fit(pair_corpus, hp, rel_tol=0.0)
-        for workers in (0, -2):
-            with pytest.raises(ValueError, match="workers"):
-                fit(pair_corpus, hp, workers=workers)
 
     def test_on_sweep_sees_every_sweep(self, pair_corpus):
         hp = HyperParams.symmetric(2, 1.0, [2])
@@ -558,17 +547,16 @@ def fit_sweeps(corpus, hp, **options):
     return state, sweeps
 
 
-def assert_resume_is_exact(corpus, hp, path, first, then, workers, seed=0):
+def assert_resume_is_exact(corpus, hp, path, first, then, seed=0):
     """Fit ``first`` sweeps, checkpoint, and fit ``then`` more sweeps from
     the loaded lam: each sweep that both this and an uninterrupted fit
     made has the same ELBO, phi and lam bit for bit.  Returns how many
     sweeps were compared."""
-    options = dict(workers=workers, seed=seed)
-    _, whole = fit_sweeps(corpus, hp, max_sweeps=first + then, **options)
-    state, head = fit_sweeps(corpus, hp, max_sweeps=first, **options)
+    _, whole = fit_sweeps(corpus, hp, max_sweeps=first + then, seed=seed)
+    state, head = fit_sweeps(corpus, hp, max_sweeps=first, seed=seed)
     save_state(path, state.lam, corpus, hp)
     lam, _ = load_state(path)
-    _, tail = fit_sweeps(corpus, hp, initial_lam=lam, max_sweeps=then, **options)
+    _, tail = fit_sweeps(corpus, hp, initial_lam=lam, max_sweeps=then, seed=seed)
     compared = list(zip(whole[len(head) :], tail))
     for (elbo_a, phi_a, lam_a), (elbo_b, phi_b, lam_b) in compared:
         assert elbo_a == elbo_b
@@ -608,15 +596,15 @@ class TestCheckpoint:
         assert header["cardinalities"] == [3, 2]
         assert header["entity_count"] == 5
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_resume_matches_uninterrupted_fit(self, tmp_path, monkeypatch, workers):
+    @pytest.mark.parametrize("first", [1, 3])
+    def test_resume_matches_uninterrupted_fit(self, tmp_path, monkeypatch, first):
         corpus, _ = sample_dataset(DUPLICATE_HEAVY)
         hp = HyperParams.symmetric(600, 0.1, corpus.schema.cardinalities)
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)
         distinct = engine._distinct_rows(corpus.values).max() + 1
         assert len(engine._blocks(distinct, hp.entity_count)) > 3
         path = tmp_path / "state.npz"
-        assert assert_resume_is_exact(corpus, hp, path, 3, 3, workers, seed=4) == 3
+        assert assert_resume_is_exact(corpus, hp, path, first, 3, seed=4) == 3
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(problem=tiny_problems(), first=st.integers(1, 3), then=st.integers(1, 3))
@@ -626,8 +614,7 @@ class TestCheckpoint:
         corpus, hp = problem
         path = tmp_path_factory.mktemp("resume") / "state.npz"
         with mock.patch.object(engine, "BLOCK_RECORDS", 2):
-            for workers in (1, 3):
-                assert_resume_is_exact(corpus, hp, path, first, then, workers)
+            assert_resume_is_exact(corpus, hp, path, first, then)
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.npz"
@@ -708,21 +695,6 @@ class TestDistinctRecords:
         theirs = map_linkage(reference, corpus.db_sizes)
         np.testing.assert_array_equal(ours.map_entity, theirs.map_entity)
         np.testing.assert_allclose(ours.max_prob, theirs.max_prob, rtol=1e-9)
-
-    def test_worker_counts_bitwise_equal_across_row_blocks(
-        self, duplicate_heavy, monkeypatch
-    ):
-        monkeypatch.setattr(engine, "BLOCK_RECORDS", 3)
-        corpus, hp = duplicate_heavy
-        runs = [
-            fit(corpus, hp, max_sweeps=4, seed=1, workers=workers)
-            for workers in (1, 3)
-        ]
-        (s1, r1), (s3, r3) = runs
-        assert r1.elbo_trace == r3.elbo_trace
-        np.testing.assert_array_equal(s1.phi, s3.phi)
-        for lam1, lam3 in zip(s1.lam, s3.lam):
-            np.testing.assert_array_equal(lam1, lam3)
 
     def test_closed_form_start_matches_lambda_update(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
@@ -828,61 +800,6 @@ class TestFusedSweep:
         assert engine._rows_per_block(4000) == 262
         assert engine._rows_per_block(2**21) == 1
         assert len(engine._blocks(1572, 4000)) == 6
-
-    def test_worker_counts_bitwise_equal_when_bytes_split_blocks(self):
-        rng = np.random.default_rng(3)
-        schema = Schema(("a", "b", "c"), (tuple("0123456789"),) * 3)
-        values = rng.integers(0, 10, size=(300, 3))
-        corpus = Corpus(schema=schema, db_sizes=(300,), values=values)
-        hp = HyperParams.symmetric(2**13, 0.2, [10] * 3)
-        distinct = len({tuple(r) for r in values.tolist()})
-        assert len(engine._blocks(distinct, hp.entity_count)) >= 3
-        runs = [
-            fit(corpus, hp, max_sweeps=3, seed=2, workers=workers)
-            for workers in (1, 3)
-        ]
-        (s1, r1), (s3, r3) = runs
-        assert r1.elbo_trace == r3.elbo_trace
-        np.testing.assert_array_equal(s1.phi, s3.phi)
-        for lam1, lam3 in zip(s1.lam, s3.lam):
-            np.testing.assert_array_equal(lam1, lam3)
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(problem=tiny_problems(), sweeps=st.integers(1, 4), seed=st.integers(0, 3))
-    def test_fit_is_bit_identical_for_any_worker_count(self, problem, sweeps, seed):
-        corpus, hp = problem
-        with mock.patch.object(engine, "BLOCK_RECORDS", 2):
-            distinct = engine._distinct_rows(corpus.values).max() + 1
-            assume(len(engine._blocks(distinct, hp.entity_count)) > 1)
-            runs = [
-                fit(corpus, hp, max_sweeps=sweeps, rel_tol=1e-300, seed=seed, workers=w)
-                for w in (1, 2, 3)
-            ]
-        (state, report), others = runs[0], runs[1:]
-        for other, other_report in others:
-            assert other_report.elbo_trace == report.elbo_trace
-            np.testing.assert_array_equal(other.phi, state.phi)
-            for got, want in zip(other.lam, state.lam):
-                np.testing.assert_array_equal(got, want)
-
-    def test_workers_hold_at_most_one_round_of_partials(self):
-        lock = threading.Lock()
-        produced, consumed, held = [0], [0], []
-
-        def block(_bounds):
-            with lock:
-                produced[0] += 1
-                held.append(produced[0] - consumed[0])
-            return None
-
-        blocks = engine._blocks(12, 2**20)  # one row per block
-        assert len(blocks) == 12
-        for _ in engine._map_blocks(block, blocks, workers=3):
-            time.sleep(0.005)  # a slow consumer: finished blocks would pile up
-            with lock:
-                consumed[0] += 1
-        assert produced[0] == consumed[0] == 12
-        assert max(held) <= 3
 
     def test_trace_monotone_on_recovery_config(self, duplicate_heavy):
         corpus, hp = duplicate_heavy

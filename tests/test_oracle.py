@@ -201,17 +201,3 @@ class TestGuards:
         ):
             with pytest.raises(ValueError, match="alpha"):
                 exact_posterior(corpus, HyperParams(2, alpha))
-
-
-class TestWorkers:
-    def test_bitwise_identical_across_worker_counts(self):
-        rng = np.random.default_rng(9)
-        corpus = small_corpus(rng.integers(0, 2, size=(14, 2)), [2, 2])
-        hp = HyperParams.symmetric(2, 0.5, [2, 2])  # 2**14 assignments, 4 blocks
-        a = exact_posterior(corpus, hp, workers=1)
-        b = exact_posterior(corpus, hp, workers=4)
-        assert a.log_evidence == b.log_evidence
-        np.testing.assert_array_equal(
-            a.assignment_log_probs, b.assignment_log_probs
-        )
-        np.testing.assert_array_equal(a.cocluster, b.cocluster)
