@@ -109,7 +109,11 @@ class Corpus:
         self.db_sizes = tuple(int(s) for s in self.db_sizes)
         if any(s < 0 for s in self.db_sizes):
             raise ValueError("database sizes must be nonnegative")
-        self.values = np.ascontiguousarray(self.values, dtype=np.int32)
+        given = np.asarray(self.values)
+        with np.errstate(invalid="ignore"):  # NaN is refused below
+            self.values = np.ascontiguousarray(given, dtype=np.int32)
+        if not np.array_equal(self.values, given):
+            raise ValueError("values must be integer codes that fit in int32")
         n = sum(self.db_sizes)
         if self.values.shape != (n, self.schema.field_count):
             raise ValueError(

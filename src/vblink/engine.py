@@ -1,41 +1,41 @@
 """Mean-field coordinate ascent for the latent-entity model.
 
 The variational family is fully factorized: one categorical factor per
-record over the K entities and one Dirichlet factor per entity and field
-(parameters ``lam``, a list of (K, V_f) arrays).  The responsibilities of a
-record depend on it only through its value tuple, so records that carry
-the same tuple share one row of ``phi``: ``phi`` is (U, K) over the U
-distinct tuples, ``rows`` maps each of the N records to its row, and row
-``u`` stands for ``m[u]`` records.  A sweep applies the two closed-form
-updates
+record over the K entities and one Dirichlet factor per entity and field,
+all in one (sum V_f, K) table ``lam``: value v of field f is row
+offset_f + v (offset_f = V_0 + ... + V_{f-1}), entity k is column k.  The
+responsibilities of a record depend on it only through its value tuple,
+so records that carry the same tuple share one row of ``phi``: ``phi`` is
+(U, K) over the U distinct tuples, ``rows`` maps each of the N records to
+its row, and row ``u`` stands for ``m[u]`` records.  With ``alpha`` the
+priors stacked the same way, a sweep applies the two closed-form updates
 
-    lam[k, f, v] <- alpha[f, v] + sum_u m[u] * phi[u, k] * 1{x[u, f] == v}
-    phi[u, k]    propto exp( sum_f  psi(lam[k, f, x[u, f]])
-                                  - psi(sum_v lam[k, f, v]) )
+    lam[j, k] <- alpha[j] + sum_u m[u] * phi[u, k] * 1{row u has value j}
+    phi[u, k] propto exp( sum_f T[offset_f + x[u, f], k] ),
+    T = psi(lam) - psi(field sums of lam)
 
 and evaluates the evidence lower bound (ELBO) once per sweep, with the
 assignment entropy weighted the same way,
 - sum_u m[u] sum_k phi[u, k] log phi[u, k].
 The bound includes the constant -N*log(K), N = sum_u m[u], from the uniform
 assignment prior, so it is a true lower bound on the log evidence of the
-data.  ``psi`` is ``scipy.special.digamma``.  A state with one row per
-record (``rows`` = 0..N-1, every ``m[u]`` = 1) is the per-record form of the
-same updates; :func:`fit` finds the distinct tuples once and runs every
-sweep on them, so per-sweep cost scales with U, not N.
+data.  ``psi`` is ``scipy.special.digamma``; the field sums of a column,
+over each field's rows, come from one ``np.add.reduceat``.  A state with
+one row per record (``rows`` = 0..N-1, every ``m[u]`` = 1) is the
+per-record form of the same updates; :func:`fit` finds the distinct tuples
+once and runs every sweep on them, so per-sweep cost scales with U, not N.
 
-A fit sweep is one blocked pass over phi (:func:`_sweep`).  The digamma
-tables T_f over ``lam`` are built once per sweep (O(K * sum V_f)) and
-stacked into one (sum V_f, K) table T, field f's rows after those of
-fields 0..f-1.  A block of rows has one sparse one-hot indicator X (rows,
-sum V_f) with F entries per row, one in each field's column x[u, f] +
-offset_f (:func:`_one_hot`).  Its scores are the product X @ T, which
-adds each row's F table rows in field order, at O(rows * K * F) cost.
-Each block is scored and normalized (max shift, exp, divide by the row
-sum) into phi, keeps its weighted log-normaliser sum sum_u m[u] lse[u]
-(lse[u] = row max + log row sum), and adds its weighted counts
-X^T diag(m) phi, one (sum V_f, K) table for all fields, while it is still
-in cache.  The lam update is then lam = alpha + counts, and the ELBO
-telescopes to a closed form in lam, the counts, T and the
+A fit sweep is one blocked pass over phi (:func:`_sweep`).  T is built
+once per sweep (O(K * sum V_f)).  A block of rows has one sparse one-hot
+indicator X (rows, sum V_f) with F entries per row, one in each field's
+column offset_f + x[u, f] (:func:`_one_hot`).  Its scores are the product
+X @ T, which adds each row's F table rows in field order, at
+O(rows * K * F) cost.  Each block is scored and normalized (max shift,
+exp, divide by the row sum) into phi, keeps its weighted log-normaliser
+sum sum_u m[u] lse[u] (lse[u] = row max + log row sum), and adds its
+weighted counts X^T diag(m) phi, a table in the layout of lam, while it
+is still in cache.  The lam update is then lam = alpha + counts, and the
+ELBO telescopes to a closed form in lam, the counts, T and the
 log-normalisers: since log phi[u, k] = (X @ T)[u, k] - lse[u],
 sum_u m[u] sum_k phi[u, k] log phi[u, k] = <counts, T>
 - sum_u m[u] lse[u].  So a sweep reads phi once and its ELBO costs
@@ -44,8 +44,8 @@ O(K * sum V_f + U).  The public :func:`update_phi`,
 (phi, lam); the tests hold the sweep to them.
 :func:`update_phi` is the sweep's block normalisation alone,
 :func:`update_lambda` and :func:`elbo` each make one blocked pass like the
-sweep's (:func:`_pass`), and they share the stacked score table, the
-one-hot indicator, ln B and lam = alpha + counts with it.  The reference
+sweep's (:func:`_pass`), and they share the score table, the one-hot
+indicator, ln B and lam = alpha + counts with it.  The reference
 :func:`elbo` is in bracket form: its bracket alpha + counts - lam
 vanishes at lam = alpha + counts, which leaves the sweep's closed form.
 The enumeration oracle (:mod:`vblink.oracle`) weighs each hard
@@ -60,7 +60,6 @@ read-only and blocks write disjoint rows of phi.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,7 @@ from scipy.special import digamma, entr, gammaln, polygamma
 # Fixed record-block size; part of the determinism contract above.
 BLOCK_RECORDS = 8192
 
-STATE_FORMAT_VERSION = 3
+STATE_FORMAT_VERSION = 4
 
 # An ELBO fall larger than this share of |ELBO| is beyond roundoff and is
 # counted in FitReport.elbo_decreases.
@@ -112,15 +111,16 @@ class HyperParams:
 @dataclass(eq=False)
 class VariationalState:
     """Responsibilities ``phi`` (U, K), the (N,) index ``rows`` from each
-    record to its row of ``phi``, and Dirichlet parameters ``lam`` (per
-    field, (K, V_f)).
+    record to its row of ``phi``, and the Dirichlet parameters ``lam``
+    (sum V_f, K), field f's (V_f, K) table ``lam[offset_f : offset_f +
+    V_f]``, offset_f = V_0 + ... + V_{f-1}.
 
     Records that share a row must carry the same value tuple.  Without
     ``rows`` every record has its own row (``rows`` = 0..N-1).
     """
 
     phi: np.ndarray
-    lam: list
+    lam: np.ndarray
     rows: np.ndarray = None
 
     def __post_init__(self):
@@ -134,12 +134,11 @@ class VariationalState:
 
 @dataclass
 class FitReport:
-    """Per-sweep ELBO trace plus convergence status and timing."""
+    """Per-sweep ELBO trace plus convergence status."""
 
     elbo_trace: list = field(default_factory=list)
     sweeps_run: int = 0
     converged: bool = False
-    wall_time: float = 0.0
     distinct_records: int = 0  # U, the rows of phi the sweeps ran on
     elbo_decreases: int = 0  # sweeps whose ELBO fell beyond DECREASE_SLACK
 
@@ -177,19 +176,29 @@ def _distinct_rows(values):
     return np.unique(as_bytes.ravel(), return_inverse=True)[1]
 
 
+def _starts(cardinalities):
+    """Each field's first row of lam, offset_f = V_0 + ... + V_{f-1}."""
+    cards = np.asarray(cardinalities, dtype=np.intp)
+    return np.cumsum(cards) - cards
+
+
+def _stacked(alpha):
+    """The per-field priors as one (sum V_f,) vector in the rows of lam."""
+    return np.concatenate([np.zeros(0), *alpha])
+
+
 def _columns(values, cardinalities):
     """Each row's column of each field in the stacked (sum V_f) value axis:
-    value v of field f is column V_0 + ... + V_{f-1} + v.  The columns keep
-    the codes' integer type (int32 in a corpus), so they take no more
-    memory than the codes; sum V_f cannot overflow it while the (sum V_f,
-    K) table T fits in memory."""
-    cards = np.asarray(cardinalities, dtype=values.dtype)
-    return values + (np.cumsum(cards, dtype=values.dtype) - cards)
+    value v of field f is column offset_f + v.  The columns keep the codes'
+    integer type (int32 in a corpus), so they take no more memory than the
+    codes; sum V_f cannot overflow it while the (sum V_f, K) table T fits
+    in memory."""
+    return values + _starts(cardinalities).astype(values.dtype)
 
 
-def _by_field(stacked, cardinalities):
-    """The per-field (V_f, ...) views of a stacked (sum V_f, ...) table."""
-    return np.split(stacked, np.cumsum(cardinalities, dtype=np.intp)[:-1])
+def _field_sums(table, cardinalities):
+    """(F, ...): the sums over each field's rows of a (sum V_f, ...) table."""
+    return np.add.reduceat(table, _starts(cardinalities), axis=0)
 
 
 def _one_hot(columns, width, data):
@@ -230,24 +239,24 @@ def _anchor_weights(n, seed):
 
 def _seeded_lambda(corpus, hp, seed):
     """The lam that :func:`update_lambda` gives on the anchored start of
-    :func:`init_state`, in closed form with no N x K array.  Per field,
+    :func:`init_state`, in closed form with no N x K array:
 
-        counts[v, k] = sum_{x_n = v} (1 - w_n) / K
-                     + sum_{x_n = v, n mod K = k} w_n
+        counts[j, k] = sum_{x_n has value j} (1 - w_n) / K
+                     + sum_{x_n has value j, n mod K = k} w_n
 
-    which costs O(N + K * V_f) and draws the same weights ``w``.
+    from one bincount over the records' stacked columns and one over their
+    (column, anchor) pairs, at O(N * F + K * sum V_f) cost, with the same
+    weights ``w``.
     """
     n, k = corpus.total_records, hp.entity_count
+    cards = corpus.schema.cardinalities
     w = _anchor_weights(n, seed)
-    uniform_share = (1.0 - w) / k
-    anchor = np.arange(n) % k
-    lam = []
-    for x, a_f in zip(corpus.values.T, hp.alpha):
-        v_f = a_f.size
-        spread = np.bincount(x, weights=uniform_share, minlength=v_f)
-        peak = np.bincount(anchor * v_f + x, weights=w, minlength=k * v_f)
-        lam.append(a_f[None, :] + spread[None, :] + peak.reshape(k, v_f))
-    return lam
+    columns = _columns(corpus.values, cards)
+    share = np.repeat((1.0 - w) / k, len(cards))
+    spread = np.bincount(columns.ravel(), share, sum(cards))
+    pairs = columns * np.intp(k) + (np.arange(n) % k)[:, None]
+    peak = np.bincount(pairs.ravel(), np.repeat(w, len(cards)), sum(cards) * k)
+    return (_stacked(hp.alpha) + spread)[:, None] + peak.reshape(-1, k)
 
 
 def init_state(corpus, hp, seed):
@@ -287,14 +296,6 @@ def _check_compatible(corpus, hp):
             raise ValueError(f"alpha for field {f} has length {a.shape[0]}, not {v_f}")
 
 
-def _lambda_of_counts(alpha, counts):
-    """lam = alpha + counts for the stacked (sum V_f, K) counts: per field
-    a C-ordered (K, V_f) array, so a copy or a reloaded checkpoint sums
-    each row of lam in the same order."""
-    parts = _by_field(counts, [a_f.size for a_f in alpha])
-    return [np.add(a_f, c_f.T, order="C") for a_f, c_f in zip(alpha, parts)]
-
-
 def update_lambda(state, corpus, hp):
     """Closed-form Dirichlet update: prior plus multiplicity- and
     responsibility-weighted counts, from a pass that leaves phi as it is."""
@@ -303,22 +304,21 @@ def update_lambda(state, corpus, hp):
     _, counts = _pass(
         state.phi, _columns(values, cards), weights, sum(cards), lambda p, c, m: 0.0
     )
-    state.lam[:] = _lambda_of_counts(hp.alpha, counts)
+    state.lam = _stacked(hp.alpha)[:, None] + counts
     return state.lam
 
 
-def _score_tables(state):
-    """The stacked (sum V_f, K) table T: field f's rows are the (V_f, K)
-    table psi(lam[f]) - psi(row sum of lam[f]), transposed."""
-    parts = [
-        (digamma(lam_f) - digamma(lam_f.sum(axis=1))[:, None]).T for lam_f in state.lam
-    ]
-    return np.concatenate([np.empty((0, state.entity_count)), *parts])
+def _score_tables(lam, cardinalities):
+    """The score table T = psi(lam) - psi(field sums of lam)."""
+    table = digamma(lam)
+    field_psi = digamma(_field_sums(lam, cardinalities))
+    table -= np.repeat(field_psi, cardinalities, axis=0)
+    return table
 
 
-def _log_beta(a):
-    """ln B(a) along the last axis: sum ln Gamma(a) - ln Gamma(sum a)."""
-    return gammaln(a).sum(axis=-1) - gammaln(a.sum(axis=-1))
+def _log_beta(a, cardinalities):
+    """Sum of ln B(.) over the fields and columns of a (sum V_f, ...) table."""
+    return float(gammaln(a).sum() - gammaln(_field_sums(a, cardinalities)).sum())
 
 
 def _normalise_block(out, table, columns):
@@ -340,9 +340,9 @@ def _normalise_block(out, table, columns):
 def update_phi(state, corpus, hp):
     """Log-space responsibility update, one block of rows at a time,
     normalized into ``phi``."""
-    table = _score_tables(state)
-    x, _ = _row_patterns(state, corpus.values)
-    columns = _columns(x, corpus.schema.cardinalities)
+    cards = corpus.schema.cardinalities
+    table = _score_tables(state.lam, cards)
+    columns = _columns(_row_patterns(state, corpus.values)[0], cards)
     for lo, hi in _blocks(*state.phi.shape):
         _normalise_block(state.phi[lo:hi], table, columns[lo:hi])
     return state.phi
@@ -351,15 +351,15 @@ def update_phi(state, corpus, hp):
 def elbo(state, corpus, hp):
     """Evidence lower bound of the current state, in bracket form:
 
-        sum_{k,f} [ <alpha_f + counts[k, f] - lam[k, f], T_f[:, k]>
-                    + ln B(lam[k, f]) - ln B(alpha_f) ]
+        <alpha + counts - lam, T> + sum_{k,f} [ln B(lam[k, f]) - ln B(alpha_f)]
         - sum_u m[u] sum_k phi[u, k] log phi[u, k] - N log K
 
-    with T_f the score tables of ``lam`` and 0 log 0 = 0.  The counts and
-    the entropy come from one pass over phi.  The expected log likelihood,
-    the Dirichlet prior and the q(beta) terms collect into the bracket,
-    which vanishes at lam = alpha + counts.  Valid for any (phi, lam);
-    equals log p(x) exactly when K = 1.
+    with T the score table of ``lam``, alpha stacked and broadcast over
+    the K columns, and 0 log 0 = 0.  The counts and the entropy come from
+    one pass over phi.  The expected log likelihood, the Dirichlet prior
+    and the q(beta) terms collect into the bracket, which vanishes at
+    lam = alpha + counts.  Valid for any (phi, lam); equals log p(x)
+    exactly when K = 1.
     """
     k = state.entity_count
     values, weights = _row_patterns(state, corpus.values)
@@ -368,16 +368,18 @@ def elbo(state, corpus, hp):
         state.phi, _columns(values, cards), weights, sum(cards),
         lambda p, c, m: entr(p).sum(axis=1) @ m,
     )
-    total = float(entropy) - float(weights.sum()) * math.log(k)
-    counts, tables = _by_field(counts, cards), _by_field(_score_tables(state), cards)
-    for lam_f, a_f, c_f, t_f in zip(state.lam, hp.alpha, counts, tables):
-        total += float(np.sum((a_f[:, None] + c_f - lam_f.T) * t_f))
-        total += float(np.sum(_log_beta(lam_f))) - k * float(_log_beta(a_f))
-    return total
+    alpha = _stacked(hp.alpha)
+    bracket = alpha[:, None] + counts - state.lam
+    return (
+        float(entropy) - float(weights.sum()) * math.log(k)
+        + float(np.vdot(bracket, _score_tables(state.lam, cards)))
+        + _log_beta(state.lam, cards) - k * _log_beta(alpha, cards)
+    )
 
 
 def elbo_grad_lambda(state, corpus, hp, k, f, v):
-    """Partial derivative of the ELBO in lam[f][k, v] (0-based indices).
+    """Partial derivative of the ELBO in field f's lam at value v and
+    entity k (0-based indices), that is in ``lam[offset_f + v, k]``.
 
     Two-term trigamma form; zero at the fixed point reached by
     :func:`update_lambda`.
@@ -386,56 +388,54 @@ def elbo_grad_lambda(state, corpus, hp, k, f, v):
     counts = np.bincount(
         values[:, f], weights=weights * state.phi[:, k], minlength=hp.alpha[f].size
     )
-    bracket = hp.alpha[f] - state.lam[f][k] + counts
+    start = _starts(corpus.schema.cardinalities)[f]
+    lam_kf = state.lam[start : start + hp.alpha[f].size, k]
+    bracket = hp.alpha[f] - lam_kf + counts
     return float(
-        polygamma(1, state.lam[f][k, v]) * bracket[v]
-        - polygamma(1, state.lam[f][k].sum()) * bracket.sum()
+        polygamma(1, lam_kf[v]) * bracket[v]
+        - polygamma(1, lam_kf.sum()) * bracket.sum()
     )
 
 
-def _sweep(state, columns, weights, hp):
+def _sweep(state, columns, weights, alpha, cardinalities):
     """One fit sweep on a state with one phi row per distinct tuple
-    (stacked columns ``columns`` (U, F), multiplicities ``weights`` (U,)):
-    the phi update, the lam update and the ELBO, from one blocked pass
-    over phi.  Returns the ELBO.
+    (stacked columns ``columns`` (U, F), multiplicities ``weights`` (U,),
+    stacked prior ``alpha``): the phi update, the lam update and the ELBO,
+    from one blocked pass over phi.  Returns the ELBO.
 
     Each block of rows is normalized into phi and, while it is still in
     cache, returns its weighted log-normaliser sum and counts.  With
     lam = alpha + counts the likelihood, prior and q(beta) terms telescope:
 
-        ELBO = sum_{k,f} [ln B(lam[k, f]) - ln B(alpha[f])]
+        ELBO = sum ln Gamma(lam) - sum ln Gamma(field sums of lam)
+               - K * sum_f ln B(alpha_f)
                - (<counts, T> - sum_u m[u] lse[u]) - N log K
 
-    where T is the stacked score table of the lam that produced phi.
-    Since log phi[u, k] = (X @ T)[u, k] - lse[u], the bracket is the
-    weighted sum of phi log phi, so the entropy needs no second read of
-    phi and the ELBO costs O(K * sum V_f + U).
+    where T is the score table of the lam that produced phi.  Since
+    log phi[u, k] = (X @ T)[u, k] - lse[u], the bracket is the weighted
+    sum of phi log phi, so the entropy needs no second read of phi and the
+    ELBO costs O(K * sum V_f + U).
     """
-    table = _score_tables(state)
+    table = _score_tables(state.lam, cardinalities)
     log_normaliser, counts = _pass(
         state.phi, columns, weights, table.shape[0],
         lambda p, c, m: _normalise_block(p, table, c) @ m,
     )
-    state.lam[:] = _lambda_of_counts(hp.alpha, counts)
+    state.lam[:] = alpha[:, None] + counts
     k = state.entity_count
-    total = float(log_normaliser) - float(weights.sum()) * math.log(k)
-    for lam_f, a_f in zip(state.lam, hp.alpha):
-        total += float(np.sum(_log_beta(lam_f))) - k * float(_log_beta(a_f))
-    return total - float(np.vdot(counts, table))
+    return (
+        _log_beta(state.lam, cardinalities) - k * _log_beta(alpha, cardinalities)
+        - (float(np.vdot(counts, table)) - float(log_normaliser))
+        - float(weights.sum()) * math.log(k)
+    )
 
 
 def _state_stats(state):
-    phi, lams = state.phi, state.lam
-    parts = [
-        f"phi range [{phi.min() if phi.size else 0}, {phi.max() if phi.size else 0}]",
-        f"phi non-finite {int(np.size(phi) - np.isfinite(phi).sum())}",
-    ]
-    for f, lam_f in enumerate(lams):
-        parts.append(
-            f"lam[{f}] range [{lam_f.min()}, {lam_f.max()}] "
-            f"non-finite {int(np.size(lam_f) - np.isfinite(lam_f).sum())}"
-        )
-    return "; ".join(parts)
+    return "; ".join(
+        f"{name} range [{a.min() if a.size else 0}, {a.max() if a.size else 0}] "
+        f"non-finite {int(a.size - np.isfinite(a).sum())}"
+        for name, a in (("phi", state.phi), ("lam", state.lam))
+    )
 
 
 def fit(
@@ -456,37 +456,39 @@ def fit(
     distinct tuple.  Each sweep is one blocked pass over phi that does the
     phi update, the lam update and the ELBO (see :func:`_sweep`); it gives
     what :func:`update_phi`, :func:`update_lambda` and :func:`elbo` give.
-    ``initial_lam`` (per field, a (K, V_f) array) overrides the seeded
-    start and the seed is then unused; the caller's arrays are not
-    written.  lam is the whole state of a fit, so a fit started from the
-    lam of sweep S (say, from :func:`load_state`) repeats sweeps S+1, ...
-    of the fit it came from bit for bit.  ``on_sweep(sweep, elbo, state)``
-    is called after every sweep.
+    ``initial_lam`` (one (sum V_f, K) array, see :class:`VariationalState`)
+    overrides the seeded start and the seed is then unused; the caller's
+    array is not written.  lam is the whole state of a fit, so a fit
+    started from the lam of sweep S (say, from :func:`load_state`, or a
+    copy of it in any memory order) repeats sweeps S+1, ... of the fit it
+    came from bit for bit.  ``on_sweep(sweep, elbo, state)`` is called
+    after every sweep.
     Returns ``(state, FitReport)``; the trace is nondecreasing up to
     roundoff because each step maximizes the same objective, and the
     report counts the sweeps where it fell by more than ``DECREASE_SLACK``
     relative.
     """
     _check_fit_options(max_sweeps, rel_tol)
-    start = time.perf_counter()
     _check_compatible(corpus, hp)
+    cards = corpus.schema.cardinalities
     if initial_lam is None:
         lam = _seeded_lambda(corpus, hp, seed)
     else:
-        lam = list(initial_lam)
-        _check_lam(lam, hp.entity_count, corpus.schema.cardinalities)
+        _check_lam(initial_lam, (sum(cards), hp.entity_count))
+        lam = np.array(initial_lam, dtype=np.float64, order="C")
     rows = _distinct_rows(corpus.values)
     distinct = int(rows.max(initial=-1)) + 1
     state = VariationalState(
         phi=np.empty((distinct, hp.entity_count)), lam=lam, rows=rows
     )
     values, weights = _row_patterns(state, corpus.values)
-    columns = _columns(values, corpus.schema.cardinalities)
+    columns = _columns(values, cards)
+    alpha = _stacked(hp.alpha)
     trace = []
     decreases = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        value = _sweep(state, columns, weights, hp)
+        value = _sweep(state, columns, weights, alpha, cards)
         if not math.isfinite(value):
             raise NumericalFailureError(
                 sweep, f"ELBO is {value}; {_state_stats(state)}"
@@ -503,7 +505,6 @@ def fit(
         elbo_trace=trace,
         sweeps_run=len(trace),
         converged=converged,
-        wall_time=time.perf_counter() - start,
         distinct_records=distinct,
         elbo_decreases=decreases,
     )
@@ -519,23 +520,18 @@ def _check_fit_options(max_sweeps, rel_tol):
         raise ValueError("rel_tol must be positive")
 
 
-def _check_lam(lam, entity_count, cardinalities):
-    """Per field, a (K, V_f) table of finite, strictly positive entries."""
-    if len(lam) != len(cardinalities):
-        raise ValueError(f"{len(lam)} lam tables for {len(cardinalities)} fields")
-    for f, (lam_f, v_f) in enumerate(zip(lam, cardinalities)):
-        if np.shape(lam_f) != (entity_count, v_f):
-            raise ValueError(
-                f"lam for field {f} has shape {np.shape(lam_f)}, "
-                f"not {(entity_count, v_f)}"
-            )
-        if not np.all(np.isfinite(lam_f) & (lam_f > 0.0)):
-            raise ValueError(f"lam for field {f} must be finite and strictly positive")
+def _check_lam(lam, shape):
+    """One (sum V_f, K) array of finite, strictly positive entries."""
+    got = lam.shape if isinstance(lam, np.ndarray) else type(lam).__name__
+    if got != shape:
+        raise ValueError(f"lam must be a (sum V_f, K) = {shape} array, not {got}")
+    if not np.all(np.isfinite(lam) & (lam > 0.0)):
+        raise ValueError("lam must be finite and strictly positive")
 
 
 def save_state(path, lam, corpus, hp):
-    """Checkpoint ``lam`` with alpha and a header describing the problem
-    shape, as an ``.npz`` archive written to ``path`` as given.
+    """Checkpoint ``lam`` with the stacked alpha and a header describing
+    the problem shape, as an ``.npz`` archive written to ``path`` as given.
 
     lam is the whole state of a fit: each sweep computes phi from lam, so
     ``fit(corpus, hp, initial_lam=lam)`` on the loaded lam continues the
@@ -543,21 +539,21 @@ def save_state(path, lam, corpus, hp):
     lam update; :func:`update_phi` on the saved lam gives the next sweep's
     phi.
     """
-    arrays = {
-        "version": np.asarray(STATE_FORMAT_VERSION),
-        "db_sizes": np.asarray(corpus.db_sizes, dtype=np.int64),
-        "cardinalities": np.asarray(corpus.schema.cardinalities, dtype=np.int64),
-        "entity_count": np.asarray(hp.entity_count),
-    }
-    for f, (a_f, lam_f) in enumerate(zip(hp.alpha, lam)):
-        arrays[f"alpha_{f}"] = a_f
-        arrays[f"lam_{f}"] = lam_f
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(
+            fh,
+            version=np.asarray(STATE_FORMAT_VERSION),
+            db_sizes=np.asarray(corpus.db_sizes, dtype=np.int64),
+            cardinalities=np.asarray(corpus.schema.cardinalities, dtype=np.int64),
+            entity_count=np.asarray(hp.entity_count),
+            alpha=_stacked(hp.alpha),
+            lam=lam,
+        )
 
 
 def load_state(path):
-    """Read a checkpoint; returns ``(lam, header_dict)``.
+    """Read a checkpoint; returns ``(lam, header_dict)``.  The header's
+    ``alpha`` is the per-field list that :class:`HyperParams` takes.
 
     Raises ``ValueError`` when an array is missing, the version is not the
     current one, or an array's shape disagrees with the header.
@@ -578,11 +574,11 @@ def load_state(path):
             "db_sizes": tuple(int(s) for s in read("db_sizes")),
             "cardinalities": cards,
             "entity_count": int(read("entity_count")),
-            "alpha": [read(f"alpha_{f}") for f in range(len(cards))],
         }
-        lam = [read(f"lam_{f}") for f in range(len(cards))]
-    _check_lam(lam, header["entity_count"], cards)
-    for f, (a_f, v_f) in enumerate(zip(header["alpha"], cards)):
-        if a_f.shape != (v_f,):
-            raise ValueError(f"alpha for field {f} has shape {a_f.shape}, not ({v_f},)")
+        alpha, lam = read("alpha"), read("lam")
+    if alpha.shape != (sum(cards),):
+        raise ValueError(f"alpha has shape {alpha.shape}, not ({sum(cards)},)")
+    _check_lam(lam, (sum(cards), header["entity_count"]))
+    # Split at every field's end; the piece after the last end is empty.
+    header["alpha"] = np.split(alpha, np.cumsum(cards, dtype=np.intp))[:-1]
     return lam, header

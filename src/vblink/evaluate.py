@@ -39,10 +39,6 @@ class Linkage:
             raise ValueError("entity labels are 1-based")
 
     @property
-    def total_records(self):
-        return int(self.map_entity.shape[0])
-
-    @property
     def entity_count_estimate(self):
         return int(np.unique(self.map_entity).size)
 

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from vblink.engine import _check_compatible
+from vblink.engine import _check_compatible, _stacked
 
 ENUMERATION_BUDGET = 10**6
 
@@ -60,12 +60,12 @@ class ExactPosterior:
     cocluster: np.ndarray
 
 
-def _assignment_total(corpus, hp, budget):
+def _assignment_total(corpus, hp):
     total = hp.entity_count ** corpus.total_records
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"{hp.entity_count}^{corpus.total_records} = {total} assignments "
-            f"exceeds the enumeration budget of {budget}"
+            f"exceeds the enumeration budget of {ENUMERATION_BUDGET}"
         )
     return total
 
@@ -86,7 +86,7 @@ def _lngamma_tables(corpus, hp):
         """lnG(a + n) - lnG(a), one row per entry of a."""
         return gammaln(a[:, None] + n) - gammaln(a)[:, None]
 
-    alpha = np.concatenate([np.zeros(0), *hp.alpha])
+    alpha = _stacked(hp.alpha)
     totals = np.array([a_f.sum() for a_f in hp.alpha])
     return log_rising(alpha).ravel(), log_rising(totals).sum(axis=0)
 
@@ -122,14 +122,14 @@ def _weigh_block(corpus, hp, tables, bounds):
     return logw, top, same
 
 
-def exact_posterior(corpus, hp, budget=ENUMERATION_BUDGET):
+def exact_posterior(corpus, hp):
     """Enumerate all assignments; see :class:`ExactPosterior`.
 
     The blocks are weighed independently, in order, and combined in block
     index order.
     """
     _check_compatible(corpus, hp)
-    total = _assignment_total(corpus, hp, budget)
+    total = _assignment_total(corpus, hp)
     n = corpus.total_records
     k = hp.entity_count
     blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]

@@ -33,7 +33,7 @@ def tiny_problems(draw, max_records=12, max_entities=5):
 
 def copy_state(state):
     return VariationalState(
-        phi=state.phi.copy(), lam=[l.copy() for l in state.lam], rows=state.rows.copy()
+        phi=state.phi.copy(), lam=state.lam.copy(), rows=state.rows.copy()
     )
 
 
@@ -42,7 +42,7 @@ def permute_entities(state, perm):
     perm = np.asarray(perm)
     return VariationalState(
         phi=np.ascontiguousarray(state.phi[:, perm]),
-        lam=[np.ascontiguousarray(l[perm]) for l in state.lam],
+        lam=np.ascontiguousarray(state.lam[:, perm]),
         rows=state.rows.copy(),
     )
 
@@ -63,4 +63,4 @@ def validate(state, atol=1e-12):
         err = np.max(np.abs(state.phi.sum(axis=1) - 1.0))
         if err > atol:
             raise ValueError(f"phi rows deviate from the simplex by {err}")
-    _check_lam(state.lam, state.entity_count, [np.shape(l)[-1] for l in state.lam])
+    _check_lam(state.lam, (len(state.lam), state.entity_count))

@@ -12,6 +12,7 @@ doubles as a sign-off report:
 7. recovery quality on peaked synthetic data (pairwise F1)
 8. linear per-sweep scaling in the number of records
 9. byte-identical linkage output across worker counts
+10. per-sweep fit work linear in the distinct records, counted, not timed
 """
 
 import contextlib
@@ -21,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+import vblink.engine as engine
 from vblink.cli import main
 from vblink.corpus import Corpus, Schema
 from vblink.engine import (
@@ -94,11 +96,9 @@ def sweep_battery():
         conservation = []
 
         def on_sweep(_sweep, _value, state, hp=hp, n=n, out=conservation):
-            worst = 0.0
-            for a, lam_f in zip(hp.alpha, state.lam):
-                mass = float(lam_f.sum() - hp.entity_count * a.sum())
-                worst = max(worst, abs(mass - n))
-            out.append(worst)
+            mass = engine._field_sums(state.lam, [a.size for a in hp.alpha]).sum(axis=1)
+            prior = hp.entity_count * np.array([a.sum() for a in hp.alpha])
+            out.append(float(np.max(np.abs(mass - prior - n), initial=0.0)))
 
         _, report = fit(
             corpus, hp, max_sweeps=25, rel_tol=1e-9, seed=i, on_sweep=on_sweep
@@ -161,14 +161,15 @@ def test_03_gradient_matches_finite_differences(capsys):
             hp = HyperParams(k, alpha)
             state = init_state(corpus, hp, seed=int(rng.integers(1000)))
             state.phi = rng.dirichlet(np.ones(k), size=corpus.total_records)
-            state.lam = [rng.uniform(0.3, 5.0, size=(k, c)) for c in corpus.schema.cardinalities]
+            state.lam = rng.uniform(0.3, 5.0, size=(sum(corpus.schema.cardinalities), k))
             kk = int(rng.integers(k))
             ff = int(rng.integers(2))
             vv = int(rng.integers(3))
             grad = elbo_grad_lambda(state, corpus, hp, kk, ff, vv)
             hi, lo = copy_state(state), copy_state(state)
-            hi.lam[ff][kk, vv] += h
-            lo.lam[ff][kk, vv] -= h
+            row = sum(corpus.schema.cardinalities[:ff]) + vv
+            hi.lam[row, kk] += h
+            lo.lam[row, kk] -= h
             fd = (elbo(hi, corpus, hp) - elbo(lo, corpus, hp)) / (2 * h)
             assert grad == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
@@ -229,10 +230,9 @@ def test_06_label_permutation_equivariance(capsys):
         np.testing.assert_allclose(
             state_b.phi, state_a.phi[:, perm], rtol=1e-9, atol=1e-12
         )
-        for f in range(corpus.schema.field_count):
-            np.testing.assert_allclose(
-                state_b.lam[f], state_a.lam[f][perm], rtol=1e-9, atol=1e-12
-            )
+        np.testing.assert_allclose(
+            state_b.lam, state_a.lam[:, perm], rtol=1e-9, atol=1e-12
+        )
 
 
 RECOVERY_CONFIG = GenConfig(
@@ -298,6 +298,54 @@ def test_08_linear_sweep_scaling(capsys):
         r_squared = 1.0 - residual / total
         assert r_squared >= 0.98
         assert times[-1] <= 30.0
+
+
+def test_10_fit_sweep_work_linear_in_rows(capsys, monkeypatch):
+    with criterion(capsys, 10, "each fit sweep scores every distinct row once"):
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)
+        normalise, one_hot = engine._normalise_block, engine._one_hot
+        seen = {"rows": [], "one_hot": 0}
+
+        def counted_normalise(out, table, columns):
+            seen["rows"].append((out.ctypes.data, out.shape[0]))
+            return normalise(out, table, columns)
+
+        def counted_one_hot(*args):
+            seen["one_hot"] += 1
+            return one_hot(*args)
+
+        monkeypatch.setattr(engine, "_normalise_block", counted_normalise)
+        monkeypatch.setattr(engine, "_one_hot", counted_one_hot)
+        for n in (300, 900):
+            corpus = random_instance(
+                np.random.default_rng(n), n, field_count=4, cardinality=9,
+                distortion=0.3, seed=n,
+            )
+            hp = HyperParams.symmetric(7, 0.5, corpus.schema.cardinalities)
+            sweeps = []
+
+            def on_sweep(_sweep, _value, state, out=sweeps):
+                # the first row of phi each normalised block starts at
+                row_bytes = state.phi.strides[0]
+                starts = [(at - state.phi.ctypes.data) // row_bytes
+                          for at, _ in seen["rows"]]
+                covered = np.zeros(state.phi.shape[0], dtype=int)
+                for start, (_, rows) in zip(starts, seen["rows"]):
+                    covered[start : start + rows] += 1
+                out.append((covered, seen["one_hot"]))
+                seen["rows"].clear()
+                seen["one_hot"] = 0
+
+            state, report = fit(
+                corpus, hp, max_sweeps=4, rel_tol=1e-300, on_sweep=on_sweep
+            )
+            distinct = state.phi.shape[0]
+            blocks = len(engine._blocks(distinct, hp.entity_count))
+            assert distinct > 3 * 64 and blocks > 3
+            assert len(sweeps) == report.sweeps_run == 4
+            for covered, one_hots in sweeps:
+                assert np.all(covered == 1)
+                assert one_hots == 2 * blocks
 
 
 def test_09_worker_determinism(capsys, tmp_path):

@@ -229,14 +229,13 @@ class TestFit:
         assert main(["fit", db, "--schema", schema, "--out", str(out)]) == 0
         with np.load(out / "state.npz") as data:
             assert data.files == [
-                "version", "db_sizes", "cardinalities", "entity_count",
-                "alpha_0", "lam_0",
+                "version", "db_sizes", "cardinalities", "entity_count", "alpha", "lam",
             ]
         lam, header = load_state(out / "state.npz")
         assert header["db_sizes"] == (3,)
-        assert lam[0].shape == (3, 2)
+        assert lam.shape == (2, 3)
         # the prior mass 3 x 2 x 0.1 plus one count per record
-        assert lam[0].sum() == pytest.approx(3.6, rel=1e-12)
+        assert lam.sum() == pytest.approx(3.6, rel=1e-12)
 
     def test_entities_break_ties_at_the_smallest_code(self, tmp_path):
         # one entity holds one "blue" and one "red": lambda ties, and "red"
@@ -262,11 +261,12 @@ class TestFit:
             with open(out / "entities.csv", newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
             lam, _ = load_state(out / "state.npz")
+            fields = np.split(lam, np.cumsum(schema.cardinalities)[:-1])
             linked = np.unique(evaluate.read_linkage(out / "linkage.csv").map_entity)
             assert rows == [
                 ["entity", "field", "value"],
                 *[
-                    [str(k), name, schema.value(f, int(np.argmax(lam[f][k - 1])))]
+                    [str(k), name, schema.value(f, int(np.argmax(fields[f][:, k - 1])))]
                     for k in linked.tolist()
                     for f, name in enumerate(schema.field_names)
                 ],
@@ -469,6 +469,7 @@ class TestOutputWriters:
             hp = HyperParams.symmetric(3, 0.5, schema.cardinalities)
             state, _ = fit(corpus, hp, max_sweeps=3, seed=1)
             linkage = evaluate.map_linkage(state, corpus.db_sizes)
+            fields = np.split(state.lam, np.cumsum(schema.cardinalities, dtype=int)[:-1])
 
             write_databases(corpus, [out / "db1.csv", out / "db2.csv"])
             write_ground_truth(truth, out / "truth.csv")
@@ -512,7 +513,7 @@ class TestOutputWriters:
                 "entities.csv": [
                     ["entity", "field", "value"],
                     *[
-                        [k, name, schema.value(f, int(np.argmax(state.lam[f][k - 1])))]
+                        [k, name, schema.value(f, int(np.argmax(fields[f][:, k - 1])))]
                         for k in np.unique(linkage.map_entity).tolist()
                         for f, name in enumerate(schema.field_names)
                     ],

@@ -172,6 +172,18 @@ class TestCorpus:
                 values=np.array([[-1]], dtype=np.int32),
             )
 
+    def test_codes_the_int32_cast_would_change_rejected(self):
+        # each would be stored as a valid code (1, 1, 0, ...) by the cast
+        schema = Schema(field_names=("f",), field_values=(("a", "b"),))
+        for values in ([[2**32 + 1]], [[1.7]], [[-(2**32)]], [[np.nan]]):
+            with pytest.raises(ValueError, match="int32"):
+                Corpus(schema=schema, db_sizes=(1,), values=values)
+        exact = Corpus(schema=schema, db_sizes=(2,), values=[[1.0], [np.int64(0)]])
+        np.testing.assert_array_equal(exact.values, [[1], [0]])
+        for dtype in (np.float64, np.int64, object):
+            empty = Corpus(schema=schema, db_sizes=(0,), values=np.zeros((0, 1), dtype))
+            assert empty.values.dtype == np.int32
+
     def test_size_shape_consistency(self):
         schema = Schema(field_names=("f",), field_values=(("a",),))
         with pytest.raises(ValueError):

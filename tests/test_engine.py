@@ -69,9 +69,9 @@ def tiny_corpus(column, cardinality=2):
 
 
 def make_state(phi, lam):
+    """A state with one row per record and ``lam`` the (sum V_f, K) table."""
     return VariationalState(
-        phi=np.asarray(phi, dtype=np.float64),
-        lam=[np.asarray(l, dtype=np.float64) for l in lam],
+        phi=np.asarray(phi, dtype=np.float64), lam=np.asarray(lam, dtype=np.float64)
     )
 
 
@@ -124,16 +124,19 @@ class TestFieldCounts:
         assert counts.shape == (9, k)
         np.testing.assert_allclose(counts, want, rtol=1e-12, atol=1e-15)
 
-    def test_by_field_views_and_lambda_split(self):
-        counts = np.arange(18.0).reshape(9, 2)
-        parts = engine._by_field(counts, (3, 1, 5))
-        assert [p.shape for p in parts] == [(3, 2), (1, 2), (5, 2)]
-        np.testing.assert_array_equal(np.concatenate(parts), counts)
-        alpha = [np.full(v, 0.5) for v in (3, 1, 5)]
-        lam = engine._lambda_of_counts(alpha, counts)
-        for lam_f, a_f, c_f in zip(lam, alpha, parts):
-            assert lam_f.flags.c_contiguous
-            np.testing.assert_array_equal(lam_f, a_f + c_f.T)
+    def test_field_sums_add_each_fields_rows(self):
+        table = np.arange(18.0).reshape(9, 2)
+        np.testing.assert_array_equal(engine._starts((3, 1, 5)), [0, 3, 4])
+        np.testing.assert_array_equal(
+            engine._field_sums(table, (3, 1, 5)),
+            [table[:3].sum(axis=0), table[3], table[4:].sum(axis=0)],
+        )
+        assert engine._field_sums(np.zeros((0, 2)), ()).shape == (0, 2)
+        alpha = [np.full(3, 0.5), np.array([2.0]), np.arange(1.0, 6.0)]
+        np.testing.assert_array_equal(
+            engine._stacked(alpha), [0.5, 0.5, 0.5, 2.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        )
+        assert engine._stacked([]).shape == (0,)
 
     def test_no_records_gives_zero_tables(self):
         total, counts = engine._pass(
@@ -179,13 +182,13 @@ class TestScores:
         np.testing.assert_allclose(lse, logsumexp(want, axis=1), rtol=1e-14)
 
     def test_score_table_stacks_each_field(self):
-        lam = [[[1.0, 2.0, 3.0], [0.5, 0.5, 4.0]], [[2.0], [7.0]]]
-        state = make_state(np.zeros((1, 2)), lam)
-        table = engine._score_tables(state)
+        # field 0 is rows 0-2, field 1 is row 3; one column per entity
+        lam = np.array([[1.0, 0.5], [2.0, 0.5], [3.0, 4.0], [2.0, 7.0]])
+        table = engine._score_tables(lam, (3, 1))
         assert table.shape == (4, 2) and table.flags.c_contiguous
-        for lam_f, t_f in zip(state.lam, engine._by_field(table, (3, 1))):
-            want = engine.digamma(lam_f) - engine.digamma(lam_f.sum(axis=1))[:, None]
-            np.testing.assert_array_equal(t_f, want.T)
+        digamma = engine.digamma
+        np.testing.assert_array_equal(table[:3], digamma(lam[:3]) - digamma([6.0, 5.0]))
+        np.testing.assert_array_equal(table[3], digamma(lam[3]) - digamma(lam[3]))
 
     def test_no_fields_gives_uniform_rows(self):
         out = np.empty((3, 4))
@@ -193,8 +196,7 @@ class TestScores:
         lse = engine._normalise_block(out, np.zeros((0, 4)), no_columns)
         np.testing.assert_array_equal(out, np.full((3, 4), 0.25))
         np.testing.assert_allclose(lse, np.full(3, math.log(4.0)), rtol=1e-15)
-        state = make_state(np.zeros((1, 4)), [])
-        assert engine._score_tables(state).shape == (0, 4)
+        assert engine._score_tables(np.zeros((0, 4)), []).shape == (0, 4)
 
     def test_no_rows_gives_an_empty_block(self):
         out = np.empty((0, 4))
@@ -206,23 +208,23 @@ class TestScores:
 class TestUpdateLambda:
     def test_prior_plus_counts(self, pair_corpus):
         hp = HyperParams.symmetric(1, 1.0, [2])
-        state = make_state(np.ones((2, 1)), [np.ones((1, 2))])
+        state = make_state(np.ones((2, 1)), np.ones((2, 1)))
         update_lambda(state, pair_corpus, hp)
-        np.testing.assert_allclose(state.lam[0], [[3.0, 1.0]])
+        np.testing.assert_allclose(state.lam, [[3.0], [1.0]])
 
     def test_split_responsibilities(self):
         corpus = tiny_corpus([0, 1])
         hp = HyperParams.symmetric(2, 0.5, [2])
-        state = make_state(np.full((2, 2), 0.5), [None])
+        state = make_state(np.full((2, 2), 0.5), np.ones((2, 2)))
         update_lambda(state, corpus, hp)
-        np.testing.assert_allclose(state.lam[0], np.full((2, 2), 1.0))
+        np.testing.assert_allclose(state.lam, np.full((2, 2), 1.0))
 
     def test_no_records_leaves_prior(self):
         corpus = tiny_corpus([])
         hp = HyperParams(2, [np.array([0.3, 0.9])])
-        state = make_state(np.zeros((0, 2)), [None])
+        state = make_state(np.zeros((0, 2)), np.ones((2, 2)))
         update_lambda(state, corpus, hp)
-        np.testing.assert_array_equal(state.lam[0], [[0.3, 0.9], [0.3, 0.9]])
+        np.testing.assert_array_equal(state.lam, [[0.3, 0.3], [0.9, 0.9]])
 
     def test_mass_conservation(self):
         corpus, _ = sample_dataset(
@@ -237,29 +239,29 @@ class TestUpdateLambda:
         hp = HyperParams.symmetric(9, 0.25, corpus.schema.cardinalities)
         state = init_state(corpus, hp, seed=0)
         n = corpus.total_records
-        for f, a in enumerate(hp.alpha):
-            total = float(np.sum(state.lam[f] - a[None, :]))
-            assert abs(total - n) <= 1e-9 * n
+        mass = engine._field_sums(state.lam, corpus.schema.cardinalities).sum(axis=1)
+        prior = [hp.entity_count * a.sum() for a in hp.alpha]
+        np.testing.assert_allclose(mass - prior, n, rtol=1e-9)
 
 
 class TestUpdatePhi:
     def test_single_entity(self, pair_corpus):
         hp = HyperParams.symmetric(1, 1.0, [2])
-        state = make_state(np.zeros((2, 1)), [np.array([[3.0, 1.0]])])
+        state = make_state(np.zeros((2, 1)), [[3.0], [1.0]])
         update_phi(state, pair_corpus, hp)
         np.testing.assert_array_equal(state.phi, np.ones((2, 1)))
 
     def test_identical_entities_give_uniform(self):
         corpus = tiny_corpus([0, 1, 0])
         hp = HyperParams.symmetric(3, 1.0, [2])
-        state = make_state(np.zeros((3, 3)), [np.full((3, 2), 1.7)])
+        state = make_state(np.zeros((3, 3)), np.full((2, 3), 1.7))
         update_phi(state, corpus, hp)
         np.testing.assert_allclose(state.phi, np.full((3, 3), 1 / 3), atol=1e-15)
 
     def test_hand_computed_two_entities(self):
         corpus = tiny_corpus([0])
         hp = HyperParams.symmetric(2, 1.0, [2])
-        state = make_state(np.zeros((1, 2)), [np.array([[2.0, 1.0], [1.0, 2.0]])])
+        state = make_state(np.zeros((1, 2)), [[2.0, 1.0], [1.0, 2.0]])
         update_phi(state, corpus, hp)
         # scores are psi(2)-psi(3), psi(1)-psi(3) = -0.5, -1.5
         np.testing.assert_allclose(
@@ -290,10 +292,10 @@ class TestUpdatePhi:
                 [-800.0, -800.0 - math.log(2.0), -1500.0],
             ]
         )
-        monkeypatch.setattr(engine, "_score_tables", lambda _state: table)
+        monkeypatch.setattr(engine, "_score_tables", lambda _lam, _cards: table)
         corpus = tiny_corpus([0, 1, 0])
         hp = HyperParams.symmetric(3, 1.0, [2])
-        state = make_state(np.zeros((3, 3)), [np.ones((3, 2))])
+        state = make_state(np.zeros((3, 3)), np.ones((2, 3)))
         update_phi(state, corpus, hp)
         assert np.all(np.isfinite(state.phi)) and np.all(state.phi >= 0.0)
         np.testing.assert_allclose(state.phi.sum(axis=1), 1.0, atol=1e-15)
@@ -322,7 +324,7 @@ class TestElbo:
     def test_zero_when_no_data_and_prior_state(self):
         corpus = tiny_corpus([])
         hp = HyperParams(3, [np.array([0.7, 1.3])])
-        state = make_state(np.zeros((0, 3)), [np.tile([0.7, 1.3], (3, 1))])
+        state = make_state(np.zeros((0, 3)), np.repeat([[0.7], [1.3]], 3, axis=1))
         assert elbo(state, corpus, hp) == pytest.approx(0.0, abs=1e-13)
 
     def test_single_entity_closed_form(self, pair_corpus):
@@ -341,7 +343,7 @@ class TestElbo:
         # -2 ln 2 - 2 ln 2 = log p(x, z) = ln(1/16).
         corpus = tiny_corpus([0, 1])
         hp = HyperParams.symmetric(2, 1.0, [2])
-        state = make_state([[1.0, 0.0], [0.0, 1.0]], [[[2.0, 1.0], [1.0, 2.0]]])
+        state = make_state([[1.0, 0.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]])
         value = elbo(state, corpus, hp)
         assert math.isfinite(value)
         assert value == pytest.approx(math.log(1.0 / 16.0), abs=1e-12)
@@ -368,7 +370,7 @@ class TestGradient:
     def test_zero_for_prior_state_without_data(self):
         corpus = tiny_corpus([])
         hp = HyperParams(2, [np.array([0.5, 2.0])])
-        state = make_state(np.zeros((0, 2)), [np.tile([0.5, 2.0], (2, 1))])
+        state = make_state(np.zeros((0, 2)), [[0.5, 0.5], [2.0, 2.0]])
         for k in range(2):
             for v in range(2):
                 assert elbo_grad_lambda(state, corpus, hp, k, 0, v) == pytest.approx(
@@ -382,16 +384,15 @@ class TestGradient:
         h = 1e-5
         for _ in range(20):
             state = make_state(
-                rng.dirichlet(np.ones(2), size=3),
-                [rng.uniform(0.5, 4.0, size=(2, 2))],
+                rng.dirichlet(np.ones(2), size=3), rng.uniform(0.5, 4.0, size=(2, 2))
             )
             k = int(rng.integers(2))
             v = int(rng.integers(2))
             grad = elbo_grad_lambda(state, corpus, hp, k, 0, v)
             hi = copy_state(state)
-            hi.lam[0][k, v] += h
+            hi.lam[v, k] += h
             lo = copy_state(state)
-            lo.lam[0][k, v] -= h
+            lo.lam[v, k] -= h
             fd = (elbo(hi, corpus, hp) - elbo(lo, corpus, hp)) / (2 * h)
             assert grad == pytest.approx(fd, rel=1e-5)
 
@@ -442,16 +443,15 @@ class TestFit:
         np.testing.assert_allclose(
             state_b.phi, state_a.phi[:, perm], rtol=1e-9, atol=1e-12
         )
-        for f in range(2):
-            np.testing.assert_allclose(
-                state_b.lam[f], state_a.lam[f][perm], rtol=1e-9, atol=1e-12
-            )
+        np.testing.assert_allclose(
+            state_b.lam, state_a.lam[:, perm], rtol=1e-9, atol=1e-12
+        )
 
     def test_numerical_failure_reports_sweep(self, pair_corpus):
         hp = HyperParams.symmetric(2, 1.0, [2])
         # finite and positive, so it passes the input checks, but entity 0's
         # row sum overflows to inf and the first sweep's ELBO is NaN
-        lam = [np.array([[1e308, 1e308], [1.0, 1.0]])]
+        lam = np.array([[1e308, 1.0], [1e308, 1.0]])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericalFailureError
         ) as err:
@@ -485,7 +485,7 @@ class TestInitState:
         a = init_state(pair_corpus, hp, seed=12)
         b = init_state(pair_corpus, hp, seed=12)
         np.testing.assert_array_equal(a.phi, b.phi)
-        np.testing.assert_array_equal(a.lam[0], b.lam[0])
+        np.testing.assert_array_equal(a.lam, b.lam)
 
     def test_single_entity_degenerate(self, pair_corpus):
         hp = HyperParams.symmetric(1, 1.0, [2])
@@ -541,7 +541,7 @@ def fit_sweeps(corpus, hp, **options):
     sweeps = []
 
     def keep(_sweep, value, state):
-        sweeps.append((value, state.phi.copy(), [l.copy() for l in state.lam]))
+        sweeps.append((value, state.phi.copy(), state.lam.copy()))
 
     state, _ = fit(corpus, hp, rel_tol=1e-300, on_sweep=keep, **options)
     return state, sweeps
@@ -549,20 +549,20 @@ def fit_sweeps(corpus, hp, **options):
 
 def assert_resume_is_exact(corpus, hp, path, first, then, seed=0):
     """Fit ``first`` sweeps, checkpoint, and fit ``then`` more sweeps from
-    the loaded lam: each sweep that both this and an uninterrupted fit
-    made has the same ELBO, phi and lam bit for bit.  Returns how many
-    sweeps were compared."""
+    the loaded lam and from a Fortran-ordered copy of it: each sweep that
+    both such a fit and an uninterrupted fit made has the same ELBO, phi
+    and lam bit for bit.  Returns how many sweeps were compared."""
     _, whole = fit_sweeps(corpus, hp, max_sweeps=first + then, seed=seed)
     state, head = fit_sweeps(corpus, hp, max_sweeps=first, seed=seed)
     save_state(path, state.lam, corpus, hp)
     lam, _ = load_state(path)
-    _, tail = fit_sweeps(corpus, hp, initial_lam=lam, max_sweeps=then, seed=seed)
-    compared = list(zip(whole[len(head) :], tail))
-    for (elbo_a, phi_a, lam_a), (elbo_b, phi_b, lam_b) in compared:
-        assert elbo_a == elbo_b
-        np.testing.assert_array_equal(phi_a, phi_b)
-        for got, want in zip(lam_b, lam_a):
-            np.testing.assert_array_equal(got, want)
+    for start in (lam, np.asfortranarray(lam)):
+        _, tail = fit_sweeps(corpus, hp, initial_lam=start, max_sweeps=then, seed=seed)
+        compared = list(zip(whole[len(head) :], tail))
+        for (elbo_a, phi_a, lam_a), (elbo_b, phi_b, lam_b) in compared:
+            assert elbo_a == elbo_b
+            np.testing.assert_array_equal(phi_a, phi_b)
+            np.testing.assert_array_equal(lam_a, lam_b)
     return len(compared)
 
 
@@ -583,15 +583,16 @@ class TestCheckpoint:
         save_state(path, state.lam, corpus, hp)
         with np.load(path) as data:
             assert data.files == [
-                "version", "db_sizes", "cardinalities", "entity_count",
-                "alpha_0", "lam_0", "alpha_1", "lam_1",
+                "version", "db_sizes", "cardinalities", "entity_count", "alpha", "lam",
             ]
             assert data["version"].shape == ()
+            np.testing.assert_array_equal(data["alpha"], np.full(5, 0.4))
         lam, header = load_state(path)
-        for f in range(2):
-            np.testing.assert_array_equal(lam[f], state.lam[f])
-            np.testing.assert_array_equal(header["alpha"][f], hp.alpha[f])
-        assert header["version"] == engine.STATE_FORMAT_VERSION == 3
+        np.testing.assert_array_equal(lam, state.lam)
+        assert len(header["alpha"]) == 2
+        for got, want in zip(header["alpha"], hp.alpha):
+            np.testing.assert_array_equal(got, want)
+        assert header["version"] == engine.STATE_FORMAT_VERSION == 4
         assert header["db_sizes"] == (12, 9)
         assert header["cardinalities"] == [3, 2]
         assert header["entity_count"] == 5
@@ -618,16 +619,17 @@ class TestCheckpoint:
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.npz"
-        np.savez(path, version=np.asarray(99))
-        with pytest.raises(ValueError):
-            load_state(path)
+        for version in (99, 3):
+            np.savez(path, version=np.asarray(version))
+            with pytest.raises(ValueError, match=f"version {version}"):
+                load_state(path)
 
     @pytest.mark.parametrize(
         "name, corrupt, message",
         [
-            ("lam_1", lambda a: a[:, :-1], "lam for field 1"),
-            ("alpha_0", lambda a: np.append(a, 1.0), "alpha for field 0"),
-            ("lam_1", None, "'lam_1' is missing"),
+            ("lam", lambda a: a[:-1], r"a \(sum V_f, K\) = \(5, 3\) array"),
+            ("alpha", lambda a: np.append(a, 1.0), r"alpha has shape \(6,\), not \(5,\)"),
+            ("lam", None, "'lam' is missing"),
         ],
         ids=["lam_shape", "alpha_length", "missing_array"],
     )
@@ -656,13 +658,13 @@ class TestCheckpoint:
 class TestStateValidation:
     def test_rejects_broken_simplex(self):
         for phi in ([[0.6, 0.6]], [[np.nan, 0.5]], [[np.inf, 0.5]]):
-            state = make_state(phi, [np.ones((2, 2))])
+            state = make_state(phi, np.ones((2, 2)))
             with pytest.raises(ValueError):
                 validate(state)
 
     def test_rejects_nonpositive_lambda(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
-            state = make_state([[0.5, 0.5]], [np.array([[1.0, bad], [1.0, 1.0]])])
+            state = make_state([[0.5, 0.5]], [[1.0, 1.0], [bad, 1.0]])
             with pytest.raises(ValueError):
                 validate(state)
 
@@ -699,12 +701,11 @@ class TestDistinctRecords:
     def test_closed_form_start_matches_lambda_update(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
         start = init_state(corpus, hp, seed=5)
-        closed_form = [l.copy() for l in start.lam]
+        closed_form = start.lam.copy()
         update_lambda(start, corpus, hp)
-        for got, want in zip(closed_form, start.lam):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(closed_form, start.lam, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(
-            engine._seeded_lambda(corpus, hp, seed=5)[0], closed_form[0]
+            engine._seeded_lambda(corpus, hp, seed=5), closed_form
         )
 
     def test_known_duplicates(self):
@@ -734,20 +735,21 @@ class TestDistinctRecords:
     def test_caller_initial_state_is_not_written(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
         start = init_state(corpus, hp, seed=2).lam
-        before = [l.copy() for l in start]
+        before = start.copy()
         state, _ = fit(corpus, hp, initial_lam=start, max_sweeps=3)
-        for now, then in zip(start, before):
-            np.testing.assert_array_equal(now, then)
-        assert all(a is not b for a, b in zip(state.lam, start))
+        np.testing.assert_array_equal(start, before)
+        assert not np.shares_memory(state.lam, start)
 
     def test_initial_state_of_wrong_shape_rejected(self, pair_corpus):
         hp = HyperParams.symmetric(2, 1.0, [2])
-        with pytest.raises(ValueError, match="lam for field 0"):
-            fit(pair_corpus, hp, initial_lam=[np.ones((3, 2))])
+        shape = r"lam must be a \(sum V_f, K\) = \(2, 2\) array"
+        for wrong in (np.ones((3, 2)), np.ones((2, 2, 1)), [np.ones((2, 2))]):
+            with pytest.raises(ValueError, match=shape):
+                fit(pair_corpus, hp, initial_lam=wrong)
         # bad input is a ValueError up front, never a numerical failure
         for bad in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="lam for field 0"):
-                fit(pair_corpus, hp, initial_lam=[np.array([[1.0, bad], [1.0, 1.0]])])
+            with pytest.raises(ValueError, match="lam must be finite"):
+                fit(pair_corpus, hp, initial_lam=np.array([[1.0, bad], [1.0, 1.0]]))
 
 
 class TestFusedSweep:
@@ -775,8 +777,7 @@ class TestFusedSweep:
         state, _ = fit(corpus, hp, max_sweeps=5, seed=6)
         reference = copy_state(state)
         update_lambda(reference, corpus, hp)
-        for got, want in zip(state.lam, reference.lam):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(state.lam, reference.lam, rtol=1e-12, atol=0.0)
 
     def test_copied_and_reloaded_lambda_give_the_same_phi(
         self, duplicate_heavy, tmp_path
@@ -785,15 +786,18 @@ class TestFusedSweep:
         state, _ = fit(corpus, hp, max_sweeps=2, seed=6)
         updated = copy_state(state)
         update_lambda(updated, corpus, hp)
-        assert all(l.flags.c_contiguous for l in state.lam + updated.lam)
+        assert state.lam.flags.c_contiguous and updated.lam.flags.c_contiguous
         copied = copy_state(state)
         save_state(tmp_path / "state.npz", state.lam, corpus, hp)
         lam, _ = load_state(tmp_path / "state.npz")
         reloaded = VariationalState(phi=state.phi.copy(), lam=lam, rows=state.rows)
-        for s in (state, copied, reloaded):
+        fortran = VariationalState(
+            phi=state.phi.copy(), lam=np.asfortranarray(lam), rows=state.rows
+        )
+        for s in (state, copied, reloaded, fortran):
             update_phi(s, corpus, hp)
-        np.testing.assert_array_equal(copied.phi, state.phi)
-        np.testing.assert_array_equal(reloaded.phi, state.phi)
+        for s in (copied, reloaded, fortran):
+            np.testing.assert_array_equal(s.phi, state.phi)
 
     def test_blocks_are_capped_at_eight_mebibytes(self):
         assert engine._rows_per_block(50) == engine.BLOCK_RECORDS

@@ -21,7 +21,7 @@ from vblink.genmodel import GenConfig, GroundTruth, sample_dataset, write_ground
 def state_from_phi(phi):
     phi = np.asarray(phi, dtype=np.float64)
     k = phi.shape[1]
-    return VariationalState(phi=phi, lam=[np.ones((k, 2))])
+    return VariationalState(phi=phi, lam=np.ones((2, k)))
 
 
 def truth_of(labels, db_sizes=None):

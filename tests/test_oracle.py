@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.special import gammaln, logsumexp
 
+from vblink import oracle
 from vblink.cli import BOUND_SLACK
 from vblink.corpus import Corpus, Schema
 from vblink.engine import HyperParams, fit
@@ -184,12 +185,14 @@ class TestGuards:
         with pytest.raises(EnumerationBudgetError, match=r"4\^30"):
             exact_posterior(corpus, hp)
 
-    def test_budget_boundary_is_inclusive(self):
+    def test_budget_boundary_is_inclusive(self, monkeypatch):
         corpus = small_corpus([[0], [1]], [2])
         hp = HyperParams.symmetric(2, 1.0, [2])
-        assert math.isfinite(exact_posterior(corpus, hp, budget=4).log_evidence)
-        with pytest.raises(EnumerationBudgetError):
-            exact_posterior(corpus, hp, budget=3)
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 4)
+        assert math.isfinite(exact_posterior(corpus, hp).log_evidence)
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 3)
+        with pytest.raises(EnumerationBudgetError, match=r"2\^2 = 4 assignments .* of 3"):
+            exact_posterior(corpus, hp)
 
     def test_alpha_cardinality_mismatch(self):
         corpus = small_corpus([[0, 1]], [3, 2])
