@@ -118,16 +118,19 @@ def _read_alpha_file(path):
     return vectors
 
 
-def _alpha_vectors(args, cardinalities):
-    """The per-field concentrations.  A defaulted alpha is written back into
-    ``args``, so the manifest records the value used."""
+def _hyperparams(args, cardinalities):
+    """``k`` and the concentrations, the alpha file's per-field vectors
+    stacked once.  A defaulted alpha is written back into ``args``, so the
+    manifest records the value used."""
     if args.alpha_file is not None:
         if args.alpha is not None:
             raise ValueError("give either --alpha or --alpha-file, not both")
-        return resolve_alpha(_read_alpha_file(args.alpha_file), cardinalities)
+        vectors = resolve_alpha(_read_alpha_file(args.alpha_file), cardinalities)
+        # The leading empty piece lets a zero-field corpus stack no vectors.
+        return HyperParams(args.k, np.concatenate([np.zeros(0), *vectors]))
     if args.alpha is None:
         args.alpha = DEFAULT_ALPHA
-    return resolve_alpha(args.alpha, cardinalities)
+    return HyperParams.symmetric(args.k, args.alpha, cardinalities)
 
 
 def _write_json(path, payload):
@@ -167,11 +170,7 @@ def _fit_setup(args):
     corpus = load_databases(args.databases, schema=schema)
     if args.k is None:
         args.k = corpus.total_records
-    hp = HyperParams(
-        entity_count=args.k,
-        alpha=_alpha_vectors(args, corpus.schema.cardinalities),
-    )
-    return corpus, hp
+    return corpus, _hyperparams(args, corpus.schema.cardinalities)
 
 
 def cmd_synth(args):

@@ -7,8 +7,9 @@ offset_f + v (offset_f = V_0 + ... + V_{f-1}), entity k is column k.  The
 responsibilities of a record depend on it only through its value tuple,
 so records that carry the same tuple share one row of ``phi``: ``phi`` is
 (U, K) over the U distinct tuples, ``rows`` maps each of the N records to
-its row, and row ``u`` stands for ``m[u]`` records.  With ``alpha`` the
-priors stacked the same way, a sweep applies the two closed-form updates
+its row, and row ``u`` stands for ``m[u]`` records.  The prior ``alpha``
+of :class:`HyperParams` is one (sum V_f,) vector in the same rows, and a
+sweep applies the two closed-form updates
 
     lam[j, k] <- alpha[j] + sum_u m[u] * phi[u, k] * 1{row u has value j}
     phi[u, k] propto exp( sum_f T[offset_f + x[u, f], k] ),
@@ -48,6 +49,8 @@ sweep's (:func:`_pass`), and they share the score table, the one-hot
 indicator, ln B and lam = alpha + counts with it.  The reference
 :func:`elbo` is in bracket form: its bracket alpha + counts - lam
 vanishes at lam = alpha + counts, which leaves the sweep's closed form.
+:func:`elbo_grad_lambda` gives the ELBO's gradient in lam from the same
+bracket, as one (sum V_f, K) table in the layout of lam.
 The enumeration oracle (:mod:`vblink.oracle`) weighs each hard
 assignment by the ln B terms at its counts.
 
@@ -85,27 +88,29 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass(eq=False)
 class HyperParams:
-    """Number of latent entities plus per-field Dirichlet concentrations."""
+    """Number of latent entities K plus the Dirichlet concentrations
+    ``alpha``, one (sum V_f,) vector in the rows of lam: value v of field f
+    is entry offset_f + v.  A per-field list of vectors is refused, never
+    reshaped; ``np.concatenate`` stacks one."""
 
     entity_count: int
-    alpha: list  # per field, a (V_f,) float array
+    alpha: np.ndarray
 
     def __post_init__(self):
-        self.entity_count = int(self.entity_count)
-        if self.entity_count < 1:
-            raise ValueError("entity_count must be >= 1")
-        self.alpha = [np.ascontiguousarray(a, dtype=np.float64) for a in self.alpha]
-        for a in self.alpha:
-            if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0.0)):
-                raise ValueError("alpha vectors must be 1-D, finite and strictly positive")
+        k = int(self.entity_count)
+        if k != self.entity_count or k < 1:
+            raise ValueError(
+                f"entity_count must be an integer >= 1, not {self.entity_count!r}"
+            )
+        self.entity_count = k
+        a = self.alpha = np.ascontiguousarray(self.alpha, dtype=np.float64)
+        if a.ndim != 1 or not np.all(np.isfinite(a) & (a > 0.0)):
+            raise ValueError("alpha must be one 1-D, finite, strictly positive vector")
 
     @classmethod
     def symmetric(cls, entity_count, alpha, cardinalities):
-        """Broadcast one scalar concentration across every field and value."""
-        return cls(
-            entity_count=entity_count,
-            alpha=[np.full(int(v_f), float(alpha)) for v_f in cardinalities],
-        )
+        """One scalar concentration for every field and value."""
+        return cls(entity_count, np.full(sum(cardinalities), float(alpha)))
 
 
 @dataclass(eq=False)
@@ -154,14 +159,14 @@ def _blocks(row_count, entity_count):
     return [(lo, min(lo + step, row_count)) for lo in range(0, row_count, step)]
 
 
-def _row_patterns(state, values):
-    """Value tuple ``(U, F)`` and multiplicity ``(U,)`` of each phi row,
-    read off ``state.rows``."""
+def _row_patterns(state, corpus):
+    """Stacked columns ``(U, F)`` (see :func:`_columns`) and multiplicity
+    ``(U,)`` of each phi row, read off ``state.rows``."""
     row_count = state.phi.shape[0]
     first = np.zeros(row_count, dtype=np.intp)
     first[state.rows] = np.arange(state.rows.size)
     multiplicity = np.bincount(state.rows, minlength=row_count).astype(np.float64)
-    return values[first], multiplicity
+    return _columns(corpus.values[first], corpus.schema.cardinalities), multiplicity
 
 
 def _distinct_rows(values):
@@ -180,11 +185,6 @@ def _starts(cardinalities):
     """Each field's first row of lam, offset_f = V_0 + ... + V_{f-1}."""
     cards = np.asarray(cardinalities, dtype=np.intp)
     return np.cumsum(cards) - cards
-
-
-def _stacked(alpha):
-    """The per-field priors as one (sum V_f,) vector in the rows of lam."""
-    return np.concatenate([np.zeros(0), *alpha])
 
 
 def _columns(values, cardinalities):
@@ -256,7 +256,7 @@ def _seeded_lambda(corpus, hp, seed):
     spread = np.bincount(columns.ravel(), share, sum(cards))
     pairs = columns * np.intp(k) + (np.arange(n) % k)[:, None]
     peak = np.bincount(pairs.ravel(), np.repeat(w, len(cards)), sum(cards) * k)
-    return (_stacked(hp.alpha) + spread)[:, None] + peak.reshape(-1, k)
+    return (hp.alpha + spread)[:, None] + peak.reshape(-1, k)
 
 
 def init_state(corpus, hp, seed):
@@ -287,24 +287,18 @@ def init_state(corpus, hp, seed):
 
 
 def _check_compatible(corpus, hp):
-    if len(hp.alpha) != corpus.schema.field_count:
-        raise ValueError(
-            f"{len(hp.alpha)} alpha vectors for {corpus.schema.field_count} fields"
-        )
-    for f, (a, v_f) in enumerate(zip(hp.alpha, corpus.schema.cardinalities)):
-        if a.shape != (v_f,):
-            raise ValueError(f"alpha for field {f} has length {a.shape[0]}, not {v_f}")
+    width = sum(corpus.schema.cardinalities)
+    if hp.alpha.shape != (width,):
+        raise ValueError(f"alpha has {hp.alpha.size} entries, not sum V_f = {width}")
 
 
 def update_lambda(state, corpus, hp):
     """Closed-form Dirichlet update: prior plus multiplicity- and
     responsibility-weighted counts, from a pass that leaves phi as it is."""
-    values, weights = _row_patterns(state, corpus.values)
-    cards = corpus.schema.cardinalities
-    _, counts = _pass(
-        state.phi, _columns(values, cards), weights, sum(cards), lambda p, c, m: 0.0
-    )
-    state.lam = _stacked(hp.alpha)[:, None] + counts
+    columns, weights = _row_patterns(state, corpus)
+    width = sum(corpus.schema.cardinalities)
+    _, counts = _pass(state.phi, columns, weights, width, lambda p, c, m: 0.0)
+    state.lam = hp.alpha[:, None] + counts
     return state.lam
 
 
@@ -340,9 +334,8 @@ def _normalise_block(out, table, columns):
 def update_phi(state, corpus, hp):
     """Log-space responsibility update, one block of rows at a time,
     normalized into ``phi``."""
-    cards = corpus.schema.cardinalities
-    table = _score_tables(state.lam, cards)
-    columns = _columns(_row_patterns(state, corpus.values)[0], cards)
+    table = _score_tables(state.lam, corpus.schema.cardinalities)
+    columns = _row_patterns(state, corpus)[0]
     for lo, hi in _blocks(*state.phi.shape):
         _normalise_block(state.phi[lo:hi], table, columns[lo:hi])
     return state.phi
@@ -362,39 +355,37 @@ def elbo(state, corpus, hp):
     exactly when K = 1.
     """
     k = state.entity_count
-    values, weights = _row_patterns(state, corpus.values)
+    columns, weights = _row_patterns(state, corpus)
     cards = corpus.schema.cardinalities
     entropy, counts = _pass(
-        state.phi, _columns(values, cards), weights, sum(cards),
+        state.phi, columns, weights, sum(cards),
         lambda p, c, m: entr(p).sum(axis=1) @ m,
     )
-    alpha = _stacked(hp.alpha)
-    bracket = alpha[:, None] + counts - state.lam
+    bracket = hp.alpha[:, None] + counts - state.lam
     return (
         float(entropy) - float(weights.sum()) * math.log(k)
         + float(np.vdot(bracket, _score_tables(state.lam, cards)))
-        + _log_beta(state.lam, cards) - k * _log_beta(alpha, cards)
+        + _log_beta(state.lam, cards) - k * _log_beta(hp.alpha, cards)
     )
 
 
-def elbo_grad_lambda(state, corpus, hp, k, f, v):
-    """Partial derivative of the ELBO in field f's lam at value v and
-    entity k (0-based indices), that is in ``lam[offset_f + v, k]``.
+def elbo_grad_lambda(state, corpus, hp):
+    """The (sum V_f, K) table of the ELBO's partial derivatives in lam.
+    With bracket = alpha + counts - lam, the bracket of :func:`elbo`, the
+    entry at row j of field f and entity k is
 
-    Two-term trigamma form; zero at the fixed point reached by
+        psi'(lam[j, k]) * bracket[j, k]
+        - psi'(field f's sum of lam[:, k]) * (field f's sum of bracket[:, k])
+
+    with psi' the trigamma function; zero at the fixed point reached by
     :func:`update_lambda`.
     """
-    values, weights = _row_patterns(state, corpus.values)
-    counts = np.bincount(
-        values[:, f], weights=weights * state.phi[:, k], minlength=hp.alpha[f].size
-    )
-    start = _starts(corpus.schema.cardinalities)[f]
-    lam_kf = state.lam[start : start + hp.alpha[f].size, k]
-    bracket = hp.alpha[f] - lam_kf + counts
-    return float(
-        polygamma(1, lam_kf[v]) * bracket[v]
-        - polygamma(1, lam_kf.sum()) * bracket.sum()
-    )
+    columns, weights = _row_patterns(state, corpus)
+    cards = corpus.schema.cardinalities
+    _, counts = _pass(state.phi, columns, weights, sum(cards), lambda p, c, m: 0.0)
+    bracket = hp.alpha[:, None] + counts - state.lam
+    fields = polygamma(1, _field_sums(state.lam, cards)) * _field_sums(bracket, cards)
+    return polygamma(1, state.lam) * bracket - np.repeat(fields, cards, axis=0)
 
 
 def _sweep(state, columns, weights, alpha, cardinalities):
@@ -481,14 +472,12 @@ def fit(
     state = VariationalState(
         phi=np.empty((distinct, hp.entity_count)), lam=lam, rows=rows
     )
-    values, weights = _row_patterns(state, corpus.values)
-    columns = _columns(values, cards)
-    alpha = _stacked(hp.alpha)
+    columns, weights = _row_patterns(state, corpus)
     trace = []
     decreases = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        value = _sweep(state, columns, weights, alpha, cards)
+        value = _sweep(state, columns, weights, hp.alpha, cards)
         if not math.isfinite(value):
             raise NumericalFailureError(
                 sweep, f"ELBO is {value}; {_state_stats(state)}"
@@ -546,14 +535,15 @@ def save_state(path, lam, corpus, hp):
             db_sizes=np.asarray(corpus.db_sizes, dtype=np.int64),
             cardinalities=np.asarray(corpus.schema.cardinalities, dtype=np.int64),
             entity_count=np.asarray(hp.entity_count),
-            alpha=_stacked(hp.alpha),
+            alpha=hp.alpha,
             lam=lam,
         )
 
 
 def load_state(path):
     """Read a checkpoint; returns ``(lam, header_dict)``.  The header's
-    ``alpha`` is the per-field list that :class:`HyperParams` takes.
+    ``alpha`` is the stacked (sum V_f,) vector that :class:`HyperParams`
+    takes.
 
     Raises ``ValueError`` when an array is missing, the version is not the
     current one, or an array's shape disagrees with the header.
@@ -579,6 +569,5 @@ def load_state(path):
     if alpha.shape != (sum(cards),):
         raise ValueError(f"alpha has shape {alpha.shape}, not ({sum(cards)},)")
     _check_lam(lam, (sum(cards), header["entity_count"]))
-    # Split at every field's end; the piece after the last end is empty.
-    header["alpha"] = np.split(alpha, np.cumsum(cards, dtype=np.intp))[:-1]
+    header["alpha"] = alpha
     return lam, header

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from vblink.engine import _check_compatible, _stacked
+from vblink.engine import _check_compatible, _columns, _field_sums
 
 ENUMERATION_BUDGET = 10**6
 
@@ -86,9 +86,8 @@ def _lngamma_tables(corpus, hp):
         """lnG(a + n) - lnG(a), one row per entry of a."""
         return gammaln(a[:, None] + n) - gammaln(a)[:, None]
 
-    alpha = _stacked(hp.alpha)
-    totals = np.array([a_f.sum() for a_f in hp.alpha])
-    return log_rising(alpha).ravel(), log_rising(totals).sum(axis=0)
+    totals = _field_sums(hp.alpha, corpus.schema.cardinalities)
+    return log_rising(hp.alpha).ravel(), log_rising(totals).sum(axis=0)
 
 
 def _weigh_block(corpus, hp, tables, bounds):
@@ -104,10 +103,10 @@ def _weigh_block(corpus, hp, tables, bounds):
     n = corpus.total_records
     k = hp.entity_count
     labels = _decode(ids, n, k)
-    offsets = np.cumsum([0, *corpus.schema.cardinalities])
-    width = offsets[-1]
+    cards = corpus.schema.cardinalities
+    width = hp.alpha.size
     entity = np.arange(ids.size)[:, None] * k + labels
-    keys = entity[:, :, None] * width + (corpus.values + offsets[:-1])
+    keys = entity[:, :, None] * width + _columns(corpus.values, cards)
     counts = np.bincount(keys.ravel(), minlength=ids.size * k * width)
     counts = counts.reshape(ids.size, k, width)
     counts += np.arange(width) * (n + 1)

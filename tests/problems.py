@@ -4,14 +4,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from vblink.corpus import Corpus, Schema
-from vblink.engine import HyperParams, VariationalState, _check_lam
+from vblink.engine import HyperParams, VariationalState, _check_lam, elbo
 
 
 @st.composite
 def tiny_problems(draw, max_records=12, max_entities=5):
     """A random corpus of 1 to ``max_records`` records, at most 3 fields of
     at most 4 values and 1 or 2 databases, with at most ``max_entities``
-    entities."""
+    entities and a stacked alpha whose entries each lie in [0.1, 2]."""
     cards = draw(st.lists(st.integers(1, 4), max_size=3))
     n = draw(st.integers(1, max_records))
     row = st.tuples(*(st.integers(0, v - 1) for v in cards))
@@ -25,16 +25,27 @@ def tiny_problems(draw, max_records=12, max_entities=5):
         db_sizes=(first_db, n - first_db),
         values=values.reshape(n, len(cards)),
     )
-    alpha = draw(st.sampled_from([0.1, 0.5, 2.0]))
-    return corpus, HyperParams.symmetric(
-        draw(st.integers(1, max_entities)), alpha, cards
-    )
+    concentration = st.floats(0.1, 2.0)
+    alpha = draw(st.lists(concentration, min_size=sum(cards), max_size=sum(cards)))
+    return corpus, HyperParams(draw(st.integers(1, max_entities)), alpha)
 
 
 def copy_state(state):
     return VariationalState(
         phi=state.phi.copy(), lam=state.lam.copy(), rows=state.rows.copy()
     )
+
+
+def central_differences(state, corpus, hp, h=1e-5):
+    """The (sum V_f, K) table of central differences of :func:`elbo` in
+    each entry of ``state.lam``."""
+    table = np.empty_like(state.lam)
+    for index in np.ndindex(*state.lam.shape):
+        hi, lo = copy_state(state), copy_state(state)
+        hi.lam[index] += h
+        lo.lam[index] -= h
+        table[index] = (elbo(hi, corpus, hp) - elbo(lo, corpus, hp)) / (2 * h)
+    return table
 
 
 def permute_entities(state, perm):

@@ -388,16 +388,18 @@ class TestFit:
         assert code == 2
 
     def test_alpha_file_round_trips_into_state(self, tmp_path):
-        db, schema = write_tiny_db(tmp_path)
+        db, schema = tmp_path / "db.csv", tmp_path / "schema.txt"
+        db.write_text("color,size\nred,s\nblue,l\n")
+        schema.write_text("color\tred,blue\nsize\ts,m,l\n")
         alpha_file = tmp_path / "alpha.txt"
-        alpha_file.write_text("# per-field vectors\n0.5,2.0\n")
+        alpha_file.write_text("# per-field vectors\n0.5,2.0\n0.3,0.7,1.1\n")
         out = tmp_path / "run"
         code = main(
             [
                 "fit",
-                db,
+                str(db),
                 "--schema",
-                schema,
+                str(schema),
                 "--k",
                 "1",
                 "--alpha-file",
@@ -408,7 +410,8 @@ class TestFit:
         )
         assert code == 0
         _, header = load_state(out / "state.npz")
-        np.testing.assert_array_equal(header["alpha"][0], [0.5, 2.0])
+        # the per-field lines, stacked in the rows of lam
+        np.testing.assert_array_equal(header["alpha"], [0.5, 2.0, 0.3, 0.7, 1.1])
 
     def test_bad_option_values(self, tmp_path, monkeypatch):
         def enumerate_nothing(*_args, **_kwargs):
