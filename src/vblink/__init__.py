@@ -5,7 +5,8 @@ individuals: each record picks an individual uniformly at random and each
 categorical field value is drawn from that individual's field-specific
 distribution, itself under a Dirichlet prior.  Fitting is mean-field
 coordinate ascent on the evidence lower bound; tiny instances can be
-checked against exact enumeration.
+checked against the exact evidence, a sum over set partitions of the
+records.
 """
 
 from .corpus import (

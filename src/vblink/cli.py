@@ -357,7 +357,7 @@ def build_parser():
 
     oracle_parser = sub.add_parser(
         "oracle-check",
-        help="compare the fitted bound against exact enumeration (tiny instances)",
+        help="compare the fitted bound against the exact evidence (tiny instances)",
     )
     _add_fit_flags(oracle_parser)
     oracle_parser.set_defaults(func=cmd_oracle_check, subparser=oracle_parser)

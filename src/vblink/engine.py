@@ -51,8 +51,9 @@ indicator, ln B and lam = alpha + counts with it.  The reference
 vanishes at lam = alpha + counts, which leaves the sweep's closed form.
 :func:`elbo_grad_lambda` gives the ELBO's gradient in lam from the same
 bracket, as one (sum V_f, K) table in the layout of lam.
-The enumeration oracle (:mod:`vblink.oracle`) weighs each hard
-assignment by the ln B terms at its counts.
+The exact oracle (:mod:`vblink.oracle`) weighs each record subset by
+the ln B terms at its counts, through the same one-hot indicator, field
+sums and ln B, and sums over the set partitions of the records.
 
 A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20 entries of
 phi (8 MiB), so wide-K blocks still fit in cache.  Determinism contract:
@@ -97,7 +98,10 @@ class HyperParams:
     alpha: np.ndarray
 
     def __post_init__(self):
-        k = int(self.entity_count)
+        try:
+            k = int(self.entity_count)
+        except (OverflowError, ValueError):  # inf, -inf and NaN
+            k = 0
         if k != self.entity_count or k < 1:
             raise ValueError(
                 f"entity_count must be an integer >= 1, not {self.entity_count!r}"

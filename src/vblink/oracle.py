@@ -1,155 +1,137 @@
-"""Exact posterior quantities by exhaustive enumeration of assignments.
+"""Exact posterior quantities by a dynamic program over record subsets.
 
 With the per-entity attribute distributions integrated out analytically
-(Dirichlet-multinomial conjugacy), the weight of one assignment vector z is
+(Dirichlet-multinomial conjugacy), an entity holding the record set S
+contributes the factor
 
-    log w(z) = sum_k sum_f [ log B(alpha_f + c_kf(z)) - log B(alpha_f) ]
-             = sum_{k,f,v} [ lnG(alpha_fv + c_kfv(z)) - lnG(alpha_fv) ]
-               - sum_k S(N_k(z)),
-    S(n) = sum_f [ lnG(A_f + n) - lnG(A_f) ],   A_f = sum_v alpha_fv,
+    log g(S) = sum_f [ log B(alpha_f + c_f(S)) - log B(alpha_f) ],
 
-where c_kfv(z) counts records assigned to entity k carrying value v in
-field f, B is the multivariate beta function and lnG is ln Gamma.  This is
-the first term of the engine's telescoped ELBO evaluated at hard counts.
-Every record carries exactly one value per field, so sum_v c_kfv(z) is the
-entity size N_k(z), the same for every field, and S needs one table.
-Every count is an integer in 0..N, so both terms are exact lookups: one
-(sum_f V_f, N+1) table of the first and the (N+1,) table of S, built once
-per call.  The counts of a block of assignments come from one ``bincount``
-over (assignment, entity, value) keys and the entity sizes from one over
-(assignment, entity) keys; the blocks run one after another.
-The evidence is then log p(x) = -N*log(K) + log sum_z w(z), a sum over
-all K**N assignment vectors taken by ``scipy.special.logsumexp``, so it
-cannot overflow.  Each block also sums its co-clustering indicators
-weighted by exp(log w(z) - m_b), m_b the block's largest log weight, in
-the same pass over its labels; the blocks' sums C_b combine in block
-order as sum_b exp(m_b - log sum_z w(z)) * C_b = P(z_i = z_j | x).  This
-is a test fixture for the variational engine, not a scalable inference
-path: instances beyond the enumeration budget are refused, never
-approximated.
+where c_fv(S) counts the records of S carrying value v in field f, B is
+the multivariate beta function, and g of the empty set is 1.  This is the
+first term of the engine's telescoped ELBO evaluated at hard counts.  An
+assignment vector z weighs w(z) = prod_k g({i : z_i = k}), which depends on
+z only through the partition of the records it induces; a partition into
+b blocks comes from K!/(K-b)! assignments.  With P_b(T) the sum of
+prod g over the partitions of T into b blocks, the evidence is
+
+    log p(x) = log sum_b K!/(K-b)! * P_b(all records) - N*log(K).
+
+P_0 is 1 at the empty set, P_1 = g off it, and for b >= 2
+
+    P_b(T) = sum_{S subset of T, S holds T's lowest record} g(S) * P_{b-1}(T \\ S),
+
+which names every partition once, by the block of T's lowest record.  Only
+P_0 .. P_{B-1}, B = min(K, N), are needed over all 2^N subsets: the record
+set S is one block of the partition with weight g(S) * R(rest), with
+R(U) = sum_b K!/(K-b)! * P_{b-1}(U), and summing that over the sets S
+holding record 0 gives the normaliser Z of the evidence.  Its share
+w(S) = g(S) * R(rest) / Z is the posterior probability that S is a block,
+so P(z_i = z_j | x) is the sum of w(S) over the sets S holding i and j.
+Levels 2 .. B-1 take (3^N - 1)/2 pair terms each; all sums are taken in
+log space with a max shift, so none can overflow.  This is a test fixture
+for the variational engine, not a scalable inference path: instances
+beyond the enumeration budget are refused, never approximated.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from vblink.engine import _check_compatible, _columns, _field_sums
+from vblink.engine import _check_compatible, _columns, _field_sums, _log_beta, _one_hot
 
 ENUMERATION_BUDGET = 10**6
 
-_BLOCK = 4096
-
 
 class EnumerationBudgetError(ValueError):
-    """K**N exceeds the assignment enumeration budget."""
+    """The subset dynamic program's term count exceeds the enumeration budget."""
 
 
 @dataclass(eq=False)
 class ExactPosterior:
-    """Exact evidence, per-assignment posterior, and pairwise co-clustering.
+    """Exact evidence and pairwise co-clustering.
 
-    ``assignment_log_probs[i]`` is log p(z|x) for the assignment whose
-    mixed-radix digits (record 0 least significant, base K) spell ``i``.
     ``cocluster[i, j]`` is P(z_i = z_j | x) over flat record indices.
     """
 
     log_evidence: float
-    assignment_log_probs: np.ndarray
     cocluster: np.ndarray
 
 
-def _assignment_total(corpus, hp):
-    total = hp.entity_count ** corpus.total_records
-    if total > ENUMERATION_BUDGET:
+def _check_budget(n, k):
+    """Refuse N records at K entities when the program's terms, (3^N - 1)/2
+    pairs if it has levels 2 .. B-1 and 2^N set weights if not, exceed the
+    budget."""
+    pairs = min(k, n) > 2
+    if ((3**n - 1) // 2 if pairs else 2**n) > ENUMERATION_BUDGET:
+        size = f"(3^{n} - 1)/2" if pairs else f"2^{n}"
         raise EnumerationBudgetError(
-            f"{hp.entity_count}^{corpus.total_records} = {total} assignments "
-            f"exceeds the enumeration budget of {ENUMERATION_BUDGET}"
+            f"{n} records at K = {k} need {size} subset terms, more than "
+            f"the enumeration budget of {ENUMERATION_BUDGET}"
         )
-    return total
 
 
-def _decode(ids, n, k):
-    """Mixed-radix digits of each id: labels[b, i] = (ids[b] // k**i) % k.
-    k**n is within the enumeration budget, so the powers fit in int64."""
-    return ids[:, None] // k ** np.arange(n) % k
-
-
-def _lngamma_tables(corpus, hp):
-    """The flat table whose entry c * (N+1) + n is lnG(alpha_c + n) -
-    lnG(alpha_c), for the sum_f V_f columns c of all fields side by side,
-    and the (N+1,) table of S(n)."""
-    n = np.arange(corpus.total_records + 1)
-
-    def log_rising(a):
-        """lnG(a + n) - lnG(a), one row per entry of a."""
-        return gammaln(a[:, None] + n) - gammaln(a)[:, None]
-
-    totals = _field_sums(hp.alpha, corpus.schema.cardinalities)
-    return log_rising(hp.alpha).ravel(), log_rising(totals).sum(axis=0)
-
-
-def _weigh_block(corpus, hp, tables, bounds):
-    """For the assignments ``lo..hi-1`` of ``bounds``: their log w(z), its
-    maximum m, and the (N, N) co-clustering sum of the block,
-    sum_z exp(log w(z) - m) * 1{z_i = z_j}, all from one decode of the
-    labels.  The counts c_kfv(z) of the whole block come from one bincount:
-    the fields' values sit side by side in sum_f V_f columns, and
-    (assignment b, entity z, column c) has the key (b * K + z) * sum_f V_f
-    + c.  The sizes N_k(z) come from one bincount over the keys b * K + z."""
-    column, size = tables
-    ids = np.arange(*bounds)
+def _set_weights(corpus, hp):
+    """The (2^N, N) membership matrix of every record subset (bit i of row
+    S is record i) and log g(S) for each row."""
     n = corpus.total_records
-    k = hp.entity_count
-    labels = _decode(ids, n, k)
     cards = corpus.schema.cardinalities
-    width = hp.alpha.size
-    entity = np.arange(ids.size)[:, None] * k + labels
-    keys = entity[:, :, None] * width + _columns(corpus.values, cards)
-    counts = np.bincount(keys.ravel(), minlength=ids.size * k * width)
-    counts = counts.reshape(ids.size, k, width)
-    counts += np.arange(width) * (n + 1)
-    sizes = np.bincount(entity.ravel(), minlength=ids.size * k)
-    terms = column[counts].reshape(ids.size, -1).sum(axis=1)
-    logw = terms - size[sizes].reshape(ids.size, k).sum(axis=1)
-    top = logw.max()
-    weights = np.exp(logw - top)
-    same = np.empty((n, n))
-    for i in range(n):
-        same[i] = weights @ (labels == labels[:, i : i + 1])
-    return logw, top, same
+    members = np.arange(2**n)[:, None] >> np.arange(n) & 1
+    x = _one_hot(_columns(corpus.values, cards), hp.alpha.size, np.ones(corpus.values.size))
+    lam = hp.alpha[:, None] + x.T @ members.T
+    logg = gammaln(lam).sum(axis=0) - gammaln(_field_sums(lam, cards)).sum(axis=0)
+    return members, logg - _log_beta(hp.alpha, cards)
+
+
+def _pairs(n):
+    """The (3^N - 1)/2 pairs (T, S) of non-empty record sets T and subsets
+    S of T holding T's lowest record, sorted by T.  Record i joins each pair
+    of the records below it outside T, in T \\ S and in S, and starts the
+    pair ({i}, {i})."""
+    t = s = np.zeros(0, dtype=np.int64)
+    for bit in 1 << np.arange(n):
+        t, s = np.r_[t, bit, t | bit, t | bit], np.r_[s, bit, s, s | bit]
+    order = np.argsort(t, kind="stable")
+    return t[order], s[order]
+
+
+def _next_level(level, logg, t, s, starts):
+    """log P_b over every subset from log P_{b-1}: each set T's pair terms
+    are one group of ``t``, summed by a log-sum-exp shifted by its max."""
+    terms = logg[s] + level[t ^ s]
+    top = np.maximum.reduceat(terms, starts)
+    top[np.isneginf(top)] = 0.0  # every term -inf: T has fewer than b records
+    with np.errstate(divide="ignore"):
+        total = np.log(np.add.reduceat(np.exp(terms - top[t - 1]), starts))
+    return np.r_[-np.inf, top + total]
 
 
 def exact_posterior(corpus, hp):
-    """Enumerate all assignments; see :class:`ExactPosterior`.
-
-    The blocks are weighed independently, in order, and combined in block
-    index order.
-    """
+    """Sum over the set partitions of the records; see :class:`ExactPosterior`."""
     _check_compatible(corpus, hp)
-    total = _assignment_total(corpus, hp)
-    n = corpus.total_records
-    k = hp.entity_count
-    blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
-    weigh = partial(_weigh_block, corpus, hp, _lngamma_tables(corpus, hp))
-    logw, tops, cocluster = zip(*map(weigh, blocks))
-    logw = np.concatenate(logw)
-    # The blocks' co-clustering sums are folded, in block order and relative
-    # to the largest block maximum, before logsumexp's temporaries are made.
-    top = max(tops)
-    cocluster = sum(np.exp(m - top) * c for m, c in zip(tops, cocluster))
+    n, k = corpus.total_records, hp.entity_count
+    _check_budget(n, k)
+    if n == 0:
+        return ExactPosterior(log_evidence=0.0, cocluster=np.zeros((0, 0)))
+    members, logg = _set_weights(corpus, hp)
+    depth = min(k, n)
+    start = np.full(2**n, -np.inf)
+    start[0] = 0.0  # P_0: the empty set is the one set with a 0-block partition
+    levels = [start, np.r_[-np.inf, logg[1:]]][:depth]
+    if depth > 2:
+        t, s = _pairs(n)
+        starts = np.flatnonzero(np.diff(t, prepend=0))
+        while len(levels) < depth:
+            levels.append(_next_level(levels[-1], logg, t, s, starts))
+    falling = np.cumsum(np.log(k - np.arange(depth)))  # ln K!/(K-b)!, b = 1..depth
+    rest = logsumexp(falling[:, None] + np.array(levels), axis=0)
+    # Row 2^N - 1 - S of ``rest`` is R at the complement of S.
+    logw = logg + rest[::-1]
+    log_total = logsumexp(logw[1::2])
 
-    log_total = logsumexp(logw)
-    log_evidence = float(log_total - n * np.log(k))
-    assignment_log_probs = logw - log_total
-
-    cocluster *= np.exp(top - log_total)
+    cocluster = members.T @ (np.exp(logw - log_total)[:, None] * members)
     cocluster = (cocluster + cocluster.T) / 2.0
     np.fill_diagonal(cocluster, 1.0)
-
     return ExactPosterior(
-        log_evidence=log_evidence,
-        assignment_log_probs=assignment_log_probs,
-        cocluster=cocluster,
+        log_evidence=float(log_total - n * np.log(k)), cocluster=cocluster
     )

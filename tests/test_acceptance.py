@@ -4,7 +4,7 @@ Each test prints a one-line ``[PASS]``/``[FAIL]`` verdict so the suite
 doubles as a sign-off report:
 
 1. per-sweep ELBO monotonicity over a randomized battery
-2. final ELBO never exceeds the enumerated exact evidence
+2. final ELBO never exceeds the exact evidence
 3. analytic lambda gradient vs central finite differences
 4. per-field pseudo-count conservation after every lambda update
 5. frozen closed-form values (tiny-instance evidence and co-clustering)

@@ -690,6 +690,15 @@ class TestOracleCheck:
         assert any(line.startswith("exact_log_evidence=") for line in lines)
         assert any(line.startswith("gap=") for line in lines)
 
+    def test_default_k_is_the_record_count(self, tmp_path):
+        # K = N = 10: 10^10 labelled assignments, one sum over set partitions
+        db, schema = write_tiny_db(tmp_path, rows=("red", "blue", "red") * 3 + ("blue",))
+        out = tmp_path / "check"
+        assert main(["oracle-check", db, "--schema", schema, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["k"] == 10
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["gap"] >= -1e-9
+
     def test_enumeration_budget_refusal(self, tmp_path):
         rows = ["red"] * 30
         db, schema = write_tiny_db(tmp_path, rows=rows)
@@ -773,7 +782,6 @@ class TestOneThread:
             corpus_module.load_databases([data / "db1.csv", data / "db2.csv"]).values
         ).max() >= 4  # at least 3 blocks of 2 rows
         db, schema = write_tiny_db(tmp_path, rows=("red", "blue") * 6 + ("red",))
-        # 2**13 assignments: 2 oracle blocks of 4096
         oracle_argv = ["oracle-check", db, "--schema", schema, "--k", "2"]
         for argv in (fit_argv, oracle_argv):
             outs = [tmp_path / f"{argv[0]}_w{w}" for w in (1, 4)]

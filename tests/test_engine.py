@@ -568,7 +568,9 @@ class TestHyperParams:
         with pytest.raises(ValueError):  # ragged: numpy refuses to stack it
             HyperParams(2, [np.ones(2), np.ones(3)])
 
-    @pytest.mark.parametrize("count", [2.7, np.float64(4.5), "3", 0, -1])
+    @pytest.mark.parametrize(
+        "count", [2.7, np.float64(4.5), "3", 0, -1, np.inf, -np.inf, np.nan]
+    )
     def test_rejects_entity_counts_that_int_would_change(self, count):
         with pytest.raises(ValueError, match="entity_count"):
             HyperParams(count, np.ones(2))

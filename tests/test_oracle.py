@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from vblink import oracle
@@ -110,7 +111,6 @@ class TestClosedForms:
         corpus = small_corpus(np.zeros((0, 2)), [3, 2])
         post = exact_posterior(corpus, HyperParams.symmetric(3, 0.5, [3, 2]))
         assert post.log_evidence == 0.0
-        assert post.assignment_log_probs.shape == (1,)
         assert post.cocluster.shape == (0, 0)
 
 
@@ -120,12 +120,6 @@ class TestPosteriorStructure:
         corpus = small_corpus([[0, 1], [0, 1], [1, 0], [0, 0]], [2, 2])
         hp = HyperParams.symmetric(3, 0.5, [2, 2])
         return exact_posterior(corpus, hp)
-
-    def test_assignment_probabilities_normalize(self, posterior):
-        assert posterior.assignment_log_probs.shape == (3**4,)
-        assert logsumexp(posterior.assignment_log_probs) == pytest.approx(
-            0.0, abs=1e-12
-        )
 
     def test_cocluster_is_a_correlation_like_matrix(self, posterior):
         c = posterior.cocluster
@@ -151,50 +145,81 @@ class TestAgainstBruteForce:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_all_records_in_one_entity_reads_the_table_ends(self, k):
-        # identical records: some assignment puts all N of them in one
-        # entity, so the lnGamma tables are read at n = N
+        # identical records: the partition into one block weighs the set of
+        # all N records, whose counts reach N
         corpus = small_corpus([[2, 0, 1]] * 5, [3, 2, 4])
         alpha = np.concatenate([[0.3, 1.7, 0.9], [2.5, 0.4], np.full(4, 0.05)])
         assert_matches_brute_force(corpus, HyperParams(k, alpha))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(problem=tiny_problems(max_records=6, max_entities=3))
+    @given(
+        problem=st.one_of(
+            tiny_problems(max_records=6, max_entities=3),
+            tiny_problems(max_records=4, max_entities=6),
+        )
+    )
     def test_random_corpora_match_and_bound_the_elbo(self, problem):
         corpus, hp = problem
         post = assert_matches_brute_force(corpus, hp)
         _, report = fit(corpus, hp, seed=0)
         assert report.elbo_trace[-1] <= post.log_evidence + BOUND_SLACK
 
-    def test_label_permutation_leaves_summaries_invariant(self):
-        corpus = small_corpus([[0], [1], [0]], [2])
-        hp_a = HyperParams(2, [0.4, 1.3])
-        post = exact_posterior(corpus, hp_a)
-        # swapping cluster labels permutes assignment ids but not the weights
-        ids = np.arange(2**3)
-        digits = np.stack([(ids // 2**i) % 2 for i in range(3)], axis=1)
-        swapped_ids = ((1 - digits) * (2 ** np.arange(3))).sum(axis=1)
+    def test_record_permutation_permutes_the_summaries(self):
+        # the records are exchangeable: reordering them leaves the evidence
+        # as it is and reorders the rows and columns of cocluster
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, [3, 2], size=(7, 2))
+        hp = HyperParams(4, [0.4, 1.3, 0.7, 2.0, 0.3])
+        post = exact_posterior(small_corpus(values, [3, 2]), hp)
+        perm = rng.permutation(7)
+        moved = exact_posterior(small_corpus(values[perm], [3, 2]), hp)
+        assert moved.log_evidence == pytest.approx(post.log_evidence, abs=1e-12)
         np.testing.assert_allclose(
-            post.assignment_log_probs[swapped_ids],
-            post.assignment_log_probs,
-            atol=1e-12,
+            moved.cocluster, post.cocluster[np.ix_(perm, perm)], atol=1e-12
         )
+
+
+class TestEntityCountAtRecordCount:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(problem=tiny_problems(max_records=10))
+    def test_fit_elbo_is_bounded_by_the_evidence(self, problem):
+        # K = N, where every record may have an entity of its own
+        corpus, hp = problem
+        hp = HyperParams(corpus.total_records, hp.alpha)
+        evidence = exact_posterior(corpus, hp).log_evidence
+        _, report = fit(corpus, hp, seed=0)
+        assert report.elbo_trace[-1] <= evidence + BOUND_SLACK
 
 
 class TestGuards:
     def test_budget_refusal_names_the_size(self):
-        corpus = small_corpus([[0]] * 30, [2])
-        hp = HyperParams.symmetric(4, 1.0, [2])
-        with pytest.raises(EnumerationBudgetError, match=r"4\^30"):
-            exact_posterior(corpus, hp)
+        # 3^3000 has more than the 4300 digits Python converts to str by
+        # default, so the size is named by its formula
+        for records, k, size in (
+            (30, 4, r"\(3\^30 - 1\)/2"),
+            (20, 2, r"2\^20"),
+            (3000, 3000, r"\(3\^3000 - 1\)/2"),
+        ):
+            corpus = small_corpus([[0]] * records, [2])
+            hp = HyperParams.symmetric(k, 1.0, [2])
+            with pytest.raises(EnumerationBudgetError, match=size):
+                exact_posterior(corpus, hp)
 
     def test_budget_boundary_is_inclusive(self, monkeypatch):
-        corpus = small_corpus([[0], [1]], [2])
-        hp = HyperParams.symmetric(2, 1.0, [2])
-        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 4)
-        assert math.isfinite(exact_posterior(corpus, hp).log_evidence)
-        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 3)
-        with pytest.raises(EnumerationBudgetError, match=r"2\^2 = 4 assignments .* of 3"):
-            exact_posterior(corpus, hp)
+        # at most two levels need only the 2^N set weights; more need the
+        # (3^N - 1)/2 pairs (T, S)
+        for records, k, terms, size in (
+            (2, 2, 4, r"2\^2"),
+            (5, 1, 32, r"2\^5"),
+            (3, 3, 13, r"\(3\^3 - 1\)/2"),
+        ):
+            corpus = small_corpus([[i % 2] for i in range(records)], [2])
+            hp = HyperParams.symmetric(k, 1.0, [2])
+            monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", terms)
+            assert math.isfinite(exact_posterior(corpus, hp).log_evidence)
+            monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", terms - 1)
+            with pytest.raises(EnumerationBudgetError, match=f"{size} .* of {terms - 1}$"):
+                exact_posterior(corpus, hp)
 
     def test_alpha_cardinality_mismatch(self):
         corpus = small_corpus([[0, 1]], [3, 2])
