@@ -25,6 +25,9 @@ over each field's rows, come from one ``np.add.reduceat``.  A state with
 one row per record (``rows`` = 0..N-1, every ``m[u]`` = 1) is the
 per-record form of the same updates; :func:`fit` finds the distinct tuples
 once and runs every sweep on them, so per-sweep cost scales with U, not N.
+``scipy.special`` and ``scipy.sparse`` are imported inside the functions
+that call them, not at the top, so importing the package, ``vblink synth``
+and ``vblink eval`` (no fit) load neither.
 
 A fit sweep is one blocked pass over phi (:func:`_sweep`).  T is built
 once per sweep (O(K * sum V_f)).  A block of rows has one sparse one-hot
@@ -67,7 +70,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, entr, gammaln, polygamma
 
 # Fixed record-block size; part of the determinism contract above.
 BLOCK_RECORDS = 8192
@@ -209,7 +211,6 @@ def _one_hot(columns, width, data):
     """The sparse (rows, width) indicator X of a block of rows with stacked
     columns ``columns`` (rows, F): row u holds ``data[u * F + f]`` in
     column ``columns[u, f]`` for each field f, in field order."""
-    # Imported here, not at the top, so `vblink synth` (no fit) skips its cost.
     from scipy.sparse import csr_array
 
     rows, fields = columns.shape
@@ -308,6 +309,8 @@ def update_lambda(state, corpus, hp):
 
 def _score_tables(lam, cardinalities):
     """The score table T = psi(lam) - psi(field sums of lam)."""
+    from scipy.special import digamma
+
     table = digamma(lam)
     field_psi = digamma(_field_sums(lam, cardinalities))
     table -= np.repeat(field_psi, cardinalities, axis=0)
@@ -316,6 +319,8 @@ def _score_tables(lam, cardinalities):
 
 def _log_beta(a, cardinalities):
     """Sum of ln B(.) over the fields and columns of a (sum V_f, ...) table."""
+    from scipy.special import gammaln
+
     return float(gammaln(a).sum() - gammaln(_field_sums(a, cardinalities)).sum())
 
 
@@ -358,6 +363,8 @@ def elbo(state, corpus, hp):
     lam = alpha + counts.  Valid for any (phi, lam); equals log p(x)
     exactly when K = 1.
     """
+    from scipy.special import entr
+
     k = state.entity_count
     columns, weights = _row_patterns(state, corpus)
     cards = corpus.schema.cardinalities
@@ -384,6 +391,8 @@ def elbo_grad_lambda(state, corpus, hp):
     with psi' the trigamma function; zero at the fixed point reached by
     :func:`update_lambda`.
     """
+    from scipy.special import polygamma
+
     columns, weights = _row_patterns(state, corpus)
     cards = corpus.schema.cardinalities
     _, counts = _pass(state.phi, columns, weights, sum(cards), lambda p, c, m: 0.0)

@@ -36,7 +36,6 @@ beyond the enumeration budget are refused, never approximated.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from vblink.engine import _check_compatible, _columns, _field_sums, _log_beta, _one_hot
 
@@ -72,11 +71,13 @@ def _check_budget(n, k):
 
 
 def _set_weights(corpus, hp):
-    """The (2^N, N) membership matrix of every record subset (bit i of row
-    S is record i) and log g(S) for each row."""
+    """The (2^N, N) uint8 membership matrix of every record subset (bit i
+    of row S is record i) and log g(S) for each row."""
+    from scipy.special import gammaln
+
     n = corpus.total_records
     cards = corpus.schema.cardinalities
-    members = np.arange(2**n)[:, None] >> np.arange(n) & 1
+    members = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
     x = _one_hot(_columns(corpus.values, cards), hp.alpha.size, np.ones(corpus.values.size))
     lam = hp.alpha[:, None] + x.T @ members.T
     logg = gammaln(lam).sum(axis=0) - gammaln(_field_sums(lam, cards)).sum(axis=0)
@@ -108,6 +109,8 @@ def _next_level(level, logg, t, s, starts):
 
 def exact_posterior(corpus, hp):
     """Sum over the set partitions of the records; see :class:`ExactPosterior`."""
+    from scipy.special import logsumexp
+
     _check_compatible(corpus, hp)
     n, k = corpus.total_records, hp.entity_count
     _check_budget(n, k)

@@ -823,16 +823,32 @@ class TestParser:
 
 
 class TestImports:
-    def test_cli_and_synth_leave_scipy_sparse_unloaded(self, tmp_path):
-        # Only a fit needs scipy.sparse; `vblink synth` pays for none of it.
+    def test_synth_and_eval_leave_scipy_special_and_sparse_unloaded(self, tmp_path):
+        # Only a fit or the oracle needs scipy.special and scipy.sparse; the
+        # import, `vblink synth` and `vblink eval` load neither.  A tiny fit
+        # at the end is the positive control: it must load both.
+        data, run = tmp_path / "data", tmp_path / "run"
+        synth = ["synth", "--k", "2", "--db-sizes", "3,3", "--fields", "2",
+                 "--cardinality", "3", "--distortion", "0.1"]
+        dbs = [str(data / "db1.csv"), str(data / "db2.csv"),
+               "--schema", str(data / "schema.txt")]
+        assert main([*synth, "--out", str(data)]) == 0
+        assert main(["fit", *dbs, "--out", str(run)]) == 0
+        steps = [
+            [*synth, "--out", str(tmp_path / "again")],
+            ["eval", str(run / "linkage.csv"), str(data / "truth.csv"),
+             "--out", str(tmp_path / "score")],
+            ["fit", *dbs, "--out", str(tmp_path / "refit")],
+        ]
         code = (
             "import sys\n"
             "import vblink.cli\n"
-            "print('scipy.sparse' in sys.modules)\n"
-            "assert vblink.cli.main(['synth', '--k', '2', '--db-sizes', '3', "
-            "'--fields', '2', '--cardinality', '3', '--distortion', '0.1', "
-            f"'--out', {str(tmp_path / 'data')!r}]) == 0\n"
-            "print('scipy.sparse' in sys.modules)\n"
+            "def loaded():\n"
+            "    print('loaded', *(m in sys.modules for m in ('scipy.special', 'scipy.sparse')))\n"
+            "loaded()\n"
+            f"for argv in {steps!r}:\n"
+            "    assert vblink.cli.main(argv) == 0\n"
+            "    loaded()\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -843,4 +859,6 @@ class TestImports:
             text=True,
             check=True,
         )
-        assert done.stdout.split() == ["False", "False"]
+        seen = [line.split()[1:] for line in done.stdout.splitlines()
+                if line.startswith("loaded ")]
+        assert seen == [["False", "False"]] * 3 + [["True", "True"]]

@@ -164,6 +164,17 @@ class TestAgainstBruteForce:
         _, report = fit(corpus, hp, seed=0)
         assert report.elbo_trace[-1] <= post.log_evidence + BOUND_SLACK
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_membership_matrix_takes_one_byte_per_entry(self, k):
+        # the (2^N, N) matrix is the oracle's largest integer array: one
+        # byte per entry, with the brute-force results
+        rng = np.random.default_rng(8)
+        corpus = small_corpus(rng.integers(0, [3, 2], size=(6, 2)), [3, 2])
+        hp = HyperParams(k, [0.5, 1.0, 2.0, 0.8, 0.8])
+        members, _ = oracle._set_weights(corpus, hp)
+        assert members.dtype == np.uint8 and members.shape == (2**6, 6)
+        assert_matches_brute_force(corpus, hp)
+
     def test_record_permutation_permutes_the_summaries(self):
         # the records are exchangeable: reordering them leaves the evidence
         # as it is and reorders the rows and columns of cocluster
