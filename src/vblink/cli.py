@@ -35,7 +35,6 @@ from .engine import (
     HyperParams,
     NumericalFailureError,
     _check_fit_options,
-    _starts,
     fit,
     save_state,
 )
@@ -223,19 +222,17 @@ def cmd_fit(args):
     save_state(os.path.join(args.out, "state.npz"), state.lam, corpus, hp)
     # The entities some record links to (bincount finds the set np.unique
     # would without a sort, which added 0.25 MB to link4k's peak RSS), each
-    # with its modal value per field f: the first of f's rows of lam at
-    # the column maximum, so ties go to the smallest code.
+    # with its modal value per field f: the argmax of its column over f's
+    # rows of lam, the first maximum, so ties go to the smallest code.
     entities = np.flatnonzero(np.bincount(linkage.map_entity))
     lam, cards = state.lam, corpus.schema.cardinalities
-    starts = _starts(cards)
-    top = np.repeat(np.maximum.reduceat(lam, starts, axis=0), cards, axis=0)
-    at_top = np.where(lam == top, np.arange(len(lam))[:, None], len(lam))
-    modes = np.minimum.reduceat(at_top, starts, axis=0) - starts[:, None]
+    ends = np.cumsum([0, *cards])
+    modes = [lam[a:b, entities - 1].argmax(axis=0) for a, b in zip(ends, ends[1:])]
     write_entity_table(
         os.path.join(args.out, "entities.csv"),
         corpus.schema,
         entities,
-        modes.T[entities - 1],
+        np.reshape(modes, (len(cards), len(entities))).T,
     )
     _write_manifest(
         args,

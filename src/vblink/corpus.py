@@ -144,6 +144,14 @@ def _read_rows(path):
     return rows[0], rows[1:]
 
 
+class _FirstSeen(dict):
+    """A field's codes in first-seen order: an unseen value takes the next."""
+
+    def __missing__(self, raw):
+        code = self[raw] = len(self)
+        return code
+
+
 def load_databases(paths, schema=None):
     """Read one CSV file per database into a single encoded :class:`Corpus`.
 
@@ -151,66 +159,55 @@ def load_databases(paths, schema=None):
     contain no empty cells.  Without an explicit ``schema``, dictionaries are
     built by first-seen order scanning files in argument order (codes are
     deterministic for a fixed file list).  With an explicit schema, any value
-    absent from it raises :class:`UnknownAttributeError`.
+    absent from it raises :class:`UnknownAttributeError` at its first cell.
+    Each file is read once, and each row coded as it is read.
     """
     paths = list(paths)
     if not paths:
         raise ValueError("at least one database file is required")
 
-    header = None
-    tables = []
+    header, db_sizes, codes = None, [], []
     for path in paths:
-        file_header, rows = _read_rows(path)
-        if header is None:
-            header = file_header
-        elif file_header != header:
-            raise SchemaError(
-                f"{path}: header {file_header!r} does not match "
-                f"{paths[0]}'s header {header!r}"
-            )
-        tables.append((path, rows))
-
-    if schema is not None:
-        if list(schema.field_names) != list(header):
-            raise SchemaError(
-                f"explicit schema fields {list(schema.field_names)!r} do not "
-                f"match file header {header!r}"
-            )
-        code_of = schema.code
-    else:
-        seen = [{} for _ in header]
-
-        def code_of(f, raw):
-            codes = seen[f]
-            if raw not in codes:
-                codes[raw] = len(codes)
-            return codes[raw]
-
-    n_fields = len(header)
-    db_sizes = []
-    encoded = []
-    for path, rows in tables:
-        db_sizes.append(len(rows))
-        for i, row in enumerate(rows):
-            if len(row) != n_fields:
-                raise MissingValueError(
-                    f"{path}: row {i + 1} has {len(row)} cells, expected {n_fields}"
-                )
-            for f, raw in enumerate(row):
-                if raw == "":
-                    raise MissingValueError(
-                        f"{path}: row {i + 1}, column {header[f]!r} is empty"
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            file_header = next(reader, None)
+            if file_header is None:
+                raise SchemaError(f"{path}: file has no header row")
+            if header is None:
+                header, width = file_header, len(file_header)
+                if schema is not None and list(schema.field_names) != header:
+                    raise SchemaError(
+                        f"explicit schema fields {list(schema.field_names)!r} do not "
+                        f"match file header {header!r}"
                     )
-                encoded.append(code_of(f, raw))
+                maps = schema._code_maps if schema else [_FirstSeen() for _ in header]
+            elif file_header != header:
+                raise SchemaError(
+                    f"{path}: header {file_header!r} does not match "
+                    f"{paths[0]}'s header {header!r}"
+                )
+            n = 0
+            for n, row in enumerate(reader, start=1):
+                if len(row) != width:
+                    raise MissingValueError(
+                        f"{path}: row {n} has {len(row)} cells, expected {width}"
+                    )
+                if "" in row:
+                    raise MissingValueError(
+                        f"{path}: row {n}, column {header[row.index('')]!r} is empty"
+                    )
+                try:
+                    codes += [m[raw] for m, raw in zip(maps, row)]
+                except KeyError:  # schema.code names the value and its field
+                    for f, raw in enumerate(row):
+                        schema.code(f, raw)
+                    raise
+            db_sizes.append(n)
 
     if schema is None:
-        schema = Schema(
-            field_names=tuple(header),
-            field_values=tuple(tuple(codes) for codes in seen),
-        )
-    n = sum(db_sizes)
-    values = np.asarray(encoded, dtype=np.int32).reshape(n, n_fields)
-    return Corpus(schema=schema, db_sizes=tuple(db_sizes), values=values)
+        schema = Schema(field_names=header, field_values=maps)
+    values = np.array(codes, dtype=np.int32).reshape(sum(db_sizes), width)
+    return Corpus(schema=schema, db_sizes=db_sizes, values=values)
 
 
 def quote_cells(cells, alone=False):

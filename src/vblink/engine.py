@@ -45,10 +45,9 @@ sum_u m[u] sum_k phi[u, k] log phi[u, k] = <counts, T>
 - sum_u m[u] lse[u].  So a sweep reads phi once and its ELBO costs
 O(K * sum V_f + U).  The public :func:`update_phi`,
 :func:`update_lambda` and :func:`elbo` are the general updates for any
-(phi, lam); the tests hold the sweep to them.
-:func:`update_phi` is the sweep's block normalisation alone,
-:func:`update_lambda` and :func:`elbo` each make one blocked pass like the
-sweep's (:func:`_pass`), and they share the score table, the one-hot
+(phi, lam); the tests hold the sweep to them.  Each makes one pass of
+the sweep's :func:`_pass`, the one walk over phi (:func:`update_phi`
+drops its counts), and they share the score table, the one-hot
 indicator, ln B and lam = alpha + counts with it.  The reference
 :func:`elbo` is in bracket form: its bracket alpha + counts - lam
 vanishes at lam = alpha + counts, which leaves the sweep's closed form.
@@ -221,20 +220,23 @@ def _one_hot(columns, width, data):
 def _pass(phi, columns, weights, width, step):
     """One blocked pass over ``phi`` (stacked columns ``columns``, see
     :func:`_columns`, multiplicities ``weights``).  Each block of rows
-    ``p`` goes first to ``step(p, c, m)``, which may rewrite ``p`` in place
-    and returns a number; while the block is still in cache its weighted
-    counts X^T diag(m) p are then taken, with X the block's one-hot
-    indicator.  The blocks run in order and their partials are added in
-    block order.  Returns the summed number and the (width, K) table
-    ``counts[j, k]`` = sum over rows with a value in column j of
-    ``weights[u] * phi[u, k]``."""
+    ``p`` and its one-hot indicator X (entries 1, built once) go first to
+    ``step(p, X, m)``, which may rewrite ``p`` in place and returns a
+    number; while the block is still in cache X's entries become ``m``
+    and its weighted counts X^T diag(m) p are taken.  The blocks run in
+    order and their partials are added in block order.  Returns the
+    summed number and the (width, K) table ``counts[j, k]`` = sum over
+    rows with a value in column j of ``weights[u] * phi[u, k]``."""
     fields = columns.shape[1]
     total = 0.0
     counts = np.zeros((width, phi.shape[1]))
     for lo, hi in _blocks(*phi.shape):
         p, c, m = phi[lo:hi], columns[lo:hi], weights[lo:hi]
-        total += step(p, c, m)
-        counts += _one_hot(c, width, np.repeat(m, fields)).T @ p
+        x = _one_hot(c, width, np.ones(c.size))
+        total += step(p, x, m)
+        x.data = np.repeat(m, fields)
+        counts += x.T @ p
+        del x  # two X alive at once raised tall48k's peak RSS by 1.4 MB
     return total, counts
 
 
@@ -302,7 +304,7 @@ def update_lambda(state, corpus, hp):
     responsibility-weighted counts, from a pass that leaves phi as it is."""
     columns, weights = _row_patterns(state, corpus)
     width = sum(corpus.schema.cardinalities)
-    _, counts = _pass(state.phi, columns, weights, width, lambda p, c, m: 0.0)
+    _, counts = _pass(state.phi, columns, weights, width, lambda p, x, m: 0.0)
     state.lam = hp.alpha[:, None] + counts
     return state.lam
 
@@ -324,14 +326,14 @@ def _log_beta(a, cardinalities):
     return float(gammaln(a).sum() - gammaln(_field_sums(a, cardinalities)).sum())
 
 
-def _normalise_block(out, table, columns):
-    """Responsibilities of one block of rows (stacked columns ``columns``),
-    written into ``out`` (rows, K): the scores X @ T of the block's one-hot
-    X and the stacked table T, with the row max subtracted before the exp
-    so large field counts cannot overflow, each row divided by its sum.
-    Returns each row's log normaliser, the row max plus the log of the row
-    sum."""
-    scores = _one_hot(columns, table.shape[0], np.ones(columns.size)) @ table
+def _normalise_block(out, table, x):
+    """Responsibilities of one block of rows (one-hot indicator ``x``, see
+    :func:`_one_hot`, entries 1), written into ``out`` (rows, K): the
+    scores X @ T of the block and the stacked table T, with the row max
+    subtracted before the exp so large field counts cannot overflow, each
+    row divided by its sum.  Returns each row's log normaliser, the row max
+    plus the log of the row sum."""
+    scores = x @ table
     top = scores.max(axis=1)
     scores -= top[:, None]
     np.exp(scores, out=scores)
@@ -341,12 +343,14 @@ def _normalise_block(out, table, columns):
 
 
 def update_phi(state, corpus, hp):
-    """Log-space responsibility update, one block of rows at a time,
-    normalized into ``phi``."""
+    """Log-space responsibility update, normalized into ``phi`` by the
+    sweep's own pass; its counts are dropped."""
     table = _score_tables(state.lam, corpus.schema.cardinalities)
-    columns = _row_patterns(state, corpus)[0]
-    for lo, hi in _blocks(*state.phi.shape):
-        _normalise_block(state.phi[lo:hi], table, columns[lo:hi])
+    columns, weights = _row_patterns(state, corpus)
+    _pass(
+        state.phi, columns, weights, table.shape[0],
+        lambda p, x, m: _normalise_block(p, table, x) @ m,
+    )
     return state.phi
 
 
@@ -370,7 +374,7 @@ def elbo(state, corpus, hp):
     cards = corpus.schema.cardinalities
     entropy, counts = _pass(
         state.phi, columns, weights, sum(cards),
-        lambda p, c, m: entr(p).sum(axis=1) @ m,
+        lambda p, x, m: entr(p).sum(axis=1) @ m,
     )
     bracket = hp.alpha[:, None] + counts - state.lam
     return (
@@ -395,7 +399,7 @@ def elbo_grad_lambda(state, corpus, hp):
 
     columns, weights = _row_patterns(state, corpus)
     cards = corpus.schema.cardinalities
-    _, counts = _pass(state.phi, columns, weights, sum(cards), lambda p, c, m: 0.0)
+    _, counts = _pass(state.phi, columns, weights, sum(cards), lambda p, x, m: 0.0)
     bracket = hp.alpha[:, None] + counts - state.lam
     fields = polygamma(1, _field_sums(state.lam, cards)) * _field_sums(bracket, cards)
     return polygamma(1, state.lam) * bracket - np.repeat(fields, cards, axis=0)
@@ -423,7 +427,7 @@ def _sweep(state, columns, weights, alpha, cardinalities):
     table = _score_tables(state.lam, cardinalities)
     log_normaliser, counts = _pass(
         state.phi, columns, weights, table.shape[0],
-        lambda p, c, m: _normalise_block(p, table, c) @ m,
+        lambda p, x, m: _normalise_block(p, table, x) @ m,
     )
     state.lam[:] = alpha[:, None] + counts
     k = state.entity_count

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,16 @@ class TestLoadDatabases:
         with pytest.raises(UnknownAttributeError):
             load_databases(two_files, schema=schema)
 
+    def test_unknown_value_reported_at_its_first_cell(self, tmp_path):
+        path = _write(
+            tmp_path / "a.csv", ["gender,county", "M,A", "F,Z", "X,A", "M,Y"]
+        )
+        schema = Schema(
+            field_names=("gender", "county"), field_values=(("M", "F"), ("A",))
+        )
+        with pytest.raises(UnknownAttributeError, match="'Z'.*'county'"):
+            load_databases([path], schema=schema)
+
     def test_explicit_schema_field_names_must_match_header(self, two_files):
         schema = Schema(field_names=("sex", "county"), field_values=(("M",), ("A",)))
         with pytest.raises(SchemaError):
@@ -124,6 +136,26 @@ class TestLoadDatabases:
         split = load_databases(two_files)
         whole = load_databases([merged])
         np.testing.assert_array_equal(split.values, whole.values)
+
+    def test_codes_rows_as_they_are_read(self, tmp_path):
+        # 20,000 rows of 5 fields: held as strings, the rows alone take
+        # about 80 bytes per cell; coded as read, a code list and the
+        # int32 values take about 13
+        rows, fields = 20_000, 5
+        codes = np.random.default_rng(3).integers(0, 40, size=(rows, fields))
+        path = _write(
+            tmp_path / "big.csv",
+            [",".join(f"f{f}" for f in range(fields))]
+            + [",".join(f"value{c}" for c in row) for row in codes.tolist()],
+        )
+        tracemalloc.start()
+        try:
+            corpus = load_databases([path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.values.shape == (rows, fields)
+        assert peak < 32 * rows * fields
 
     def test_no_files_rejected(self):
         with pytest.raises(ValueError):

@@ -175,10 +175,11 @@ class TestScores:
             want += t_f[values[:, f]]
         columns = engine._columns(values, cards)
         table = np.concatenate(tables)
-        scores = engine._one_hot(columns, table.shape[0], np.ones(columns.size)) @ table
+        x = engine._one_hot(columns, table.shape[0], np.ones(columns.size))
+        scores = x @ table
         np.testing.assert_array_equal(scores, want)
         out = np.empty((n, k))
-        lse = engine._normalise_block(out, table, columns)
+        lse = engine._normalise_block(out, table, x)
         np.testing.assert_allclose(out, softmax(want, axis=1), rtol=1e-13, atol=1e-300)
         np.testing.assert_allclose(lse, logsumexp(want, axis=1), rtol=1e-14)
 
@@ -201,7 +202,8 @@ class TestScores:
     def test_no_rows_gives_an_empty_block(self):
         out = np.empty((0, 4))
         no_rows = np.zeros((0, 2), dtype=np.intp)
-        lse = engine._normalise_block(out, np.zeros((6, 4)), no_rows)
+        x = engine._one_hot(no_rows, 6, np.ones(no_rows.size))
+        lse = engine._normalise_block(out, np.zeros((6, 4)), x)
         assert lse.shape == (0,)
 
 
