@@ -162,9 +162,7 @@ def _fit_setup(args):
     shared by ``fit`` and ``oracle-check``.  The resolved ``k`` and alpha
     are written back into ``args``, which the manifest echoes."""
     _require(args, "out")
-    _check_fit_options(args.max_sweeps, args.tol)
-    if args.workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_fit_options(args.max_sweeps, args.tol, args.workers)
     schema = read_schema_file(args.schema) if args.schema else None
     corpus = load_databases(args.databases, schema=schema)
     if args.k is None:
@@ -214,6 +212,7 @@ def cmd_fit(args):
             max_sweeps=args.max_sweeps,
             rel_tol=args.tol,
             seed=args.seed,
+            workers=args.workers,
             on_sweep=on_sweep,
         )
 
@@ -278,6 +277,7 @@ def cmd_oracle_check(args):
         max_sweeps=args.max_sweeps,
         rel_tol=args.tol,
         seed=args.seed,
+        workers=args.workers,
     )
     final_elbo = report.elbo_trace[-1]
     gap = exact.log_evidence - final_elbo
@@ -315,7 +315,7 @@ def _add_fit_flags(parser):
     parser.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=1000, help="sweep limit (default %(default)s)")
     parser.add_argument("--tol", type=float, default=1e-8, help="relative ELBO change for convergence (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="initialization seed (default %(default)s)")
-    parser.add_argument("--workers", type=int, default=1, help="accepted for old command lines; no effect, the fit runs on one thread (default %(default)s)")
+    parser.add_argument("--workers", type=int, default=1, help="threads for the fit's record blocks; any count gives byte-identical output (default %(default)s)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="key=value defaults file; flags win")
 

@@ -25,9 +25,10 @@ over each field's rows, come from one ``np.add.reduceat``.  A state with
 one row per record (``rows`` = 0..N-1, every ``m[u]`` = 1) is the
 per-record form of the same updates; :func:`fit` finds the distinct tuples
 once and runs every sweep on them, so per-sweep cost scales with U, not N.
-``scipy.special`` and ``scipy.sparse`` are imported inside the functions
-that call them, not at the top, so importing the package, ``vblink synth``
-and ``vblink eval`` (no fit) load neither.
+``scipy.special``, ``scipy.sparse`` and ``concurrent.futures`` are
+imported inside the functions that call them, not at the top, so
+importing the package, ``vblink synth`` and ``vblink eval`` (no fit) load
+none of them.
 
 A fit sweep is one blocked pass over phi (:func:`_sweep`).  T is built
 once per sweep (O(K * sum V_f)).  A block of rows has one sparse one-hot
@@ -59,13 +60,18 @@ sums and ln B, and sums over the set partitions of the records.
 
 A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20 entries of
 phi (8 MiB), so wide-K blocks still fit in cache.  Determinism contract:
-the blocks are fixed by the row count and K, and they run one after
-another with their partial results added in block index order, so
-results are bit-identical for a given seed.  Within a pass ``lam`` is
-read-only and blocks write disjoint rows of phi.
+the blocks are fixed by the row count and K, and their partial results
+are added in block index order, so results are bit-identical for a given
+seed and any worker count.  :func:`fit` runs a pass's blocks in rounds of
+``workers``, the calling thread taking the first block of each round and
+``workers - 1`` pool threads the rest; one worker starts no thread, and
+the reference updates always run on the calling thread.  Within a pass
+``lam`` is read-only and blocks write disjoint rows of phi.
 """
 
+import contextvars
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +157,7 @@ class FitReport:
     converged: bool = False
     distinct_records: int = 0  # U, the rows of phi the sweeps ran on
     elbo_decreases: int = 0  # sweeps whose ELBO fell beyond DECREASE_SLACK
+    sweep_seconds: list = field(default_factory=list)  # wall time of each sweep
 
 
 def _rows_per_block(entity_count):
@@ -217,26 +224,51 @@ def _one_hot(columns, width, data):
     return csr_array((data, columns.ravel(), indptr), shape=(rows, width))
 
 
-def _pass(phi, columns, weights, width, step):
+def _pass(phi, columns, weights, width, step, workers=1):
     """One blocked pass over ``phi`` (stacked columns ``columns``, see
     :func:`_columns`, multiplicities ``weights``).  Each block of rows
     ``p`` and its one-hot indicator X (entries 1, built once) go first to
     ``step(p, X, m)``, which may rewrite ``p`` in place and returns a
     number; while the block is still in cache X's entries become ``m``
-    and its weighted counts X^T diag(m) p are taken.  The blocks run in
-    order and their partials are added in block order.  Returns the
-    summed number and the (width, K) table ``counts[j, k]`` = sum over
-    rows with a value in column j of ``weights[u] * phi[u, k]``."""
+    and its weighted counts X^T diag(m) p are taken.  Returns the summed
+    number and the (width, K) table ``counts[j, k]`` = sum over rows with
+    a value in column j of ``weights[u] * phi[u, k]``.
+
+    The blocks run in rounds of ``workers``: the calling thread runs the
+    first block of a round and at most ``workers - 1`` pool threads run
+    the rest, so at most ``workers`` partials are alive at once.  The
+    partials are added strictly in block order, the serial fold, so the
+    results are bit-identical for any ``workers``; one worker submits
+    nothing, and the pool then starts no thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
     fields = columns.shape[1]
-    total = 0.0
-    counts = np.zeros((width, phi.shape[1]))
-    for lo, hi in _blocks(*phi.shape):
+
+    def block(bounds):
+        lo, hi = bounds
         p, c, m = phi[lo:hi], columns[lo:hi], weights[lo:hi]
         x = _one_hot(c, width, np.ones(c.size))
-        total += step(p, x, m)
+        number = step(p, x, m)
         x.data = np.repeat(m, fields)
-        counts += x.T @ p
-        del x  # two X alive at once raised tall48k's peak RSS by 1.4 MB
+        return number, x.T @ p
+
+    total = 0.0
+    counts = np.zeros((width, phi.shape[1]))
+    blocks = _blocks(*phi.shape)
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        for first in range(0, len(blocks), workers):
+            # each pool block runs in a copy of the caller's context, so
+            # numpy's error state (np.errstate) holds in every block
+            rest = [
+                pool.submit(contextvars.copy_context().run, block, b)
+                for b in blocks[first + 1 : first + workers]
+            ]
+            for number, part in [block(blocks[first]), *(f.result() for f in rest)]:
+                total += number
+                counts += part
+            # a partial kept alive into the next round raised link4k's
+            # peak RSS by 4.9 MB at one worker
+            del rest, part
     return total, counts
 
 
@@ -405,11 +437,12 @@ def elbo_grad_lambda(state, corpus, hp):
     return polygamma(1, state.lam) * bracket - np.repeat(fields, cards, axis=0)
 
 
-def _sweep(state, columns, weights, alpha, cardinalities):
+def _sweep(state, columns, weights, alpha, cardinalities, workers):
     """One fit sweep on a state with one phi row per distinct tuple
     (stacked columns ``columns`` (U, F), multiplicities ``weights`` (U,),
     stacked prior ``alpha``): the phi update, the lam update and the ELBO,
-    from one blocked pass over phi.  Returns the ELBO.
+    from one blocked pass over phi on ``workers`` threads.  Returns the
+    ELBO.
 
     Each block of rows is normalized into phi and, while it is still in
     cache, returns its weighted log-normaliser sum and counts.  With
@@ -427,7 +460,7 @@ def _sweep(state, columns, weights, alpha, cardinalities):
     table = _score_tables(state.lam, cardinalities)
     log_normaliser, counts = _pass(
         state.phi, columns, weights, table.shape[0],
-        lambda p, x, m: _normalise_block(p, table, x) @ m,
+        lambda p, x, m: _normalise_block(p, table, x) @ m, workers,
     )
     state.lam[:] = alpha[:, None] + counts
     k = state.entity_count
@@ -453,6 +486,7 @@ def fit(
     max_sweeps=1000,
     rel_tol=1e-8,
     seed=0,
+    workers=1,
     initial_lam=None,
     on_sweep=None,
 ):
@@ -464,6 +498,8 @@ def fit(
     distinct tuple.  Each sweep is one blocked pass over phi that does the
     phi update, the lam update and the ELBO (see :func:`_sweep`); it gives
     what :func:`update_phi`, :func:`update_lambda` and :func:`elbo` give.
+    The pass runs its blocks on ``workers`` threads (see :func:`_pass`),
+    with bit-identical results for any ``workers``.
     ``initial_lam`` (one (sum V_f, K) array, see :class:`VariationalState`)
     overrides the seeded start and the seed is then unused; the caller's
     array is not written.  lam is the whole state of a fit, so a fit
@@ -476,7 +512,7 @@ def fit(
     report counts the sweeps where it fell by more than ``DECREASE_SLACK``
     relative.
     """
-    _check_fit_options(max_sweeps, rel_tol)
+    _check_fit_options(max_sweeps, rel_tol, workers)
     _check_compatible(corpus, hp)
     cards = corpus.schema.cardinalities
     if initial_lam is None:
@@ -491,10 +527,13 @@ def fit(
     )
     columns, weights = _row_patterns(state, corpus)
     trace = []
+    seconds = []
     decreases = 0
     converged = False
     for sweep in range(1, max_sweeps + 1):
-        value = _sweep(state, columns, weights, hp.alpha, cards)
+        start = time.perf_counter()
+        value = _sweep(state, columns, weights, hp.alpha, cards, workers)
+        seconds.append(time.perf_counter() - start)
         if not math.isfinite(value):
             raise NumericalFailureError(
                 sweep, f"ELBO is {value}; {_state_stats(state)}"
@@ -513,17 +552,20 @@ def fit(
         converged=converged,
         distinct_records=distinct,
         elbo_decreases=decreases,
+        sweep_seconds=seconds,
     )
     return state, report
 
 
-def _check_fit_options(max_sweeps, rel_tol):
+def _check_fit_options(max_sweeps, rel_tol, workers):
     """The checks on :func:`fit`'s options; the command line runs them
     before it reads any input or writes any output."""
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 def _check_lam(lam, shape):

@@ -765,39 +765,48 @@ class TestManifest:
             assert sorted(outputs) == sorted(p.name for p in out.iterdir()), out.name
 
 
-class TestOneThread:
-    def test_workers_flag_starts_no_thread(self, tmp_path, monkeypatch):
-        # --workers is accepted and echoed, but every block runs on the
-        # calling thread, so any worker count writes the same files.
+class TestWorkers:
+    def test_worker_counts_write_identical_files(self, tmp_path, monkeypatch):
+        # Blocks of 2 rows, at least 3 of them: --workers 1 runs every block
+        # on the calling thread, and 2 and 4 start pool threads, yet every
+        # count writes the same files; the manifests differ only in workers.
         def refuse(_thread):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(threading.Thread, "start", refuse)
+        started = []
+        start = threading.Thread.start
+
+        def count(thread):
+            started.append(thread.name)
+            start(thread)
+
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 2)
         data = tmp_path / "data"
         assert run_synth(data) == 0
-        fit_argv = ["fit", str(data / "db1.csv"), str(data / "db2.csv"),
-                    "--schema", str(data / "schema.txt")]
+        dbs = [str(data / "db1.csv"), str(data / "db2.csv")]
         assert engine._distinct_rows(
-            corpus_module.load_databases([data / "db1.csv", data / "db2.csv"]).values
+            corpus_module.load_databases(dbs).values
         ).max() >= 4  # at least 3 blocks of 2 rows
-        db, schema = write_tiny_db(tmp_path, rows=("red", "blue") * 6 + ("red",))
-        oracle_argv = ["oracle-check", db, "--schema", schema, "--k", "2"]
-        for argv in (fit_argv, oracle_argv):
-            outs = [tmp_path / f"{argv[0]}_w{w}" for w in (1, 4)]
-            codes = [
-                main(argv + ["--workers", w, "--out", str(out)])
-                for w, out in zip(("1", "4"), outs)
-            ]
-            assert codes[0] == codes[1] == 0
-            names = sorted(p.name for p in outs[0].iterdir())
-            assert names == sorted(p.name for p in outs[1].iterdir())
-            for name in names:
-                one, four = ((out / name).read_bytes() for out in outs)
-                if name == "manifest.json":
-                    one, four = (json.loads(m) for m in (one, four))
-                    assert (one.pop("workers"), four.pop("workers")) == (1, 4)
-                assert one == four, name
+        common = [*dbs, "--schema", str(data / "schema.txt")]
+        for argv in (["fit", *common], ["oracle-check", *common, "--k", "2"]):
+            outs = {}
+            for w in (1, 2, 4):
+                outs[w] = tmp_path / f"{argv[0]}_w{w}"
+                started.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(threading.Thread, "start", refuse if w == 1 else count)
+                    code = main(argv + ["--workers", str(w), "--out", str(outs[w])])
+                assert code == 0, (argv[0], w)
+                assert bool(started) == (w > 1), (argv[0], w)
+            names = sorted(p.name for p in outs[1].iterdir())
+            for w in (2, 4):
+                assert names == sorted(p.name for p in outs[w].iterdir())
+                for name in names:
+                    one, other = ((out / name).read_bytes() for out in (outs[1], outs[w]))
+                    if name == "manifest.json":
+                        one, other = (json.loads(m) for m in (one, other))
+                        assert (one.pop("workers"), other.pop("workers")) == (1, w)
+                    assert one == other, (argv[0], w, name)
 
 
 class TestParser:
@@ -824,9 +833,10 @@ class TestParser:
 
 class TestImports:
     def test_synth_and_eval_leave_scipy_special_and_sparse_unloaded(self, tmp_path):
-        # Only a fit or the oracle needs scipy.special and scipy.sparse; the
-        # import, `vblink synth` and `vblink eval` load neither.  A tiny fit
-        # at the end is the positive control: it must load both.
+        # Only a fit or the oracle needs scipy.special and scipy.sparse, and
+        # only a fit the thread pool of concurrent.futures; the import,
+        # `vblink synth` and `vblink eval` load none of them.  A tiny fit at
+        # the end is the positive control: it must load all three.
         data, run = tmp_path / "data", tmp_path / "run"
         synth = ["synth", "--k", "2", "--db-sizes", "3,3", "--fields", "2",
                  "--cardinality", "3", "--distortion", "0.1"]
@@ -844,7 +854,8 @@ class TestImports:
             "import sys\n"
             "import vblink.cli\n"
             "def loaded():\n"
-            "    print('loaded', *(m in sys.modules for m in ('scipy.special', 'scipy.sparse')))\n"
+            "    print('loaded', *(m in sys.modules for m in\n"
+            "        ('scipy.special', 'scipy.sparse', 'concurrent.futures')))\n"
             "loaded()\n"
             f"for argv in {steps!r}:\n"
             "    assert vblink.cli.main(argv) == 0\n"
@@ -861,4 +872,4 @@ class TestImports:
         )
         seen = [line.split()[1:] for line in done.stdout.splitlines()
                 if line.startswith("loaded ")]
-        assert seen == [["False", "False"]] * 3 + [["True", "True"]]
+        assert seen == [["False"] * 3] * 3 + [["True"] * 3]

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -154,6 +157,92 @@ class TestFieldCounts:
         )
         assert total == 5.0
         assert counts.shape == (0, 3)
+
+
+def pool_problem(n=400, k=7, cards=(5, 3, 9), seed=5):
+    """Random stacked columns, multiplicities and phi for a blocked pass."""
+    rng = np.random.default_rng(seed)
+    values = np.stack([rng.integers(0, v, size=n) for v in cards], axis=1)
+    phi = rng.dirichlet(np.ones(k), size=n)
+    weights = rng.integers(1, 5, size=n).astype(np.float64)
+    return phi, engine._columns(values, cards), weights, sum(cards)
+
+
+class TestBlockPool:
+    """The blocks of a pass on ``workers`` threads: the serial fold's
+    results, with at most ``workers`` blocks running at once."""
+
+    def test_more_workers_than_cores_match_one_worker_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 16)
+        phi, columns, weights, width = pool_problem()  # 25 blocks
+        assert len(engine._blocks(*phi.shape)) >= 8
+        table = np.random.default_rng(6).normal(size=(width, phi.shape[1]))
+
+        def step(p, x, m):
+            return engine._normalise_block(p, table, x) @ m
+
+        want_phi = phi.copy()
+        want_total, want_counts = engine._pass(want_phi, columns, weights, width, step)
+        runs = []
+
+        def run_many():
+            for _ in range(30):
+                got_phi = phi.copy()
+                total, counts = engine._pass(
+                    got_phi, columns, weights, width, step, workers=4
+                )
+                runs.append((total, counts.tobytes(), got_phi.tobytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run_many, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(runs) == 30
+        for total, counts, got_phi in runs:
+            assert total == want_total
+            assert counts == want_counts.tobytes()
+            assert got_phi == want_phi.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_at_most_workers_blocks_run_at_once(self, monkeypatch, workers):
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 40)
+        phi, columns, weights, width = pool_problem()  # 10 blocks
+        lock = threading.Lock()
+        running, most, threads = [0], [0], set()
+
+        def step(p, x, m):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+                threads.add(threading.get_ident())
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+            return m.sum()
+
+        total, _ = engine._pass(phi, columns, weights, width, step, workers)
+        assert total == weights.sum()
+        assert running[0] == 0
+        assert 1 <= most[0] <= workers
+        assert threading.get_ident() in threads and len(threads) <= workers
+
+    def test_blocks_keep_the_callers_numpy_error_state(self, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 40)
+        phi, columns, weights, width = pool_problem()
+        seen = []
+
+        def step(p, x, m):
+            seen.append(np.geterr()["over"])
+            return 0.0
+
+        with np.errstate(over="raise"):
+            engine._pass(phi, columns, weights, width, step, workers=3)
+        assert seen == ["raise"] * 10
 
 
 class TestScores:
@@ -493,6 +582,14 @@ class TestFit:
             fit(pair_corpus, hp, max_sweeps=0)
         with pytest.raises(ValueError):
             fit(pair_corpus, hp, rel_tol=0.0)
+        with pytest.raises(ValueError):
+            fit(pair_corpus, hp, workers=0)
+
+    def test_sweep_seconds_has_one_positive_time_per_sweep(self, pair_corpus):
+        hp = HyperParams.symmetric(2, 1.0, [2])
+        _, report = fit(pair_corpus, hp, max_sweeps=7, seed=1)
+        assert len(report.sweep_seconds) == report.sweeps_run
+        assert all(s > 0.0 for s in report.sweep_seconds)
 
     def test_on_sweep_sees_every_sweep(self, pair_corpus):
         hp = HyperParams.symmetric(2, 1.0, [2])
