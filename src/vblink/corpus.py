@@ -9,14 +9,15 @@ Both ``Schema`` and ``Corpus`` are immutable after construction and safe for
 concurrent reads.
 
 Every CSV file the package writes goes through :func:`write_table`: UTF-8,
-``\r\n`` line ends and ``csv.writer``'s quoting.  The files keyed by
-record (ground truth, linkage) are record tables, written by
-:func:`write_record_table` and read back by :func:`read_record_table`.
-The files keyed by entity (the true latent values, the fitted modal
-values) are entity tables, written by :func:`write_entity_table`.
+``\r\n`` line ends and ``csv.writer``'s quoting; each one it reads, through
+:func:`open_table`.  Record tables, keyed by record (ground truth,
+linkage), are written by :func:`write_record_table` and read back by
+:func:`read_record_table`.  Entity tables, keyed by entity (the true latent
+values, the fitted modal values), are written by :func:`write_entity_table`.
 """
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from types import SimpleNamespace
@@ -135,13 +136,14 @@ class Corpus:
         return int(self.values.shape[0])
 
 
-def _read_rows(path):
+@contextmanager
+def open_table(path):
+    """Yields a CSV file's header row and a ``csv.reader`` over the rest."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise SchemaError(f"{path}: file has no header row")
-    return rows[0], rows[1:]
+        if (header := next(reader, None)) is None:
+            raise SchemaError(f"{path}: file has no header row")
+        yield header, reader
 
 
 class _FirstSeen(dict):
@@ -168,11 +170,7 @@ def load_databases(paths, schema=None):
 
     header, db_sizes, codes = None, [], []
     for path in paths:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            file_header = next(reader, None)
-            if file_header is None:
-                raise SchemaError(f"{path}: file has no header row")
+        with open_table(path) as (file_header, reader):
             if header is None:
                 header, width = file_header, len(file_header)
                 if schema is not None and list(schema.field_names) != header:
@@ -275,24 +273,25 @@ def read_record_table(path, columns):
     A cell that does not parse raises ``ValueError`` naming the file and
     the row or the column.
     """
-    header, rows = _read_rows(path)
     expected = ["db", "record", *columns]
-    if header != expected:
-        raise ValueError(f"{path}: expected header {','.join(expected)}")
-    db_sizes = []
-    for row in rows:
-        if len(row) != len(expected) or not all(c.isdecimal() for c in row[:2]):
-            raise ValueError(f"{path}: malformed row {row!r}")
-        d, r = int(row[0]), int(row[1])
-        if r == 1 and d > len(db_sizes):
-            db_sizes += [0] * (d - len(db_sizes))
-        elif not (db_sizes and d == len(db_sizes) and r == db_sizes[-1] + 1):
-            raise ValueError(f"{path}: record ({d},{r}) out of sequence")
-        db_sizes[-1] = r
+    width, db_sizes, cells = len(expected), [], []
+    with open_table(path) as (header, reader):
+        if header != expected:
+            raise ValueError(f"{path}: expected header {','.join(expected)}")
+        for row in reader:
+            if len(row) != width or not (row[0].isdecimal() and row[1].isdecimal()):
+                raise ValueError(f"{path}: malformed row {row!r}")
+            d, r = int(row[0]), int(row[1])
+            if r == 1 and d > len(db_sizes):
+                db_sizes += [0] * (d - len(db_sizes))
+            elif not (db_sizes and d == len(db_sizes) and r == db_sizes[-1] + 1):
+                raise ValueError(f"{path}: record ({d},{r}) out of sequence")
+            db_sizes[-1] = r
+            cells += row[2:]
     arrays = []
-    for i, (name, dtype) in enumerate(columns.items(), start=2):
+    for i, (name, dtype) in enumerate(columns.items()):
         try:
-            arrays.append(np.array([row[i] for row in rows]).astype(dtype))
+            arrays.append(np.array(cells[i :: len(columns)]).astype(dtype))
         except (ValueError, OverflowError) as err:
             raise ValueError(
                 f"{path}: column {name!r} is not all {np.dtype(dtype).name}: {err}"

@@ -213,14 +213,14 @@ def _field_sums(table, cardinalities):
     return np.add.reduceat(table, _starts(cardinalities), axis=0)
 
 
-def _one_hot(columns, width, data):
+def _one_hot(columns, width):
     """The sparse (rows, width) indicator X of a block of rows with stacked
-    columns ``columns`` (rows, F): row u holds ``data[u * F + f]`` in
-    column ``columns[u, f]`` for each field f, in field order."""
+    columns ``columns`` (rows, F): row u holds 1s at ``columns[u]``, in field order."""
     from scipy.sparse import csr_array
 
     rows, fields = columns.shape
     indptr = fields * np.arange(rows + 1)
+    data = np.ones(columns.size)
     return csr_array((data, columns.ravel(), indptr), shape=(rows, width))
 
 
@@ -247,7 +247,7 @@ def _pass(phi, columns, weights, width, step, workers=1):
     def block(bounds):
         lo, hi = bounds
         p, c, m = phi[lo:hi], columns[lo:hi], weights[lo:hi]
-        x = _one_hot(c, width, np.ones(c.size))
+        x = _one_hot(c, width)
         number = step(p, x, m)
         x.data = np.repeat(m, fields)
         return number, x.T @ p

@@ -78,7 +78,7 @@ def _set_weights(corpus, hp):
     n = corpus.total_records
     cards = corpus.schema.cardinalities
     members = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
-    x = _one_hot(_columns(corpus.values, cards), hp.alpha.size, np.ones(corpus.values.size))
+    x = _one_hot(_columns(corpus.values, cards), hp.alpha.size)
     lam = hp.alpha[:, None] + x.T @ members.T
     logg = gammaln(lam).sum(axis=0) - gammaln(_field_sums(lam, cards)).sum(axis=0)
     return members, logg - _log_beta(hp.alpha, cards)

@@ -17,6 +17,7 @@ doubles as a sign-off report:
 
 import contextlib
 import math
+import threading
 import time
 
 import numpy as np
@@ -343,8 +344,19 @@ def test_10_fit_sweep_work_linear_in_rows(capsys, monkeypatch):
                 assert one_hots == blocks
 
 
-def test_09_worker_determinism(capsys, tmp_path):
+def test_09_worker_determinism(capsys, tmp_path, monkeypatch):
     with criterion(capsys, 9, "worker counts 1 and 4 give identical linkage"):
+        # blocks of at most 64 rows: the 279 distinct rows of this instance
+        # make 5 blocks, so --workers 4 runs blocks on pool threads
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)
+        started = []
+        start = threading.Thread.start
+
+        def count(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", count)
         data = tmp_path / "data"
         code = main(
             [
@@ -362,6 +374,7 @@ def test_09_worker_determinism(capsys, tmp_path):
         outputs = []
         for workers in (1, 4):
             out = tmp_path / f"run_w{workers}"
+            started.clear()
             code = main(
                 [
                     "fit",
@@ -376,5 +389,6 @@ def test_09_worker_determinism(capsys, tmp_path):
                 ]
             )
             assert code == 0
+            assert bool(started) == (workers > 1)
             outputs.append((out / "linkage.csv").read_bytes())
         assert outputs[0] == outputs[1]

@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from vblink.cli import main
 from vblink.corpus import (
     Corpus,
     MissingValueError,
@@ -10,10 +12,12 @@ from vblink.corpus import (
     SchemaError,
     UnknownAttributeError,
     load_databases,
+    read_record_table,
     read_schema_file,
     write_databases,
     write_schema_file,
 )
+from vblink.evaluate import read_ground_truth, read_linkage
 
 
 def _write(path, lines):
@@ -160,6 +164,54 @@ class TestLoadDatabases:
     def test_no_files_rejected(self):
         with pytest.raises(ValueError):
             load_databases([])
+
+
+class TestReadRecordTable:
+    def test_reads_rows_as_they_come(self, tmp_path):
+        # 20,000 rows of db,record,entity: held as a list of rows the reader
+        # peaks near 220 bytes per row; keeping only the entity cells, near 90
+        rows = 20_000
+        entities = np.random.default_rng(3).integers(1, 5000, size=rows)
+        lines = [
+            f"{1 + n // 10_000},{n % 10_000 + 1},{e}"
+            for n, e in enumerate(entities.tolist())
+        ]
+        path = _write(tmp_path / "truth.csv", ["db,record,entity", *lines])
+        tracemalloc.start()
+        try:
+            db_sizes, (read,) = read_record_table(path, {"entity": np.int64})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert db_sizes == (10_000, 10_000)
+        np.testing.assert_array_equal(read, entities)
+        assert peak < 140 * rows
+
+
+@pytest.mark.parametrize(
+    "read, argv",
+    [
+        (lambda path: load_databases([path]), ["fit", "{empty}"]),
+        (read_linkage, ["eval", "{empty}", "{truth}"]),
+        (read_ground_truth, ["eval", "{linkage}", "{empty}"]),
+    ],
+    ids=["database", "linkage", "truth"],
+)
+def test_headerless_file_rejected(tmp_path, capsys, read, argv):
+    (tmp_path / "empty.csv").write_text("")
+    files = {
+        "empty": str(tmp_path / "empty.csv"),
+        "linkage": _write(
+            tmp_path / "linkage.csv", ["db,record,entity,max_prob", "1,1,1,1.0"]
+        ),
+        "truth": _write(tmp_path / "truth.csv", ["db,record,entity", "1,1,1"]),
+    }
+    message = f"{files['empty']}: file has no header row"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        read(files["empty"])
+    argv = [arg.format(**files) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestSchema:

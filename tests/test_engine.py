@@ -264,7 +264,7 @@ class TestScores:
             want += t_f[values[:, f]]
         columns = engine._columns(values, cards)
         table = np.concatenate(tables)
-        x = engine._one_hot(columns, table.shape[0], np.ones(columns.size))
+        x = engine._one_hot(columns, table.shape[0])
         scores = x @ table
         np.testing.assert_array_equal(scores, want)
         out = np.empty((n, k))
@@ -291,7 +291,7 @@ class TestScores:
     def test_no_rows_gives_an_empty_block(self):
         out = np.empty((0, 4))
         no_rows = np.zeros((0, 2), dtype=np.intp)
-        x = engine._one_hot(no_rows, 6, np.ones(no_rows.size))
+        x = engine._one_hot(no_rows, 6)
         lse = engine._normalise_block(out, np.zeros((6, 4)), x)
         assert lse.shape == (0,)
 
