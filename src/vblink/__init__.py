@@ -22,6 +22,7 @@ from .corpus import (
 )
 from .engine import (
     FitReport,
+    FitState,
     HyperParams,
     NumericalFailureError,
     VariationalState,
@@ -30,6 +31,7 @@ from .engine import (
     fit,
     init_state,
     load_state,
+    reference_state,
     save_state,
     update_lambda,
     update_phi,
@@ -64,6 +66,7 @@ __all__ = [
     "EnumerationBudgetError",
     "ExactPosterior",
     "FitReport",
+    "FitState",
     "GenConfig",
     "GroundTruth",
     "HyperParams",
@@ -88,6 +91,7 @@ __all__ = [
     "read_ground_truth",
     "read_linkage",
     "read_schema_file",
+    "reference_state",
     "resolve_alpha",
     "sample_dataset",
     "save_state",

@@ -36,6 +36,7 @@ from .engine import (
     NumericalFailureError,
     _check_fit_options,
     fit,
+    reference_state,
     save_state,
 )
 from .evaluate import (
@@ -283,7 +284,10 @@ def cmd_oracle_check(args):
     gap = exact.log_evidence - final_elbo
 
     i, j = np.triu_indices(corpus.total_records, 1)
-    estimate = posterior_cocluster_estimate(state, np.column_stack([i, j]))
+    # the last sweep's phi, rebuilt from the lam that produced it
+    estimate = posterior_cocluster_estimate(
+        reference_state(state, corpus, hp), np.column_stack([i, j])
+    )
     max_discrepancy = float(np.abs(exact.cocluster[i, j] - estimate).max(initial=0.0))
 
     report_payload = {
@@ -378,8 +382,9 @@ def main(argv=None):
         return EXIT_NUMERICAL
     except MemoryError:
         print(
-            "error: out of memory: the distinct records x K responsibilities "
-            "did not fit; try a smaller --k",
+            "error: out of memory: the fit's (sum of field cardinalities) x K "
+            "tables and one record block per worker did not fit; try a smaller "
+            "--k or fewer --workers",
             file=sys.stderr,
         )
         return EXIT_USAGE

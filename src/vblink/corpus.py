@@ -138,10 +138,12 @@ class Corpus:
 
 @contextmanager
 def open_table(path):
-    """Yields a CSV file's header row and a ``csv.reader`` over the rest."""
+    """Yields a CSV file's header row and a ``csv.reader`` over the rest.
+    A file with no first row, or a blank one (``csv.reader`` reads a lone
+    line break as ``[]``), has no header."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        if (header := next(reader, None)) is None:
+        if not (header := next(reader, None)):
             raise SchemaError(f"{path}: file has no header row")
         yield header, reader
 

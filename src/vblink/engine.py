@@ -30,43 +30,51 @@ imported inside the functions that call them, not at the top, so
 importing the package, ``vblink synth`` and ``vblink eval`` (no fit) load
 none of them.
 
-A fit sweep is one blocked pass over phi (:func:`_sweep`).  T is built
-once per sweep (O(K * sum V_f)).  A block of rows has one sparse one-hot
+A fit sweep is one blocked pass (:func:`_sweep`).  T is built once per
+sweep (O(K * sum V_f)).  A block of rows has one sparse one-hot
 indicator X (rows, sum V_f) with F entries per row, one in each field's
 column offset_f + x[u, f] (:func:`_one_hot`).  Its scores are the product
 X @ T, which adds each row's F table rows in field order, at
-O(rows * K * F) cost.  Each block is scored and normalized (max shift,
-exp, divide by the row sum) into phi, keeps its weighted log-normaliser
-sum sum_u m[u] lse[u] (lse[u] = row max + log row sum), and adds its
-weighted counts X^T diag(m) phi, a table in the layout of lam, while it
-is still in cache.  The lam update is then lam = alpha + counts, and the
-ELBO telescopes to a closed form in lam, the counts, T and the
+O(rows * K * F) cost.  Each block's scores are normalized in place (max
+shift, exp, divide by the row sum) into its responsibilities; the block
+keeps its weighted log-normaliser sum sum_u m[u] lse[u] (lse[u] = row
+max + log row sum) and each row's argmax and MAP responsibility
+1 / row sum, and adds its weighted counts X^T diag(m) phi, a table in the
+layout of lam, while it is still in cache.  Then the block is dropped:
+a fit never holds the (U, K) phi, only the (sum V_f, K) tables, one block
+per worker and two (U,) MAP arrays (:class:`FitState`), the memoized form
+of coordinate ascent that keeps summary statistics and no per-item local
+parameters.  The lam update is then lam = alpha + counts, and the ELBO
+telescopes to a closed form in lam, the counts, T and the
 log-normalisers: since log phi[u, k] = (X @ T)[u, k] - lse[u],
 sum_u m[u] sum_k phi[u, k] log phi[u, k] = <counts, T>
-- sum_u m[u] lse[u].  So a sweep reads phi once and its ELBO costs
-O(K * sum V_f + U).  The public :func:`update_phi`,
+- sum_u m[u] lse[u].  So a sweep computes each phi entry once and its
+ELBO costs O(K * sum V_f + U).  The public :func:`update_phi`,
 :func:`update_lambda` and :func:`elbo` are the general updates for any
-(phi, lam); the tests hold the sweep to them.  Each makes one pass of
-the sweep's :func:`_pass`, the one walk over phi (:func:`update_phi`
-drops its counts), and they share the score table, the one-hot
-indicator, ln B and lam = alpha + counts with it.  The reference
-:func:`elbo` is in bracket form: its bracket alpha + counts - lam
-vanishes at lam = alpha + counts, which leaves the sweep's closed form.
-:func:`elbo_grad_lambda` gives the ELBO's gradient in lam from the same
-bracket, as one (sum V_f, K) table in the layout of lam.
+(phi, lam) held in a :class:`VariationalState`; the tests hold the sweep
+to them, and :func:`reference_state` rebuilds a fit's last phi from the
+lam that produced it.  Each makes one pass of the sweep's :func:`_pass`,
+whose step returns the block's rows of phi, so each walks phi once
+(:func:`update_phi` drops its counts), and they share the score table,
+the one-hot indicator, ln B and lam = alpha + counts with the sweep.  The
+reference :func:`elbo` is in bracket form: its bracket alpha + counts -
+lam vanishes at lam = alpha + counts, which leaves the sweep's closed
+form.  :func:`elbo_grad_lambda` gives the ELBO's gradient in lam from the
+same bracket, as one (sum V_f, K) table in the layout of lam.
 The exact oracle (:mod:`vblink.oracle`) weighs each record subset by
 the ln B terms at its counts, through the same one-hot indicator, field
 sums and ln B, and sums over the set partitions of the records.
 
-A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20 entries of
-phi (8 MiB), so wide-K blocks still fit in cache.  Determinism contract:
-the blocks are fixed by the row count and K, and their partial results
-are added in block index order, so results are bit-identical for a given
-seed and any worker count.  :func:`fit` runs a pass's blocks in rounds of
-``workers``, the calling thread taking the first block of each round and
-``workers - 1`` pool threads the rest; one worker starts no thread, and
-the reference updates always run on the calling thread.  Within a pass
-``lam`` is read-only and blocks write disjoint rows of phi.
+A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20
+responsibilities (8 MiB), so wide-K blocks still fit in cache.
+Determinism contract: the blocks are fixed by the row count and K, and
+their partial results are added in block index order, so results are
+bit-identical for a given seed and any worker count.  :func:`fit` runs a
+pass's blocks in rounds of ``workers``, the calling thread taking the
+first block of each round and ``workers - 1`` pool threads the rest; one
+worker starts no thread, and the reference updates always run on the
+calling thread.  Within a pass ``lam`` is read-only and blocks write
+disjoint rows of the MAP arrays (or of a reference phi).
 """
 
 import contextvars
@@ -148,6 +156,27 @@ class VariationalState:
         return int(self.phi.shape[1])
 
 
+@dataclass(eq=False)
+class FitState:
+    """What :func:`fit` keeps: the Dirichlet parameters ``lam``
+    (sum V_f, K) after the last sweep, ``prev``, the lam that produced the
+    last sweep's phi, the (N,) index ``rows`` from each record to its
+    distinct value tuple, and per tuple the last sweep's MAP: ``argmax``
+    (U,), the entity of its largest responsibility (the first maximum,
+    0-based), and ``max_prob`` (U,), that responsibility.  There is no
+    phi; :func:`reference_state` rebuilds it from ``prev``."""
+
+    lam: np.ndarray
+    prev: np.ndarray
+    rows: np.ndarray
+    argmax: np.ndarray
+    max_prob: np.ndarray
+
+    @property
+    def entity_count(self):
+        return int(self.lam.shape[1])
+
+
 @dataclass
 class FitReport:
     """Per-sweep ELBO trace plus convergence status."""
@@ -155,14 +184,15 @@ class FitReport:
     elbo_trace: list = field(default_factory=list)
     sweeps_run: int = 0
     converged: bool = False
-    distinct_records: int = 0  # U, the rows of phi the sweeps ran on
+    distinct_records: int = 0  # U, the distinct value tuples the sweeps ran on
     elbo_decreases: int = 0  # sweeps whose ELBO fell beyond DECREASE_SLACK
     sweep_seconds: list = field(default_factory=list)  # wall time of each sweep
 
 
 def _rows_per_block(entity_count):
-    """Rows of phi per block: at most ``BLOCK_RECORDS``, and at most 2**20
-    entries (8 MiB of float64), so a block stays in cache while it is used."""
+    """Rows per block: at most ``BLOCK_RECORDS``, and at most 2**20
+    responsibilities (8 MiB of float64), so a block stays in cache while it
+    is used."""
     return min(BLOCK_RECORDS, max(1, 2**20 // entity_count))
 
 
@@ -171,13 +201,13 @@ def _blocks(row_count, entity_count):
     return [(lo, min(lo + step, row_count)) for lo in range(0, row_count, step)]
 
 
-def _row_patterns(state, corpus):
+def _row_patterns(rows, row_count, corpus):
     """Stacked columns ``(U, F)`` (see :func:`_columns`) and multiplicity
-    ``(U,)`` of each phi row, read off ``state.rows``."""
-    row_count = state.phi.shape[0]
+    ``(U,)`` of each of ``row_count`` rows, read off the (N,) index
+    ``rows`` from each record to its row."""
     first = np.zeros(row_count, dtype=np.intp)
-    first[state.rows] = np.arange(state.rows.size)
-    multiplicity = np.bincount(state.rows, minlength=row_count).astype(np.float64)
+    first[rows] = np.arange(rows.size)
+    multiplicity = np.bincount(rows, minlength=row_count).astype(np.float64)
     return _columns(corpus.values[first], corpus.schema.cardinalities), multiplicity
 
 
@@ -224,20 +254,21 @@ def _one_hot(columns, width):
     return csr_array((data, columns.ravel(), indptr), shape=(rows, width))
 
 
-def _pass(phi, columns, weights, width, step, workers=1):
-    """One blocked pass over ``phi`` (stacked columns ``columns``, see
-    :func:`_columns`, multiplicities ``weights``).  Each block of rows
-    ``p`` and its one-hot indicator X (entries 1, built once) go first to
-    ``step(p, X, m)``, which may rewrite ``p`` in place and returns a
-    number; while the block is still in cache X's entries become ``m``
-    and its weighted counts X^T diag(m) p are taken.  Returns the summed
-    number and the (width, K) table ``counts[j, k]`` = sum over rows with
-    a value in column j of ``weights[u] * phi[u, k]``.
+def _pass(columns, weights, width, entity_count, step, workers=1):
+    """One blocked pass over the U rows of stacked columns ``columns``
+    (U, F), see :func:`_columns`, with multiplicities ``weights`` (U,).
+    Each block's bounds ``lo, hi`` and its one-hot indicator X (entries 1,
+    built once) go to ``step(lo, hi, X)``, which returns a number and the
+    block's (hi - lo, K) responsibilities p.  While p is still in cache
+    X's entries become the block's multiplicities m and its weighted
+    counts X^T diag(m) p are taken; then the block's p and X are dropped.
+    Returns the summed number and the (width, K) table ``counts[j, k]`` =
+    sum over rows with a value in column j of ``weights[u] * p[u, k]``.
 
     The blocks run in rounds of ``workers``: the calling thread runs the
     first block of a round and at most ``workers - 1`` pool threads run
-    the rest, so at most ``workers`` partials are alive at once.  The
-    partials are added strictly in block order, the serial fold, so the
+    the rest, so at most ``workers`` blocks and partials are alive at once.
+    The partials are added strictly in block order, the serial fold, so the
     results are bit-identical for any ``workers``; one worker submits
     nothing, and the pool then starts no thread."""
     from concurrent.futures import ThreadPoolExecutor
@@ -246,15 +277,14 @@ def _pass(phi, columns, weights, width, step, workers=1):
 
     def block(bounds):
         lo, hi = bounds
-        p, c, m = phi[lo:hi], columns[lo:hi], weights[lo:hi]
-        x = _one_hot(c, width)
-        number = step(p, x, m)
-        x.data = np.repeat(m, fields)
+        x = _one_hot(columns[lo:hi], width)
+        number, p = step(lo, hi, x)
+        x.data = np.repeat(weights[lo:hi], fields)
         return number, x.T @ p
 
     total = 0.0
-    counts = np.zeros((width, phi.shape[1]))
-    blocks = _blocks(*phi.shape)
+    counts = np.zeros((width, entity_count))
+    blocks = _blocks(columns.shape[0], entity_count)
     with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         for first in range(0, len(blocks), workers):
             # each pool block runs in a copy of the caller's context, so
@@ -331,13 +361,21 @@ def _check_compatible(corpus, hp):
         raise ValueError(f"alpha has {hp.alpha.size} entries, not sum V_f = {width}")
 
 
+def _counts(state, corpus):
+    """The (sum V_f, K) counts of a reference state's phi, from one pass
+    that leaves phi as it is."""
+    columns, weights = _row_patterns(state.rows, len(state.phi), corpus)
+    width = sum(corpus.schema.cardinalities)
+    return _pass(
+        columns, weights, width, state.entity_count,
+        lambda lo, hi, x: (0.0, state.phi[lo:hi]),
+    )[1]
+
+
 def update_lambda(state, corpus, hp):
     """Closed-form Dirichlet update: prior plus multiplicity- and
     responsibility-weighted counts, from a pass that leaves phi as it is."""
-    columns, weights = _row_patterns(state, corpus)
-    width = sum(corpus.schema.cardinalities)
-    _, counts = _pass(state.phi, columns, weights, width, lambda p, x, m: 0.0)
-    state.lam = hp.alpha[:, None] + counts
+    state.lam = hp.alpha[:, None] + _counts(state, corpus)
     return state.lam
 
 
@@ -358,31 +396,36 @@ def _log_beta(a, cardinalities):
     return float(gammaln(a).sum() - gammaln(_field_sums(a, cardinalities)).sum())
 
 
-def _normalise_block(out, table, x):
-    """Responsibilities of one block of rows (one-hot indicator ``x``, see
-    :func:`_one_hot`, entries 1), written into ``out`` (rows, K): the
-    scores X @ T of the block and the stacked table T, with the row max
-    subtracted before the exp so large field counts cannot overflow, each
-    row divided by its sum.  Returns each row's log normaliser, the row max
-    plus the log of the row sum."""
-    scores = x @ table
-    top = scores.max(axis=1)
+def _normalise_block(scores, out):
+    """Responsibilities of one block of rows from its scores X @ T
+    (rows, K), the product of its one-hot indicator (see :func:`_one_hot`)
+    and the stacked table T, written into ``out`` (``scores`` itself, or
+    the block's rows of a phi); ``scores`` is overwritten.  Each row is
+    shifted by its max, the score at its argmax, so large field counts
+    cannot overflow the exp, and divided by its sum.  Returns each row's
+    argmax (the first maximum), its sum, whose reciprocal is the
+    responsibility at the argmax bit for bit (exp(0) = 1), and its log
+    normaliser, the max plus the log of the sum."""
+    top_at = scores.argmax(axis=1)
+    top = np.take_along_axis(scores, top_at[:, None], axis=1)[:, 0]
     scores -= top[:, None]
     np.exp(scores, out=scores)
     total = scores.sum(axis=1)
     np.divide(scores, total[:, None], out=out)
-    return top + np.log(total)
+    return top_at, total, top + np.log(total)
 
 
 def update_phi(state, corpus, hp):
-    """Log-space responsibility update, normalized into ``phi`` by the
-    sweep's own pass; its counts are dropped."""
+    """Log-space responsibility update, normalized into ``phi`` by one
+    pass whose counts are dropped."""
     table = _score_tables(state.lam, corpus.schema.cardinalities)
-    columns, weights = _row_patterns(state, corpus)
-    _pass(
-        state.phi, columns, weights, table.shape[0],
-        lambda p, x, m: _normalise_block(p, table, x) @ m,
-    )
+    columns, weights = _row_patterns(state.rows, len(state.phi), corpus)
+
+    def step(lo, hi, x):
+        p = state.phi[lo:hi]
+        return _normalise_block(x @ table, p)[2] @ weights[lo:hi], p
+
+    _pass(columns, weights, table.shape[0], state.entity_count, step)
     return state.phi
 
 
@@ -402,12 +445,14 @@ def elbo(state, corpus, hp):
     from scipy.special import entr
 
     k = state.entity_count
-    columns, weights = _row_patterns(state, corpus)
+    columns, weights = _row_patterns(state.rows, len(state.phi), corpus)
     cards = corpus.schema.cardinalities
-    entropy, counts = _pass(
-        state.phi, columns, weights, sum(cards),
-        lambda p, x, m: entr(p).sum(axis=1) @ m,
-    )
+
+    def step(lo, hi, x):
+        p = state.phi[lo:hi]
+        return entr(p).sum(axis=1) @ weights[lo:hi], p
+
+    entropy, counts = _pass(columns, weights, sum(cards), k, step)
     bracket = hp.alpha[:, None] + counts - state.lam
     return (
         float(entropy) - float(weights.sum()) * math.log(k)
@@ -429,44 +474,55 @@ def elbo_grad_lambda(state, corpus, hp):
     """
     from scipy.special import polygamma
 
-    columns, weights = _row_patterns(state, corpus)
     cards = corpus.schema.cardinalities
-    _, counts = _pass(state.phi, columns, weights, sum(cards), lambda p, x, m: 0.0)
-    bracket = hp.alpha[:, None] + counts - state.lam
+    bracket = hp.alpha[:, None] + _counts(state, corpus) - state.lam
     fields = polygamma(1, _field_sums(state.lam, cards)) * _field_sums(bracket, cards)
     return polygamma(1, state.lam) * bracket - np.repeat(fields, cards, axis=0)
 
 
 def _sweep(state, columns, weights, alpha, cardinalities, workers):
-    """One fit sweep on a state with one phi row per distinct tuple
-    (stacked columns ``columns`` (U, F), multiplicities ``weights`` (U,),
+    """One fit sweep on a :class:`FitState` (stacked columns ``columns``
+    (U, F) and multiplicities ``weights`` (U,) of its distinct tuples,
     stacked prior ``alpha``): the phi update, the lam update and the ELBO,
-    from one blocked pass over phi on ``workers`` threads.  Returns the
-    ELBO.
+    from one blocked pass on ``workers`` threads.  Returns the ELBO.
 
-    Each block of rows is normalized into phi and, while it is still in
-    cache, returns its weighted log-normaliser sum and counts.  With
-    lam = alpha + counts the likelihood, prior and q(beta) terms telescope:
+    The sweep's lam becomes ``state.prev`` (the previous one is dropped
+    first).  Each block's scores X @ T are normalised in place into its
+    responsibilities, whose argmax and MAP responsibility go into
+    ``state.argmax`` and ``state.max_prob``; the block returns its weighted
+    log-normaliser sum and, while it is still in cache, its counts, and
+    then nothing of it is kept.  The counts, plus alpha in place, become
+    ``state.lam``.  With lam = alpha + counts the likelihood, prior and
+    q(beta) terms telescope:
 
         ELBO = sum ln Gamma(lam) - sum ln Gamma(field sums of lam)
                - K * sum_f ln B(alpha_f)
                - (<counts, T> - sum_u m[u] lse[u]) - N log K
 
-    where T is the score table of the lam that produced phi.  Since
+    where T is the score table of ``state.prev``.  Since
     log phi[u, k] = (X @ T)[u, k] - lse[u], the bracket is the weighted
     sum of phi log phi, so the entropy needs no second read of phi and the
     ELBO costs O(K * sum V_f + U).
     """
-    table = _score_tables(state.lam, cardinalities)
+    lam = state.prev = state.lam
+    table = _score_tables(lam, cardinalities)
+
+    def step(lo, hi, x):
+        p = x @ table
+        state.argmax[lo:hi], total, lse = _normalise_block(p, p)
+        np.divide(1.0, total, out=state.max_prob[lo:hi])
+        return lse @ weights[lo:hi], p
+
     log_normaliser, counts = _pass(
-        state.phi, columns, weights, table.shape[0],
-        lambda p, x, m: _normalise_block(p, table, x) @ m, workers,
+        columns, weights, table.shape[0], state.entity_count, step, workers
     )
-    state.lam[:] = alpha[:, None] + counts
+    bracket = float(np.vdot(counts, table)) - float(log_normaliser)
+    counts += alpha[:, None]
+    state.lam = counts
     k = state.entity_count
     return (
-        _log_beta(state.lam, cardinalities) - k * _log_beta(alpha, cardinalities)
-        - (float(np.vdot(counts, table)) - float(log_normaliser))
+        _log_beta(counts, cardinalities) - k * _log_beta(alpha, cardinalities)
+        - bracket
         - float(weights.sum()) * math.log(k)
     )
 
@@ -475,7 +531,7 @@ def _state_stats(state):
     return "; ".join(
         f"{name} range [{a.min() if a.size else 0}, {a.max() if a.size else 0}] "
         f"non-finite {int(a.size - np.isfinite(a).sum())}"
-        for name, a in (("phi", state.phi), ("lam", state.lam))
+        for name, a in (("max_prob", state.max_prob), ("lam", state.lam))
     )
 
 
@@ -493,21 +549,23 @@ def fit(
     """Run coordinate ascent until the relative ELBO change drops below
     ``rel_tol`` or ``max_sweeps`` is reached.
 
-    The distinct value tuples and their multiplicities are found once;
-    every sweep runs on them, and the returned state has one phi row per
-    distinct tuple.  Each sweep is one blocked pass over phi that does the
+    The distinct value tuples and their multiplicities are found once and
+    every sweep runs on them.  Each sweep is one blocked pass that does the
     phi update, the lam update and the ELBO (see :func:`_sweep`); it gives
     what :func:`update_phi`, :func:`update_lambda` and :func:`elbo` give.
-    The pass runs its blocks on ``workers`` threads (see :func:`_pass`),
-    with bit-identical results for any ``workers``.
+    No (U, K) phi is ever held: a block's responsibilities live only while
+    the block is processed, so the fit holds a few (sum V_f, K) tables, one
+    block per worker and O(N) per-record state.  The pass runs its blocks on
+    ``workers`` threads (see :func:`_pass`), with bit-identical results for
+    any ``workers``.
     ``initial_lam`` (one (sum V_f, K) array, see :class:`VariationalState`)
     overrides the seeded start and the seed is then unused; the caller's
     array is not written.  lam is the whole state of a fit, so a fit
     started from the lam of sweep S (say, from :func:`load_state`, or a
     copy of it in any memory order) repeats sweeps S+1, ... of the fit it
     came from bit for bit.  ``on_sweep(sweep, elbo, state)`` is called
-    after every sweep.
-    Returns ``(state, FitReport)``; the trace is nondecreasing up to
+    after every sweep with the :class:`FitState`.
+    Returns ``(FitState, FitReport)``; the trace is nondecreasing up to
     roundoff because each step maximizes the same objective, and the
     report counts the sweeps where it fell by more than ``DECREASE_SLACK``
     relative.
@@ -522,10 +580,14 @@ def fit(
         lam = np.array(initial_lam, dtype=np.float64, order="C")
     rows = _distinct_rows(corpus.values)
     distinct = int(rows.max(initial=-1)) + 1
-    state = VariationalState(
-        phi=np.empty((distinct, hp.entity_count)), lam=lam, rows=rows
+    state = FitState(
+        lam=lam,
+        prev=lam,
+        rows=rows,
+        argmax=np.zeros(distinct, dtype=np.intp),
+        max_prob=np.zeros(distinct),
     )
-    columns, weights = _row_patterns(state, corpus)
+    columns, weights = _row_patterns(rows, distinct, corpus)
     trace = []
     seconds = []
     decreases = 0
@@ -555,6 +617,20 @@ def fit(
         sweep_seconds=seconds,
     )
     return state, report
+
+
+def reference_state(state, corpus, hp):
+    """The reference :class:`VariationalState` of a fit's last sweep: its
+    phi is :func:`update_phi` on ``state.prev``, bit for bit the phi that
+    sweep normalised, and its lam is ``state.lam``, the lam update of that
+    phi.  It allocates the (U, K) phi that :func:`fit` never holds, so it
+    is for small instances and checks."""
+    ref = VariationalState(
+        np.empty((len(state.argmax), state.entity_count)), state.prev, state.rows
+    )
+    update_phi(ref, corpus, hp)
+    ref.lam = state.lam
+    return ref
 
 
 def _check_fit_options(max_sweeps, rel_tol, workers):

@@ -1,10 +1,11 @@
 """Linkage decisions from fitted states, and pairwise scoring against truth.
 
 A linkage assigns every record its MAP entity under the fitted
-responsibilities.  Scoring is over record pairs: a pair is positive when
-both records carry the same label, and precision/recall compare predicted
-positives against true positives.  The pair counts come from a label
-contingency table, not an O(N^2) pair loop.
+responsibilities, which a fit keeps per distinct value tuple.  Scoring is
+over record pairs: a pair is positive when both records carry the same
+label, and precision/recall compare predicted positives against true
+positives.  The pair counts come from a label contingency table, not an
+O(N^2) pair loop.
 
 Entity ids in :class:`Linkage` and in all files are 1-based, matching the
 CSV formats; flat record indices in the programmatic interface are 0-based.
@@ -53,14 +54,13 @@ class LinkageScore:
 
 
 def map_linkage(state, db_sizes):
-    """MAP entity per record; ties break toward the smallest entity index.
-    The argmax is taken once per phi row, then read off for each record."""
-    labels = np.argmax(state.phi, axis=1)
-    probs = state.phi[np.arange(state.phi.shape[0]), labels]
+    """MAP entity per record from a fit's :class:`vblink.engine.FitState`:
+    each distinct tuple's argmax (ties break toward the smallest entity
+    index) and its responsibility, read off for each record."""
     return Linkage(
         db_sizes=db_sizes,
-        map_entity=labels[state.rows] + 1,
-        max_prob=probs[state.rows],
+        map_entity=state.argmax[state.rows] + 1,
+        max_prob=state.max_prob[state.rows],
     )
 
 

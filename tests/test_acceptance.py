@@ -32,6 +32,7 @@ from vblink.engine import (
     elbo_grad_lambda,
     fit,
     init_state,
+    reference_state,
     update_lambda,
     update_phi,
 )
@@ -223,7 +224,10 @@ def test_06_label_permutation_equivariance(capsys):
         for ea, eb in zip(report_a.elbo_trace, report_b.elbo_trace):
             assert abs(eb - ea) <= 1e-12 * abs(ea)
         np.testing.assert_allclose(
-            state_b.phi, state_a.phi[:, perm], rtol=1e-9, atol=1e-12
+            reference_state(state_b, corpus, hp).phi,
+            reference_state(state_a, corpus, hp).phi[:, perm],
+            rtol=1e-9,
+            atol=1e-12,
         )
         np.testing.assert_allclose(
             state_b.lam, state_a.lam[:, perm], rtol=1e-9, atol=1e-12
@@ -299,17 +303,25 @@ def test_08_linear_sweep_scaling(capsys):
 def test_10_fit_sweep_work_linear_in_rows(capsys, monkeypatch):
     with criterion(capsys, 10, "each fit sweep scores every distinct row once"):
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)
-        normalise, one_hot = engine._normalise_block, engine._one_hot
-        seen = {"rows": [], "one_hot": 0}
+        run_pass, normalise, one_hot = engine._pass, engine._normalise_block, engine._one_hot
+        seen = {"bounds": [], "normalised": 0, "one_hot": 0}
 
-        def counted_normalise(out, table, x):
-            seen["rows"].append((out.ctypes.data, out.shape[0]))
-            return normalise(out, table, x)
+        def counted_pass(columns, weights, width, entity_count, step, workers=1):
+            def counted_step(lo, hi, x):
+                seen["bounds"].append((lo, hi))
+                return step(lo, hi, x)
+
+            return run_pass(columns, weights, width, entity_count, counted_step, workers)
+
+        def counted_normalise(scores, out):
+            seen["normalised"] += scores.shape[0]
+            return normalise(scores, out)
 
         def counted_one_hot(*args):
             seen["one_hot"] += 1
             return one_hot(*args)
 
+        monkeypatch.setattr(engine, "_pass", counted_pass)
         monkeypatch.setattr(engine, "_normalise_block", counted_normalise)
         monkeypatch.setattr(engine, "_one_hot", counted_one_hot)
         for n in (300, 900):
@@ -321,27 +333,25 @@ def test_10_fit_sweep_work_linear_in_rows(capsys, monkeypatch):
             sweeps = []
 
             def on_sweep(_sweep, _value, state, out=sweeps):
-                # the first row of phi each normalised block starts at
-                row_bytes = state.phi.strides[0]
-                starts = [(at - state.phi.ctypes.data) // row_bytes
-                          for at, _ in seen["rows"]]
-                covered = np.zeros(state.phi.shape[0], dtype=int)
-                for start, (_, rows) in zip(starts, seen["rows"]):
-                    covered[start : start + rows] += 1
-                out.append((covered, seen["one_hot"]))
-                seen["rows"].clear()
-                seen["one_hot"] = 0
+                # the distinct rows each block the sweep's step got covers
+                covered = np.zeros(state.argmax.size, dtype=int)
+                for lo, hi in seen["bounds"]:
+                    covered[lo:hi] += 1
+                out.append((covered, seen["normalised"], len(seen["bounds"]),
+                            seen["one_hot"]))
+                seen.update(bounds=[], normalised=0, one_hot=0)
 
-            state, report = fit(
+            _, report = fit(
                 corpus, hp, max_sweeps=4, rel_tol=1e-300, on_sweep=on_sweep
             )
-            distinct = state.phi.shape[0]
+            distinct = report.distinct_records
             blocks = len(engine._blocks(distinct, hp.entity_count))
             assert distinct > 3 * 64 and blocks > 3
             assert len(sweeps) == report.sweeps_run == 4
-            for covered, one_hots in sweeps:
+            for covered, normalised, steps, one_hots in sweeps:
                 assert np.all(covered == 1)
-                assert one_hots == blocks
+                assert normalised == distinct
+                assert steps == one_hots == blocks
 
 
 def test_09_worker_determinism(capsys, tmp_path, monkeypatch):

@@ -214,6 +214,36 @@ def test_headerless_file_rejected(tmp_path, capsys, read, argv):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "read, argv",
+    [
+        (lambda path: load_databases([path]), ["fit", "{blank}", "--k", "3"]),
+        (read_linkage, ["eval", "{blank}", "{truth}"]),
+        (read_ground_truth, ["eval", "{linkage}", "{blank}"]),
+    ],
+    ids=["database", "linkage", "truth"],
+)
+@pytest.mark.parametrize("line_break", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_blank_header_row_rejected(tmp_path, capsys, read, argv, line_break):
+    """A file holding only a line break has an empty first row: it is
+    refused as headerless, not read as a table of no columns."""
+    (tmp_path / "blank.csv").write_bytes(line_break.encode())
+    files = {
+        "blank": str(tmp_path / "blank.csv"),
+        "linkage": _write(
+            tmp_path / "linkage.csv", ["db,record,entity,max_prob", "1,1,1,1.0"]
+        ),
+        "truth": _write(tmp_path / "truth.csv", ["db,record,entity", "1,1,1"]),
+    }
+    message = f"{files['blank']}: file has no header row"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        read(files["blank"])
+    argv = [arg.format(**files) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestSchema:
     def test_duplicate_values_rejected(self):
         with pytest.raises(SchemaError):

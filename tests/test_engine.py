@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from vblink.engine import (
     fit,
     init_state,
     load_state,
+    reference_state,
     save_state,
     update_lambda,
     update_phi,
@@ -102,9 +104,10 @@ class TestSpecialFunctions:
             assert polygamma(1, x) == pytest.approx(want, rel=1e-10)
 
 
-def weight_sum(p, c, m):
-    """A pass step that leaves the block as it is and returns its weight."""
-    return m.sum()
+def weight_sum(phi, weights):
+    """A pass step that returns each block's weight and its rows of ``phi``
+    as they are."""
+    return lambda lo, hi, x: (weights[lo:hi].sum(), phi[lo:hi])
 
 
 def stacked_counts(phi, values, weights, cards):
@@ -128,7 +131,7 @@ class TestFieldCounts:
         weights = rng.integers(1, 5, size=n).astype(np.float64)
         columns = engine._columns(values, cards)
         want = stacked_counts(phi, values, weights, cards)
-        total, counts = engine._pass(phi, columns, weights, 9, weight_sum)
+        total, counts = engine._pass(columns, weights, 9, k, weight_sum(phi, weights))
         assert total == weights.sum()
         assert counts.shape == (9, k)
         np.testing.assert_allclose(counts, want, rtol=1e-12, atol=1e-15)
@@ -144,16 +147,17 @@ class TestFieldCounts:
 
     def test_no_records_gives_zero_tables(self):
         total, counts = engine._pass(
-            np.zeros((0, 4)), np.zeros((0, 2), dtype=np.intp), np.zeros(0), 8, weight_sum
+            np.zeros((0, 2), dtype=np.intp), np.zeros(0), 8, 4,
+            weight_sum(np.zeros((0, 4)), np.zeros(0)),
         )
         assert total == 0.0
         assert counts.shape == (8, 4) and not np.any(counts)
 
     def test_no_fields_gives_an_empty_table(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 2)
-        phi = np.full((5, 3), 1 / 3)
+        phi, weights = np.full((5, 3), 1 / 3), np.ones(5)
         total, counts = engine._pass(
-            phi, np.zeros((5, 0), dtype=np.intp), np.ones(5), 0, weight_sum
+            np.zeros((5, 0), dtype=np.intp), weights, 0, 3, weight_sum(phi, weights)
         )
         assert total == 5.0
         assert counts.shape == (0, 3)
@@ -176,20 +180,29 @@ class TestBlockPool:
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 16)
         phi, columns, weights, width = pool_problem()  # 25 blocks
         assert len(engine._blocks(*phi.shape)) >= 8
-        table = np.random.default_rng(6).normal(size=(width, phi.shape[1]))
+        k = phi.shape[1]
+        table = np.random.default_rng(6).normal(size=(width, k))
 
-        def step(p, x, m):
-            return engine._normalise_block(p, table, x) @ m
+        def into(phi):
+            """The reference updates' step: each block normalised into phi."""
+
+            def step(lo, hi, x):
+                p = phi[lo:hi]
+                return engine._normalise_block(x @ table, p)[2] @ weights[lo:hi], p
+
+            return step
 
         want_phi = phi.copy()
-        want_total, want_counts = engine._pass(want_phi, columns, weights, width, step)
+        want_total, want_counts = engine._pass(
+            columns, weights, width, k, into(want_phi)
+        )
         runs = []
 
         def run_many():
             for _ in range(30):
                 got_phi = phi.copy()
                 total, counts = engine._pass(
-                    got_phi, columns, weights, width, step, workers=4
+                    columns, weights, width, k, into(got_phi), workers=4
                 )
                 runs.append((total, counts.tobytes(), got_phi.tobytes()))
 
@@ -208,6 +221,38 @@ class TestBlockPool:
             assert counts == want_counts.tobytes()
             assert got_phi == want_phi.tobytes()
 
+    def test_fit_map_arrays_from_more_workers_than_cores(self, monkeypatch):
+        """Pool threads write disjoint rows of the fit's MAP arrays."""
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 8)
+        corpus, _ = sample_dataset(
+            GenConfig(entity_count=30, db_sizes=[200], cardinalities=[6, 5, 7],
+                      distortion=0.3, seed=8)
+        )
+        hp = HyperParams.symmetric(9, 0.5, corpus.schema.cardinalities)
+
+        def arrays(state):
+            return [a.tobytes() for a in (state.argmax, state.max_prob, state.lam)]
+
+        state, report = fit(corpus, hp, max_sweeps=3, seed=2)
+        assert len(engine._blocks(report.distinct_records, 9)) >= 8
+        want = arrays(state)
+        runs = []
+
+        def run_many():
+            for _ in range(10):
+                runs.append(arrays(fit(corpus, hp, max_sweeps=3, seed=2, workers=4)[0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run_many, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert runs == [want] * 10
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_at_most_workers_blocks_run_at_once(self, monkeypatch, workers):
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 40)
@@ -215,7 +260,7 @@ class TestBlockPool:
         lock = threading.Lock()
         running, most, threads = [0], [0], set()
 
-        def step(p, x, m):
+        def step(lo, hi, x):
             with lock:
                 running[0] += 1
                 most[0] = max(most[0], running[0])
@@ -223,9 +268,9 @@ class TestBlockPool:
             time.sleep(0.002)
             with lock:
                 running[0] -= 1
-            return m.sum()
+            return weights[lo:hi].sum(), phi[lo:hi]
 
-        total, _ = engine._pass(phi, columns, weights, width, step, workers)
+        total, _ = engine._pass(columns, weights, width, phi.shape[1], step, workers)
         assert total == weights.sum()
         assert running[0] == 0
         assert 1 <= most[0] <= workers
@@ -236,12 +281,12 @@ class TestBlockPool:
         phi, columns, weights, width = pool_problem()
         seen = []
 
-        def step(p, x, m):
+        def step(lo, hi, x):
             seen.append(np.geterr()["over"])
-            return 0.0
+            return 0.0, phi[lo:hi]
 
         with np.errstate(over="raise"):
-            engine._pass(phi, columns, weights, width, step, workers=3)
+            engine._pass(columns, weights, width, phi.shape[1], step, workers=3)
         assert seen == ["raise"] * 10
 
 
@@ -268,9 +313,19 @@ class TestScores:
         scores = x @ table
         np.testing.assert_array_equal(scores, want)
         out = np.empty((n, k))
-        lse = engine._normalise_block(out, table, x)
+        top_at, total, lse = engine._normalise_block(x @ table, out)
         np.testing.assert_allclose(out, softmax(want, axis=1), rtol=1e-13, atol=1e-300)
         np.testing.assert_allclose(lse, logsumexp(want, axis=1), rtol=1e-14)
+        # the MAP entity and responsibility, bit for bit those of phi
+        np.testing.assert_array_equal(top_at, want.argmax(axis=1))
+        np.testing.assert_array_equal(top_at, out.argmax(axis=1))
+        np.testing.assert_array_equal(1.0 / total, out.max(axis=1))
+        # in place, as a fit sweep normalises, gives the same bits
+        scores = x @ table
+        in_place = engine._normalise_block(scores, scores)
+        np.testing.assert_array_equal(scores, out)
+        for a, b in zip(in_place, (top_at, total, lse)):
+            np.testing.assert_array_equal(a, b)
 
     def test_score_table_stacks_each_field(self):
         # field 0 is rows 0-2, field 1 is row 3; one column per entity
@@ -282,9 +337,11 @@ class TestScores:
 
     def test_no_fields_gives_uniform_rows(self):
         out = np.empty((3, 4))
-        no_columns = np.zeros((3, 0), dtype=np.intp)
-        lse = engine._normalise_block(out, np.zeros((0, 4)), no_columns)
+        no_columns = engine._one_hot(np.zeros((3, 0), dtype=np.intp), 0)
+        top_at, total, lse = engine._normalise_block(no_columns @ np.zeros((0, 4)), out)
         np.testing.assert_array_equal(out, np.full((3, 4), 0.25))
+        np.testing.assert_array_equal(top_at, [0, 0, 0])
+        np.testing.assert_array_equal(total, [4.0, 4.0, 4.0])
         np.testing.assert_allclose(lse, np.full(3, math.log(4.0)), rtol=1e-15)
         assert engine._score_tables(np.zeros((0, 4)), []).shape == (0, 4)
 
@@ -292,8 +349,8 @@ class TestScores:
         out = np.empty((0, 4))
         no_rows = np.zeros((0, 2), dtype=np.intp)
         x = engine._one_hot(no_rows, 6)
-        lse = engine._normalise_block(out, np.zeros((6, 4)), x)
-        assert lse.shape == (0,)
+        top_at, total, lse = engine._normalise_block(x @ np.zeros((6, 4)), out)
+        assert top_at.shape == total.shape == lse.shape == (0,)
 
 
 class TestUpdateLambda:
@@ -478,7 +535,7 @@ class TestGradient:
         update_lambda(state, corpus, hp)
         # fit's last sweep ends with a lam update; its state shares rows
         # between duplicate records
-        fitted, _ = fit(corpus, hp, max_sweeps=2, seed=2)
+        fitted = reference_state(fit(corpus, hp, max_sweeps=2, seed=2)[0], corpus, hp)
         assert fitted.phi.shape[0] < corpus.total_records
         for state in (state, fitted):
             np.testing.assert_array_equal(elbo_grad_lambda(state, corpus, hp), 0.0)
@@ -534,7 +591,10 @@ class TestFit:
         for ea, eb in zip(report_a.elbo_trace, report_b.elbo_trace):
             assert eb == pytest.approx(ea, rel=1e-12)
         np.testing.assert_allclose(
-            state_b.phi, state_a.phi[:, perm], rtol=1e-9, atol=1e-12
+            reference_state(state_b, corpus, hp).phi,
+            reference_state(state_a, corpus, hp).phi[:, perm],
+            rtol=1e-9,
+            atol=1e-12,
         )
         np.testing.assert_allclose(
             state_b.lam, state_a.lam[:, perm], rtol=1e-9, atol=1e-12
@@ -550,7 +610,7 @@ class TestFit:
         n = corpus.total_records
 
         def on_sweep(_sweep, _value, state):
-            sizes = np.bincount(state.rows) @ state.phi
+            sizes = np.bincount(state.rows) @ reference_state(state, corpus, hp).phi
             assert sizes.sum() == pytest.approx(n, rel=1e-9)
             by_field = engine._field_sums(
                 state.lam - hp.alpha[:, None], corpus.schema.cardinalities
@@ -685,11 +745,13 @@ class TestHyperParams:
 
 def fit_sweeps(corpus, hp, **options):
     """Run fit to the sweep limit or an exactly flat ELBO, keeping each
-    sweep's ELBO, phi and lam."""
+    sweep's ELBO, the lam that produced its phi (which fixes that phi), its
+    MAP arrays and its lam."""
     sweeps = []
 
     def keep(_sweep, value, state):
-        sweeps.append((value, state.phi.copy(), state.lam.copy()))
+        kept = (state.prev, state.argmax, state.max_prob, state.lam)
+        sweeps.append((value, *(a.copy() for a in kept)))
 
     state, _ = fit(corpus, hp, rel_tol=1e-300, on_sweep=keep, **options)
     return state, sweeps
@@ -699,7 +761,8 @@ def assert_resume_is_exact(corpus, hp, path, first, then, seed=0):
     """Fit ``first`` sweeps, checkpoint, and fit ``then`` more sweeps from
     the loaded lam and from a Fortran-ordered copy of it: each sweep that
     both such a fit and an uninterrupted fit made has the same ELBO, phi
-    and lam bit for bit.  Returns how many sweeps were compared."""
+    (the lam that produced it), MAP arrays and lam bit for bit.  Returns
+    how many sweeps were compared."""
     _, whole = fit_sweeps(corpus, hp, max_sweeps=first + then, seed=seed)
     state, head = fit_sweeps(corpus, hp, max_sweeps=first, seed=seed)
     save_state(path, state.lam, corpus, hp)
@@ -707,11 +770,47 @@ def assert_resume_is_exact(corpus, hp, path, first, then, seed=0):
     for start in (lam, np.asfortranarray(lam)):
         _, tail = fit_sweeps(corpus, hp, initial_lam=start, max_sweeps=then, seed=seed)
         compared = list(zip(whole[len(head) :], tail))
-        for (elbo_a, phi_a, lam_a), (elbo_b, phi_b, lam_b) in compared:
+        for (elbo_a, *arrays_a), (elbo_b, *arrays_b) in compared:
             assert elbo_a == elbo_b
-            np.testing.assert_array_equal(phi_a, phi_b)
-            np.testing.assert_array_equal(lam_a, lam_b)
+            for a, b in zip(arrays_a, arrays_b):
+                np.testing.assert_array_equal(a, b)
     return len(compared)
+
+
+class TestFitMemory:
+    """fit holds no (U, K) phi: one block per worker and a few
+    (sum V_f, K) tables."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # about 7700 distinct tuples at K = 1000: a dense phi would take
+        # 8 * U * K = 62 MB, blocks of 1048 rows take 8.4 MB each
+        rng = np.random.default_rng(17)
+        cards = [10] * 5
+        schema = Schema(
+            tuple(f"f{f}" for f in range(5)),
+            tuple(tuple(str(v) for v in range(10)) for _ in cards),
+        )
+        values = rng.integers(0, 10, size=(8000, 5), dtype=np.int32)
+        corpus = Corpus(schema=schema, db_sizes=(8000,), values=values)
+        hp = HyperParams.symmetric(1000, 0.1, cards)
+        # the modules a fit imports on first use are not traced below
+        fit(corpus, hp, max_sweeps=1, workers=2)
+        return corpus, hp
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_is_below_half_a_dense_phi(self, wide, workers):
+        corpus, hp = wide
+        tracemalloc.start()
+        try:
+            state, report = fit(corpus, hp, max_sweeps=2, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = 8 * report.distinct_records * hp.entity_count
+        assert dense >= 32 * 2**20
+        assert peak < dense / 2
+        assert report.sweeps_run == 2 and state.argmax.size == report.distinct_records
 
 
 class TestCheckpoint:
@@ -832,7 +931,7 @@ class TestDistinctRecords:
         distinct = len({tuple(r) for r in corpus.values.tolist()})
         assert distinct < corpus.total_records / 2
         assert report.distinct_records == distinct
-        assert state.phi.shape == (distinct, hp.entity_count)
+        assert state.argmax.shape == state.max_prob.shape == (distinct,)
 
         reference = init_state(corpus, hp, seed=3)
         trace = []
@@ -842,9 +941,8 @@ class TestDistinctRecords:
             trace.append(elbo(reference, corpus, hp))
         np.testing.assert_allclose(report.elbo_trace, trace, rtol=1e-10, atol=0.0)
         ours = map_linkage(state, corpus.db_sizes)
-        theirs = map_linkage(reference, corpus.db_sizes)
-        np.testing.assert_array_equal(ours.map_entity, theirs.map_entity)
-        np.testing.assert_allclose(ours.max_prob, theirs.max_prob, rtol=1e-9)
+        np.testing.assert_array_equal(ours.map_entity, reference.phi.argmax(axis=1) + 1)
+        np.testing.assert_allclose(ours.max_prob, reference.phi.max(axis=1), rtol=1e-9)
 
     def test_closed_form_start_matches_lambda_update(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
@@ -861,12 +959,15 @@ class TestDistinctRecords:
         hp = HyperParams.symmetric(4, 0.5, [3])
         state, report = fit(corpus, hp, max_sweeps=3, seed=0)
         assert report.distinct_records == 3
-        assert state.phi.shape == (3, 4)
+        assert state.argmax.shape == state.max_prob.shape == (3,)
+        assert state.lam.shape == state.prev.shape == (3, 4)
         rows = state.rows
         assert rows[0] == rows[2] == rows[3]
         assert rows[1] == rows[5]
         assert len({rows[0], rows[1], rows[4]}) == 3
-        validate(state)
+        reference = reference_state(state, corpus, hp)
+        assert reference.phi.shape == (3, 4)
+        validate(reference)
 
     def test_records_without_fields_share_one_row(self):
         corpus = Corpus(
@@ -874,7 +975,7 @@ class TestDistinctRecords:
         )
         state, report = fit(corpus, HyperParams(2, []), max_sweeps=3)
         assert report.distinct_records == 1
-        assert state.phi.shape == (1, 2)
+        assert state.argmax.shape == (1,) and state.entity_count == 2
         np.testing.assert_array_equal(state.rows, [0, 0, 0])
         np.testing.assert_array_equal(
             map_linkage(state, corpus.db_sizes).map_entity, [1, 1, 1]
@@ -914,7 +1015,8 @@ class TestFusedSweep:
         gaps = []
 
         def check(_sweep, value, state):
-            gaps.append(abs(value - elbo(state, corpus, hp)) / abs(value))
+            reference = reference_state(state, corpus, hp)
+            gaps.append(abs(value - elbo(reference, corpus, hp)) / abs(value))
 
         _, report = fit(corpus, hp, max_sweeps=8, rel_tol=1e-14, seed=4, on_sweep=check)
         assert len(gaps) == report.sweeps_run == 8
@@ -923,15 +1025,15 @@ class TestFusedSweep:
     def test_lambda_is_the_update_of_the_returned_phi(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
         state, _ = fit(corpus, hp, max_sweeps=5, seed=6)
-        reference = copy_state(state)
+        reference = reference_state(state, corpus, hp)
         update_lambda(reference, corpus, hp)
-        np.testing.assert_allclose(state.lam, reference.lam, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(state.lam, reference.lam)
 
     def test_copied_and_reloaded_lambda_give_the_same_phi(
         self, duplicate_heavy, tmp_path
     ):
         corpus, hp = duplicate_heavy
-        state, _ = fit(corpus, hp, max_sweeps=2, seed=6)
+        state = reference_state(fit(corpus, hp, max_sweeps=2, seed=6)[0], corpus, hp)
         updated = copy_state(state)
         update_lambda(updated, corpus, hp)
         assert state.lam.flags.c_contiguous and updated.lam.flags.c_contiguous
@@ -946,6 +1048,18 @@ class TestFusedSweep:
             update_phi(s, corpus, hp)
         for s in (copied, reloaded, fortran):
             np.testing.assert_array_equal(s.phi, state.phi)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_map_arrays_are_the_argmax_and_max_of_the_last_phi(
+        self, duplicate_heavy, monkeypatch, workers
+    ):
+        corpus, hp = duplicate_heavy
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)  # 5 blocks
+        state, _ = fit(corpus, hp, max_sweeps=4, seed=1, workers=workers)
+        phi = reference_state(state, corpus, hp).phi
+        assert len(engine._blocks(*phi.shape)) == 5
+        np.testing.assert_array_equal(state.argmax, phi.argmax(axis=1))
+        np.testing.assert_array_equal(state.max_prob, phi.max(axis=1))
 
     def test_blocks_are_capped_at_eight_mebibytes(self):
         assert engine._rows_per_block(50) == engine.BLOCK_RECORDS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vblink.cli import main
-from vblink.engine import VariationalState
+from vblink.engine import FitState, VariationalState, _normalise_block
 from vblink.evaluate import (
     Linkage,
     LinkageScore,
@@ -18,10 +18,26 @@ from vblink.evaluate import (
 from vblink.genmodel import GenConfig, GroundTruth, sample_dataset, write_ground_truth
 
 
-def state_from_phi(phi):
+def phi_state(phi):
     phi = np.asarray(phi, dtype=np.float64)
-    k = phi.shape[1]
-    return VariationalState(phi=phi, lam=np.ones((2, k)))
+    return VariationalState(phi=phi, lam=np.ones((2, phi.shape[1])))
+
+
+def state_from_phi(phi, rows=None):
+    """A fit state whose last sweep's responsibilities are ``phi``: its MAP
+    arrays come from normalising the scores log(phi), as a sweep does."""
+    phi = np.asarray(phi, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        scores = np.log(phi)
+    argmax, total, _ = _normalise_block(scores, scores)
+    lam = np.ones((2, phi.shape[1]))
+    return FitState(
+        lam=lam,
+        prev=lam,
+        rows=np.arange(len(phi)) if rows is None else np.asarray(rows),
+        argmax=argmax,
+        max_prob=1.0 / total,
+    )
 
 
 def truth_of(labels, db_sizes=None):
@@ -48,9 +64,7 @@ class TestMapLinkage:
         assert linkage.entity_count_estimate == 2
 
     def test_ties_break_to_smallest_entity(self):
-        state = state_from_phi([[0.5, 0.5], [1 / 3, 1 / 3]])
-        # second row deliberately not normalized against column 3
-        state.phi = np.array([[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]])
+        state = state_from_phi([[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]])
         linkage = map_linkage(state, [2])
         np.testing.assert_array_equal(linkage.map_entity, [1, 1])
 
@@ -61,8 +75,7 @@ class TestMapLinkage:
         assert linkage.entity_count_estimate == 1
 
     def test_records_sharing_a_row(self):
-        state = state_from_phi([[0.2, 0.8], [0.9, 0.1]])
-        state.rows = np.array([1, 0, 1, 1])
+        state = state_from_phi([[0.2, 0.8], [0.9, 0.1]], rows=[1, 0, 1, 1])
         linkage = map_linkage(state, [3, 1])
         np.testing.assert_array_equal(linkage.map_entity, [1, 2, 1, 1])
         np.testing.assert_allclose(linkage.max_prob, [0.9, 0.8, 0.9, 0.9])
@@ -138,29 +151,29 @@ class TestPairwiseMetrics:
 
 class TestCoclusterEstimate:
     def test_point_masses(self):
-        state = state_from_phi([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        state = phi_state([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         out = posterior_cocluster_estimate(state, [(0, 1), (0, 2)])
         np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_uniform_rows_give_one_over_k(self):
-        state = state_from_phi(np.full((2, 4), 0.25))
+        state = phi_state(np.full((2, 4), 0.25))
         out = posterior_cocluster_estimate(state, [(0, 1)])
         np.testing.assert_allclose(out, [0.25])
 
     def test_hand_computed_dot_product(self):
-        state = state_from_phi([[0.7, 0.3], [0.4, 0.6]])
+        state = phi_state([[0.7, 0.3], [0.4, 0.6]])
         out = posterior_cocluster_estimate(state, [(0, 1), (1, 0), (0, 0)])
         np.testing.assert_allclose(out, [0.46, 0.46, 0.58])
 
     def test_out_of_range_pair(self):
-        state = state_from_phi([[1.0]])
+        state = phi_state([[1.0]])
         with pytest.raises(IndexError):
             posterior_cocluster_estimate(state, [(0, 1)])
         with pytest.raises(IndexError):
             posterior_cocluster_estimate(state, [(-1, 0)])
 
     def test_records_sharing_a_row(self):
-        state = state_from_phi([[0.7, 0.3], [0.4, 0.6]])
+        state = phi_state([[0.7, 0.3], [0.4, 0.6]])
         state.rows = np.array([0, 1, 0])
         out = posterior_cocluster_estimate(state, [(0, 2), (1, 2), (2, 1)])
         np.testing.assert_allclose(out, [0.58, 0.46, 0.46])
