@@ -149,7 +149,8 @@ def open_table(path):
 
 
 class _FirstSeen(dict):
-    """A field's codes in first-seen order: an unseen value takes the next."""
+    """A field's codes in first-seen order: an unseen value takes the next.
+    ``dict.__getitem__`` calls :meth:`__missing__` on this subclass too."""
 
     def __missing__(self, raw):
         code = self[raw] = len(self)
@@ -197,7 +198,7 @@ def load_databases(paths, schema=None):
                         f"{path}: row {n}, column {header[row.index('')]!r} is empty"
                     )
                 try:
-                    codes += [m[raw] for m, raw in zip(maps, row)]
+                    codes += map(dict.__getitem__, maps, row)
                 except KeyError:  # schema.code names the value and its field
                     for f, raw in enumerate(row):
                         schema.code(f, raw)
@@ -257,12 +258,16 @@ def write_record_table(path, db_sizes, columns):
     1-based database and record ids.  ``columns`` maps each name to a
     numeric array over all records in stacked order; the numbers are
     written by ``repr``, as csv.writer writes them.  An empty database has
-    no lines."""
-    db = chain.from_iterable(repeat(d, size) for d, size in enumerate(db_sizes, 1))
-    record = chain.from_iterable(range(1, size + 1) for size in db_sizes)
-    line = ",".join(["{!r}"] * (2 + len(columns))).format
-    cells = [col.tolist() for col in columns.values()]
-    write_table(path, ["db", "record", *columns], map(line, db, record, *cells))
+    no lines.  Each column is formatted by one ``map`` over its values and
+    each line joined from its cells by another, so no Python code runs per
+    line."""
+    db = chain.from_iterable(
+        repeat(repr(d), size) for d, size in enumerate(db_sizes, 1)
+    )
+    record = chain.from_iterable(map(repr, range(1, size + 1)) for size in db_sizes)
+    cells = [map(repr, col.tolist()) for col in columns.values()]
+    lines = map(",".join, zip(db, record, *cells))
+    write_table(path, ["db", "record", *columns], lines)
 
 
 def read_record_table(path, columns):

@@ -385,7 +385,8 @@ def _score_tables(lam, cardinalities):
 
     table = digamma(lam)
     field_psi = digamma(_field_sums(lam, cardinalities))
-    table -= np.repeat(field_psi, cardinalities, axis=0)
+    for start, v_f, psi_f in zip(_starts(cardinalities), cardinalities, field_psi):
+        table[start : start + v_f] -= psi_f
     return table
 
 

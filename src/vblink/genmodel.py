@@ -78,7 +78,9 @@ class GenConfig:
             raise ValueError("entity_count must be >= 1")
         if not self.db_sizes or any(int(s) < 0 for s in self.db_sizes):
             raise ValueError("db_sizes must be a nonempty list of nonnegative sizes")
-        if not self.cardinalities or any(int(v) < 1 for v in self.cardinalities):
+        if not self.cardinalities:
+            raise ValueError("at least one field is required")
+        if any(int(v) < 1 for v in self.cardinalities):
             raise ValueError("cardinalities must be positive")
         if (self.distortion is None) == (self.dirichlet_alpha is None):
             raise ValueError("set exactly one of distortion and dirichlet_alpha")
@@ -183,7 +185,9 @@ def sample_dataset(config):
 
     values = np.empty((n, schema.field_count), dtype=np.int32)
     for f, beta in enumerate(betas):
-        cdf = np.cumsum(beta[z], axis=1)
+        # One CDF per entity, gathered per record: each row's sums are those
+        # of the record's own noise row, added in the same order.
+        cdf = np.cumsum(beta, axis=1)[z]
         u = rng.random(n)
         values[:, f] = np.minimum(
             np.sum(u[:, None] >= cdf, axis=1), beta.shape[1] - 1

@@ -41,6 +41,11 @@ from vblink.engine import _check_compatible, _columns, _field_sums, _log_beta, _
 
 ENUMERATION_BUDGET = 10**6
 
+# Record subsets per chunk of the (sum V_f, subsets) tables of log g.  A
+# power of two, so the 2^N subsets fill whole chunks and no chunk is one
+# column wide, whose sums numpy would take pairwise instead of in row order.
+SUBSET_CHUNK = 1 << 14
+
 
 class EnumerationBudgetError(ValueError):
     """The subset dynamic program's term count exceeds the enumeration budget."""
@@ -72,15 +77,24 @@ def _check_budget(n, k):
 
 def _set_weights(corpus, hp):
     """The (2^N, N) uint8 membership matrix of every record subset (bit i
-    of row S is record i) and log g(S) for each row."""
+    of row S is record i) and log g(S) for each row, ``SUBSET_CHUNK``
+    subsets at a time: each subset's sums run over the same rows in the
+    same order whatever the chunk."""
     from scipy.special import gammaln
 
     n = corpus.total_records
     cards = corpus.schema.cardinalities
-    members = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
-    x = _one_hot(_columns(corpus.values, cards), hp.alpha.size)
-    lam = hp.alpha[:, None] + x.T @ members.T
-    logg = gammaln(lam).sum(axis=0) - gammaln(_field_sums(lam, cards)).sum(axis=0)
+    xt = _one_hot(_columns(corpus.values, cards), hp.alpha.size).T
+    members = np.empty((2**n, n), dtype=np.uint8)
+    logg = np.empty(2**n)
+    for lo in range(0, 2**n, SUBSET_CHUNK):
+        chunk = members[lo : lo + SUBSET_CHUNK]
+        bits = np.arange(lo, lo + len(chunk))[:, None] >> np.arange(n)
+        np.bitwise_and(bits, 1, out=chunk, casting="unsafe")
+        lam = hp.alpha[:, None] + xt @ chunk.T
+        logg[lo : lo + len(chunk)] = (
+            gammaln(lam).sum(axis=0) - gammaln(_field_sums(lam, cards)).sum(axis=0)
+        )
     return members, logg - _log_beta(hp.alpha, cards)
 
 

@@ -103,6 +103,17 @@ class TestSynth:
         assert "distortion must be 0 for a 1-valued field" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("fields", ["0", "-2"])
+    def test_rejects_no_fields(self, tmp_path, capsys, fields):
+        out = tmp_path / "x"
+        code = main(
+            ["synth", "--k", "2", "--db-sizes", "4", f"--fields={fields}",
+             "--cardinality", "2", "--distortion", "0.1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "error: at least one field is required" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_rejects_non_finite_alpha(self, tmp_path, capsys, alpha):
         out = tmp_path / "x"

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 import tracemalloc
 
@@ -15,6 +17,7 @@ from vblink.corpus import (
     read_record_table,
     read_schema_file,
     write_databases,
+    write_record_table,
     write_schema_file,
 )
 from vblink.evaluate import read_ground_truth, read_linkage
@@ -186,6 +189,43 @@ class TestReadRecordTable:
         assert db_sizes == (10_000, 10_000)
         np.testing.assert_array_equal(read, entities)
         assert peak < 140 * rows
+
+
+class TestWriteRecordTable:
+    FLOATS = [0.1, 1.0, 5e-324, 1e22, 0.9999999999999991, -0.0, 1e-7, 123456.789]
+    INTS = [1, 7, 2**53 + 1, -5, 0, 40, 12, 3]
+
+    @pytest.mark.parametrize(
+        "db_sizes, names",
+        [
+            ((5, 3), ("entity", "max_prob")),
+            ((0, 8), ("entity", "max_prob")),
+            ((2, 0, 6), ("entity", "max_prob")),
+            ((8,), ("max_prob",)),
+            ((3, 0, 5), ()),
+            ((0, 0), ("entity",)),
+        ],
+        ids=["two-dbs", "empty-first", "empty-middle", "floats-only",
+             "no-value-columns", "no-records"],
+    )
+    def test_bytes_are_csv_writers(self, tmp_path, db_sizes, names):
+        n = sum(db_sizes)
+        data = {
+            "entity": np.array(self.INTS[:n], dtype=np.int64),
+            "max_prob": np.array(self.FLOATS[:n]),
+        }
+        columns = {name: data[name] for name in names}
+        path = tmp_path / "table.csv"
+        write_record_table(path, db_sizes, columns)
+        ids = [(d, r) for d, size in enumerate(db_sizes, 1) for r in range(1, size + 1)]
+        values = [col.tolist() for col in columns.values()]
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["db", "record", *names])
+        writer.writerows(
+            [d, r, *(col[i] for col in values)] for i, (d, r) in enumerate(ids)
+        )
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize(

@@ -335,6 +335,24 @@ class TestScores:
         np.testing.assert_array_equal(table[:3], digamma(lam[:3]) - digamma([6.0, 5.0]))
         np.testing.assert_array_equal(table[3], digamma(lam[3]) - digamma(lam[3]))
 
+    def test_score_table_allocates_one_table(self):
+        # link4k's shape, 8 fields of 10 values at K = 4000: a 2.56 MB table.
+        # Subtracting a repeated (sum V_f, K) copy of the field terms took
+        # twice that; each field's rows in place give the same bits
+        rng = np.random.default_rng(4)
+        cards = [10] * 8
+        lam = 0.1 + rng.gamma(0.5, size=(80, 4000))
+        field_psi = digamma(engine._field_sums(lam, cards))
+        want = digamma(lam) - np.repeat(field_psi, cards, axis=0)
+        tracemalloc.start()
+        try:
+            table = engine._score_tables(lam, cards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(table, want)
+        assert peak < 1.5 * table.nbytes
+
     def test_no_fields_gives_uniform_rows(self):
         out = np.empty((3, 4))
         no_columns = engine._one_hot(np.zeros((3, 0), dtype=np.intp), 0)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vblink import genmodel
 from vblink.evaluate import read_ground_truth
 from vblink.genmodel import (
     GenConfig,
@@ -60,6 +63,57 @@ class TestValidation:
     def test_entity_count_positive(self):
         with pytest.raises(ValueError):
             sample_dataset(peaked(entity_count=0))
+
+    def test_no_fields_rejected(self):
+        with pytest.raises(ValueError, match="at least one field is required"):
+            sample_dataset(peaked(cardinalities=[]))
+
+
+class TestCellDraws:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            peaked(db_sizes=[40, 0, 35], cardinalities=[4, 1, 7, 2], eps=0.0),
+            peaked(db_sizes=[40, 0, 35], cardinalities=[4, 2, 7], eps=0.3),
+            peaked(eps=None, dirichlet_alpha=0.3, cardinalities=[5, 3, 9]),
+            peaked(entity_count=12, db_sizes=[20, 9], small_cluster_max=3),
+        ],
+        ids=["peaked-zero", "peaked", "dirichlet", "small-cluster"],
+    )
+    def test_match_the_per_record_formula_bit_for_bit(self, config):
+        # replay the generator's draws (noise, assignments, then one uniform
+        # per record and field) and take each record's CDF from its own
+        # gathered row, as the sampler did before it built one per entity
+        corpus, truth = sample_dataset(config)
+        rng = np.random.default_rng(config.seed)
+        betas, _ = genmodel._sample_noise(rng, config)
+        z = genmodel._sample_assignments(rng, config, truth.total_records)
+        np.testing.assert_array_equal(z, truth.assignments)
+        for f, beta in enumerate(betas):
+            np.testing.assert_array_equal(beta, truth.noise_distributions[f])
+            u = rng.random(len(z))
+            want = np.minimum(
+                np.sum(u[:, None] >= np.cumsum(beta[z], axis=1), axis=1),
+                beta.shape[1] - 1,
+            )
+            np.testing.assert_array_equal(corpus.values[:, f], want)
+
+    def test_peak_holds_one_cdf_table_at_a_time(self):
+        # 200,000 records x 10 fields of 10 values: the draws of a field
+        # hold its (N, V) CDF table and the compare's counts; gathering
+        # every record's noise row first added a third N x V float table
+        n, v = 200_000, 10
+        config = GenConfig(
+            entity_count=50, db_sizes=[n], cardinalities=[v] * 10,
+            dirichlet_alpha=0.3, seed=1,
+        )
+        tracemalloc.start()
+        try:
+            corpus, _ = sample_dataset(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < corpus.values.nbytes + 2.5 * n * v * 8
 
 
 class TestNoiseStructure:

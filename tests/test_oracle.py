@@ -190,6 +190,26 @@ class TestAgainstBruteForce:
         )
 
 
+class TestSubsetChunks:
+    @pytest.mark.parametrize("chunk", [2, 16, 256])
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_chunks_match_one_chunk_bit_for_bit(self, monkeypatch, k, chunk):
+        # 10 records: 2^10 subsets in one chunk, or in 512, 64 or 4 chunks
+        rng = np.random.default_rng(12)
+        cards = [4, 3, 5]
+        corpus = small_corpus(rng.integers(0, cards, size=(10, 3)), cards, [6, 4])
+        hp = HyperParams(k, rng.uniform(0.1, 2.0, size=sum(cards)))
+        monkeypatch.setattr(oracle, "SUBSET_CHUNK", 2**10)
+        whole = oracle._set_weights(corpus, hp)
+        one = exact_posterior(corpus, hp)
+        monkeypatch.setattr(oracle, "SUBSET_CHUNK", chunk)
+        for a, b in zip(oracle._set_weights(corpus, hp), whole):
+            np.testing.assert_array_equal(a, b)
+        post = exact_posterior(corpus, hp)
+        assert post.log_evidence == one.log_evidence
+        np.testing.assert_array_equal(post.cocluster, one.cocluster)
+
+
 class TestEntityCountAtRecordCount:
     @settings(derandomize=True, database=None, deadline=None, max_examples=50)
     @given(problem=tiny_problems(max_records=10))
