@@ -28,7 +28,6 @@ from .corpus import (
     load_databases,
     read_schema_file,
     write_databases,
-    write_entity_table,
     write_schema_file,
 )
 from .engine import (
@@ -45,6 +44,7 @@ from .evaluate import (
     posterior_cocluster_estimate,
     read_ground_truth,
     read_linkage,
+    write_entities,
     write_linkage,
 )
 from .genmodel import GenConfig, resolve_alpha, sample_dataset, write_ground_truth
@@ -62,6 +62,8 @@ BOUND_SLACK = 1e-9
 # nor --alpha-file is given.  --alpha itself defaults to None, which is how
 # a clash with --alpha-file shows.
 DEFAULT_ALPHA = 0.1
+
+FIT_DEFAULTS = fit.__kwdefaults__  # of --max-sweeps, --tol, --seed and --workers
 
 # Parsed attributes that are not part of a run's configuration.
 _NOT_ECHOED = ("func", "subparser", "config", "out")
@@ -220,20 +222,7 @@ def cmd_fit(args):
     linkage = map_linkage(state, corpus.db_sizes)
     write_linkage(os.path.join(args.out, "linkage.csv"), linkage)
     save_state(os.path.join(args.out, "state.npz"), state.lam, corpus, hp)
-    # The entities some record links to (bincount finds the set np.unique
-    # would without a sort, which added 0.25 MB to link4k's peak RSS), each
-    # with its modal value per field f: the argmax of its column over f's
-    # rows of lam, the first maximum, so ties go to the smallest code.
-    entities = np.flatnonzero(np.bincount(linkage.map_entity))
-    lam, cards = state.lam, corpus.schema.cardinalities
-    ends = np.cumsum([0, *cards])
-    modes = [lam[a:b, entities - 1].argmax(axis=0) for a, b in zip(ends, ends[1:])]
-    write_entity_table(
-        os.path.join(args.out, "entities.csv"),
-        corpus.schema,
-        entities,
-        np.reshape(modes, (len(cards), len(entities))).T,
-    )
+    write_entities(os.path.join(args.out, "entities.csv"), state, corpus.schema)
     _write_manifest(
         args,
         ["trace.csv", "linkage.csv", "state.npz", "entities.csv", "manifest.json"],
@@ -316,10 +305,10 @@ def _add_fit_flags(parser):
     parser.add_argument("--k", type=int, help="latent entities (default: one per record)")
     parser.add_argument("--alpha", type=float, help=f"symmetric Dirichlet concentration (default {DEFAULT_ALPHA})")
     parser.add_argument("--alpha-file", dest="alpha_file", help="per-field concentration vectors, one line per field")
-    parser.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=1000, help="sweep limit (default %(default)s)")
-    parser.add_argument("--tol", type=float, default=1e-8, help="relative ELBO change for convergence (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0, help="initialization seed (default %(default)s)")
-    parser.add_argument("--workers", type=int, default=1, help="threads for the fit's record blocks; any count gives byte-identical output (default %(default)s)")
+    parser.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=FIT_DEFAULTS["max_sweeps"], help="sweep limit (default %(default)s)")
+    parser.add_argument("--tol", type=float, default=FIT_DEFAULTS["rel_tol"], help="relative ELBO change for convergence (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=FIT_DEFAULTS["seed"], help="initialization seed (default %(default)s)")
+    parser.add_argument("--workers", type=int, default=FIT_DEFAULTS["workers"], help="threads for the fit's record blocks; any count gives byte-identical output (default %(default)s)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="key=value defaults file; flags win")
 
@@ -381,12 +370,13 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError:
-        print(
-            "error: out of memory: the fit's (sum of field cardinalities) x K "
-            "tables and one record block per worker did not fit; try a smaller "
-            "--k or fewer --workers",
-            file=sys.stderr,
+        advice = (
+            ": the fit's (sum of field cardinalities) x K tables and one record "
+            "block per worker did not fit; try a smaller --k or fewer --workers"
+            if args.command in ("fit", "oracle-check")
+            else ""
         )
+        print(f"error: out of memory{advice}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -258,14 +258,18 @@ def write_record_table(path, db_sizes, columns):
     1-based database and record ids.  ``columns`` maps each name to a
     numeric array over all records in stacked order; the numbers are
     written by ``repr``, as csv.writer writes them.  An empty database has
-    no lines.  Each column is formatted by one ``map`` over its values and
-    each line joined from its cells by another, so no Python code runs per
-    line."""
+    no lines.  Each column is formatted by one ``map``, ``WRITE_CHUNK``
+    values at a time, and each line joined from its cells by another, so
+    no Python code runs per line."""
     db = chain.from_iterable(
         repeat(repr(d), size) for d, size in enumerate(db_sizes, 1)
     )
     record = chain.from_iterable(map(repr, range(1, size + 1)) for size in db_sizes)
-    cells = [map(repr, col.tolist()) for col in columns.values()]
+    bounds = range(WRITE_CHUNK, sum(db_sizes), WRITE_CHUNK)
+    cells = [
+        map(repr, chain.from_iterable(map(np.ndarray.tolist, np.split(col, bounds))))
+        for col in columns.values()
+    ]
     lines = map(",".join, zip(db, record, *cells))
     write_table(path, ["db", "record", *columns], lines)
 

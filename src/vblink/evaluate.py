@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_record_table, write_record_table
+from .corpus import read_record_table, write_entity_table, write_record_table
+from .engine import _starts
 from .genmodel import GroundTruth
 
 
@@ -38,10 +39,6 @@ class Linkage:
             raise ValueError("label/probability arrays must cover every record")
         if n and np.min(self.map_entity) < 1:
             raise ValueError("entity labels are 1-based")
-
-    @property
-    def entity_count_estimate(self):
-        return int(np.unique(self.map_entity).size)
 
 
 @dataclass
@@ -64,33 +61,27 @@ def map_linkage(state, db_sizes):
     )
 
 
-def _pair_count(counts):
-    c = counts.astype(np.int64)
-    return int(np.sum(c * (c - 1) // 2))
-
-
-def _label_pair_counts(pred, true):
-    """(same-pred pairs, same-true pairs, same-both pairs) via contingency."""
-    pred_pairs = _pair_count(np.unique(pred, return_counts=True)[1])
-    true_pairs = _pair_count(np.unique(true, return_counts=True)[1])
-    joint = np.unique(np.stack([pred, true], axis=1), axis=0, return_counts=True)[1]
-    return pred_pairs, true_pairs, _pair_count(joint)
-
-
 def pairwise_metrics(predicted, truth):
     """Precision/recall/F1 over record pairs.
 
     Degenerate conventions: precision is 1.0 when the prediction links no
     pairs, recall is 1.0 when the truth links none, so all-singleton
-    predictions score perfectly on all-singleton truth.
+    predictions score perfectly on all-singleton truth.  Each labelling is
+    sorted once, and a record's contingency cell numbered by its two indices.
     """
     if tuple(predicted.db_sizes) != tuple(truth.db_sizes):
         raise ValueError(
             f"prediction covers databases {tuple(predicted.db_sizes)}, "
             f"truth covers {tuple(truth.db_sizes)}"
         )
-    pred_pairs, true_pairs, both = _label_pair_counts(
-        predicted.map_entity, truth.assignments
+    (_, pred, pred_counts), (_, true, true_counts) = (
+        np.unique(labels, return_inverse=True, return_counts=True)
+        for labels in (predicted.map_entity, truth.assignments)
+    )
+    joint = np.unique(pred * len(true_counts) + true, return_counts=True)[1]
+    # Same-label pairs in the prediction, in the truth, and in both.
+    pred_pairs, true_pairs, both = (
+        int(np.sum(c * (c - 1) // 2)) for c in (pred_counts, true_counts, joint)
     )
     precision = both / pred_pairs if pred_pairs else 1.0
     recall = both / true_pairs if true_pairs else 1.0
@@ -103,8 +94,8 @@ def pairwise_metrics(predicted, truth):
         pairwise_precision=float(precision),
         pairwise_recall=float(recall),
         pairwise_f1=float(f1),
-        true_entity_count=int(np.unique(truth.assignments).size),
-        estimated_entity_count=predicted.entity_count_estimate,
+        true_entity_count=len(true_counts),
+        estimated_entity_count=len(pred_counts),
     )
 
 
@@ -128,6 +119,23 @@ def write_linkage(path, linkage):
         linkage.db_sizes,
         {"entity": linkage.map_entity, "max_prob": linkage.max_prob},
     )
+
+
+def write_entities(path, state, schema):
+    """Entity table ``entity,field,value`` of a fit's resolved entities:
+    those some distinct tuple, and so some record, takes as its MAP
+    (``state.argmax``), each with its modal value per field f: the argmax
+    of its column over f's rows of ``state.lam``, the first maximum, so
+    ties go to the smallest code."""
+    # bincount finds the set np.unique would, without a sort.
+    entities = np.flatnonzero(np.bincount(state.argmax))
+    cards = schema.cardinalities
+    modes = [
+        state.lam[a : a + v, entities].argmax(axis=0)
+        for a, v in zip(_starts(cards), cards)
+    ]
+    codes = np.reshape(modes, (len(cards), len(entities))).T
+    write_entity_table(path, schema, entities + 1, codes)
 
 
 def read_linkage(path):

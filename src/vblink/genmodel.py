@@ -26,6 +26,7 @@ record table and an entity table of latent values, both written by
 values through the same entity-table writer.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,11 +207,8 @@ def sample_dataset(config):
 
 def latent_path_for(path):
     """Companion latent-values file name: ``truth.csv -> truth_latent.csv``."""
-    text = str(path)
-    stem, dot, ext = text.rpartition(".")
-    if not dot:
-        return text + "_latent"
-    return f"{stem}_latent.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_latent{ext}"
 
 
 def write_ground_truth(truth, path):

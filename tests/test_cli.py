@@ -291,6 +291,28 @@ class TestFit:
             written.append((out / "entities.csv").read_bytes())
         assert written[0] == written[1]
 
+    def test_entities_are_the_linkage_labels_and_the_eval_count(self, tmp_path):
+        # K = 10 above synth's 4 true entities, so lam has columns that no
+        # record takes: entities.csv, linkage.csv and eval must agree on
+        # which entities were resolved
+        data, out = tmp_path / "data", tmp_path / "run"
+        run_synth(data)
+        assert main(
+            ["fit", str(data / "db1.csv"), str(data / "db2.csv"), "--schema",
+             str(data / "schema.txt"), "--k", "10", "--out", str(out)]
+        ) in (0, 4)
+        with open(out / "entities.csv", newline="", encoding="utf-8") as fh:
+            ids = {int(row["entity"]) for row in csv.DictReader(fh)}
+        labels = set(evaluate.read_linkage(out / "linkage.csv").map_entity.tolist())
+        assert ids == labels
+        assert 1 < len(ids) < 10
+        assert main(
+            ["eval", str(out / "linkage.csv"), str(data / "truth.csv"),
+             "--out", str(out / "score")]
+        ) == 0
+        score = json.loads((out / "score" / "score.json").read_text())
+        assert score["estimated_entity_count"] == len(ids)
+
     def test_sweep_limit_reports_non_convergence(self, tmp_path, capsys):
         data = tmp_path / "data"
         run_synth(data)
@@ -355,6 +377,23 @@ class TestFit:
             "tables and one record block per worker did not fit; try a smaller "
             "--k or fewer --workers\n"
         )
+
+    @pytest.mark.parametrize(
+        "command, patched",
+        [(["synth", "--k", "2", "--db-sizes", "3", "--fields", "1",
+           "--cardinality", "2", "--distortion", "0.1"], "sample_dataset"),
+         (["eval", "linkage.csv", "truth.csv"], "read_linkage")],
+        ids=["synth", "eval"],
+    )
+    def test_memory_error_outside_a_fit_gives_no_fit_advice(
+        self, tmp_path, capsys, monkeypatch, command, patched
+    ):
+        def exhaust(*_args, **_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, patched, exhaust)
+        assert main([*command, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_is_usage_error(self, tmp_path, capsys, alpha):
@@ -833,6 +872,14 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["fit", "oracle-check"])
+    def test_fit_flags_default_to_the_fits_keywords(self, command):
+        args = cli.build_parser().parse_args([command, "db.csv"])
+        kw = fit.__kwdefaults__
+        assert (args.max_sweeps, args.tol, args.seed, args.workers) == (
+            kw["max_sweeps"], kw["rel_tol"], kw["seed"], kw["workers"]
+        )
 
     @pytest.mark.parametrize("command", ["synth", "fit", "eval", "oracle-check"])
     def test_help(self, capsys, command):

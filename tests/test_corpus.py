@@ -192,6 +192,27 @@ class TestReadRecordTable:
 
 
 class TestWriteRecordTable:
+    def test_formats_columns_a_chunk_at_a_time(self, tmp_path):
+        # 200,000 records of entity and max_prob: whole columns turned into
+        # Python numbers peak near 80 bytes per record; WRITE_CHUNK values
+        # at a time, near 2 MB whatever the record count
+        rows = 200_000
+        columns = {
+            "entity": np.arange(1, rows + 1, dtype=np.int64),
+            "max_prob": np.linspace(0.1, 1.0, rows),
+        }
+        path = tmp_path / "linkage.csv"
+        tracemalloc.start()
+        try:
+            write_record_table(path, (rows // 2, rows // 2), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == rows + 1
+        assert lines[-1] == f"2,{rows // 2},{rows},1.0"
+        assert peak < 20 * rows
+
     FLOATS = [0.1, 1.0, 5e-324, 1e22, 0.9999999999999991, -0.0, 1e-7, 123456.789]
     INTS = [1, 7, 2**53 + 1, -5, 0, 40, 12, 3]
 

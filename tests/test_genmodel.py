@@ -259,3 +259,8 @@ class TestGroundTruthFiles:
     def test_latent_path_naming(self):
         assert latent_path_for("out/truth.csv") == "out/truth_latent.csv"
         assert latent_path_for("truth") == "truth_latent"
+
+    def test_latent_path_in_a_dotted_directory(self):
+        # only the file name's extension moves behind "_latent"
+        assert latent_path_for("out/run.1/truth") == "out/run.1/truth_latent"
+        assert latent_path_for("runs/v1.2/truth.csv") == "runs/v1.2/truth_latent.csv"
