@@ -27,6 +27,14 @@ import numpy as np
 # Data lines per write in write_table: a batch's text stays under about 1 MB.
 WRITE_CHUNK = 8192
 
+# Rows per step of read_record_table.  By default CPython collects its
+# youngest generation once 700 more container objects have been made than
+# freed.  A step holds its rows as lists until it is done with them, and
+# at 512 rows it makes too few to start a collection.  In a process
+# holding a fit's objects, steps of 4096 rows spent about a quarter of the
+# read in the collector.
+READ_CHUNK = 512
+
 
 class SchemaError(ValueError):
     """Headers disagree across files, or a schema definition is malformed."""
@@ -274,6 +282,33 @@ def write_record_table(path, db_sizes, columns):
     write_table(path, ["db", "record", *columns], lines)
 
 
+def _first(mask):
+    """The index of the first true entry of ``mask``, or its length."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _ids(cells):
+    """Decimal strings as int64.  One beyond int64, an id that no record
+    table can reach, reads as -1, which is never in sequence."""
+    try:
+        return np.fromiter(map(int, cells), np.int64, len(cells))
+    except OverflowError:
+        ids = [i if i >> 63 == 0 else -1 for i in map(int, cells)]
+        return np.array(ids, np.int64)
+
+
+def _parse(cells, dtype):
+    """Strings as ``dtype`` numbers.  numpy's cast from strings parses
+    each one by Python's ``int`` or ``float``; calling those directly gives
+    the same numbers without a numpy string per cell.  For a cell they
+    refuse, the cast itself raises, with its own message."""
+    parse = int if np.issubdtype(dtype, np.integer) else float
+    try:
+        return np.fromiter(map(parse, cells), dtype, len(cells))
+    except (ValueError, OverflowError):
+        return np.array(cells).astype(dtype)
+
+
 def read_record_table(path, columns):
     """Read a record table; ``columns`` maps each value column's name to
     its dtype.  Returns ``(db_sizes, arrays)``, one array per column.
@@ -282,32 +317,54 @@ def read_record_table(path, columns):
     database number that skips ahead, at record 1, marks the databases in
     between as empty.  An empty last database has no row and is not counted.
     A cell that does not parse raises ``ValueError`` naming the file and
-    the row or the column.
+    the first bad row or, when every row is sound, the first bad column.
+
+    Rows are read ``READ_CHUNK`` at a time.  Only their widths are checked
+    row by row; each chunk's ids and values are parsed and checked column
+    by column.
     """
     expected = ["db", "record", *columns]
-    width, db_sizes, cells = len(expected), [], []
+    width, dbs, errors = len(expected), [np.zeros(0, np.int64)], {}
+    parts = [[np.zeros(0, dtype)] for dtype in columns.values()]
+    last_d = last_r = 0  # the ids of the row before; none before the first
     with open_table(path) as (header, reader):
         if header != expected:
             raise ValueError(f"{path}: expected header {','.join(expected)}")
-        for row in reader:
-            if len(row) != width or not (row[0].isdecimal() and row[1].isdecimal()):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            d, r = int(row[0]), int(row[1])
-            if r == 1 and d > len(db_sizes):
-                db_sizes += [0] * (d - len(db_sizes))
-            elif not (db_sizes and d == len(db_sizes) and r == db_sizes[-1] + 1):
-                raise ValueError(f"{path}: record ({d},{r}) out of sequence")
-            db_sizes[-1] = r
-            cells += row[2:]
-    arrays = []
-    for i, (name, dtype) in enumerate(columns.items()):
-        try:
-            arrays.append(np.array(cells[i :: len(columns)]).astype(dtype))
-        except (ValueError, OverflowError) as err:
-            raise ValueError(
-                f"{path}: column {name!r} is not all {np.dtype(dtype).name}: {err}"
-            ) from None
-    return tuple(db_sizes), arrays
+        while rows := list(islice(reader, READ_CHUNK)):
+            whole = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
+            db, record, *cells = list(zip(*rows[:whole])) or [()] * width
+            decimal = np.fromiter(map(str.isdecimal, db), bool, whole)
+            decimal &= np.fromiter(map(str.isdecimal, record), bool, whole)
+            good = _first(~decimal)  # the rows before the first malformed one
+            d, r = _ids(db[:good]), _ids(record[:good])
+            prev_d, prev_r = np.r_[last_d, d][:-1], np.r_[last_r, r][:-1]
+            in_sequence = ((r == 1) & (d > prev_d)) | (
+                (d == prev_d) & (prev_d > 0) & (r == prev_r + 1)
+            )
+            if (bad := _first(~in_sequence)) < good:
+                row = rows[bad]
+                raise ValueError(
+                    f"{path}: record ({int(row[0])},{int(row[1])}) out of sequence"
+                )
+            if good < len(rows):
+                raise ValueError(f"{path}: malformed row {rows[good]!r}")
+            last_d, last_r = d[-1], r[-1]
+            dbs.append(d)
+            for i, (name, dtype) in enumerate(columns.items()):
+                if i in errors:
+                    continue
+                try:
+                    parts[i].append(_parse(cells[i], dtype))
+                except (ValueError, OverflowError) as err:
+                    errors[i] = (
+                        f"{path}: column {name!r} is not all "
+                        f"{np.dtype(dtype).name}: {err}"
+                    )
+    if errors:
+        raise ValueError(errors[min(errors)])
+    # Every row is in sequence, so a database's size is its count of rows.
+    db_sizes = np.bincount(np.concatenate(dbs))[1:]
+    return tuple(db_sizes.tolist()), [np.concatenate(part) for part in parts]
 
 
 def write_entity_table(path, schema, entity_ids, codes):

@@ -22,6 +22,26 @@ from vblink.engine import HyperParams, NumericalFailureError, fit, load_state
 from vblink.genmodel import GroundTruth, write_ground_truth
 
 
+def child_env():
+    """The environment of a child Python that imports this checkout's
+    vblink, with block-buffered streams: PYTHONUNBUFFERED is dropped, so a
+    child that ends without flushing loses what it printed."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def vblink_child(*args):
+    """``python -m vblink.cli`` with ``args``, its streams piped."""
+    return subprocess.run(
+        [sys.executable, "-m", "vblink.cli", *map(str, args)],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+    )
+
+
 def write_tiny_db(tmp_path, rows=("red", "red"), field="color"):
     db = tmp_path / "db.csv"
     db.write_text(f"{field}\n" + "".join(f"{r}\n" for r in rows))
@@ -897,7 +917,10 @@ class TestImports:
         # Only a fit or the oracle needs scipy.special and scipy.sparse, and
         # only a fit the thread pool of concurrent.futures; the import,
         # `vblink synth` and `vblink eval` load none of them.  A tiny fit at
-        # the end is the positive control: it must load all three.
+        # the end is the positive control for scipy.special and
+        # scipy.sparse only: each of them imports concurrent.futures
+        # itself, so its third True shows nothing about _pass's own lazy
+        # import of the pool.
         data, run = tmp_path / "data", tmp_path / "run"
         synth = ["synth", "--k", "2", "--db-sizes", "3,3", "--fields", "2",
                  "--cardinality", "3", "--distortion", "0.1"]
@@ -922,11 +945,9 @@ class TestImports:
             "    assert vblink.cli.main(argv) == 0\n"
             "    loaded()\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
             capture_output=True,
             text=True,
             check=True,
@@ -934,3 +955,99 @@ class TestImports:
         seen = [line.split()[1:] for line in done.stdout.splitlines()
                 if line.startswith("loaded ")]
         assert seen == [["False"] * 3] * 3 + [["True"] * 3]
+
+
+class TestRun:
+    """The command line, ``python -m vblink.cli``: :func:`cli.run` ends the
+    process by ``os._exit`` once the streams are flushed.  The children's
+    streams are block-buffered pipes, so a missing flush loses output."""
+
+    def test_eval_prints_every_score_line(self, tmp_path):
+        data, fitted, score = tmp_path / "data", tmp_path / "run", tmp_path / "score"
+        assert run_synth(data) == 0
+        assert main(["fit", str(data / "db1.csv"), str(data / "db2.csv"),
+                     "--schema", str(data / "schema.txt"), "--out", str(fitted)]) == 0
+        done = vblink_child("eval", fitted / "linkage.csv", data / "truth.csv",
+                            "--out", score)
+        assert (done.returncode, done.stderr) == (0, "")
+        scores = json.loads((score / "score.json").read_text())
+        assert len(scores) == 5
+        assert sorted(done.stdout.splitlines()) == sorted(
+            f"{name}={value}" for name, value in scores.items()
+        )
+
+    def test_oracle_check_prints_its_four_lines(self, tmp_path):
+        db, schema = write_tiny_db(tmp_path, rows=("red", "red", "blue"))
+        check = tmp_path / "check"
+        done = vblink_child("oracle-check", db, "--schema", schema, "--k", "2",
+                            "--out", check)
+        assert (done.returncode, done.stderr) == (0, "")
+        report = json.loads((check / "oracle_report.json").read_text())
+        assert done.stdout.splitlines() == [
+            f"{name}={report[name]}"
+            for name in ("exact_log_evidence", "final_elbo", "gap",
+                         "max_cocluster_discrepancy")
+        ]
+
+    def test_sweep_limit_exits_4(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_synth(data) == 0
+        done = vblink_child("fit", data / "db1.csv", data / "db2.csv",
+                            "--max-sweeps", "1", "--out", tmp_path / "run")
+        assert done.returncode == 4
+        assert "stopped after 1 sweeps" in done.stderr
+
+    def test_missing_database_exits_2(self, tmp_path):
+        done = vblink_child("fit", tmp_path / "nope.csv", "--out", tmp_path / "o")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:")
+
+    def test_fit_files_match_an_in_process_fit(self, tmp_path):
+        # K = 2**15 makes blocks of 32 rows, so the 40 records' distinct
+        # rows take two blocks and --workers 2 runs one on a pool thread.
+        data = tmp_path / "data"
+        assert main(["synth", "--k", "30", "--db-sizes", "20,20", "--fields", "4",
+                     "--cardinality", "5", "--distortion", "0.3", "--out",
+                     str(data)]) == 0
+        dbs = [str(data / "db1.csv"), str(data / "db2.csv")]
+        rows = engine._distinct_rows(corpus_module.load_databases(dbs).values)
+        assert rows.max() >= 32  # at least 33 distinct rows
+        argv = ["fit", *dbs, "--k", str(2**15), "--max-sweeps", "3",
+                "--workers", "2", "--out"]
+        assert main([*argv, str(tmp_path / "inside")]) == 4
+        done = vblink_child(*argv, tmp_path / "child")
+        assert done.returncode == 4
+        names = sorted(p.name for p in (tmp_path / "inside").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "child").iterdir())
+        for name in names:
+            assert (tmp_path / "inside" / name).read_bytes() == (
+                tmp_path / "child" / name
+            ).read_bytes(), name
+
+    def test_failed_flush_exits_as_without_run(self, tmp_path):
+        # stdout is a pipe whose reader has gone: the flush fails, and the
+        # child leaves by the normal exit, with the message and code that
+        # a child returning main()'s code to sys.exit gives.
+        db, schema = write_tiny_db(tmp_path, rows=("red", "red", "blue"))
+        args = ["oracle-check", db, "--schema", schema, "--k", "2", "--out"]
+        plain = "import sys, vblink.cli; sys.exit(vblink.cli.main())"
+        results = []
+        for launcher in (["-m", "vblink.cli"], ["-c", plain]):
+            out = tmp_path / f"out{len(results)}"
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                done = subprocess.run(
+                    [sys.executable, *launcher, *args, str(out)],
+                    env=child_env(), stdout=write, stderr=subprocess.PIPE, text=True,
+                )
+            finally:
+                os.close(write)
+            results.append((done.returncode, done.stderr))
+        assert results[0] == results[1]
+        assert results[0][0] != 0 and "BrokenPipeError" in results[0][1]
+
+    def test_console_script_is_run(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert 'vblink = "vblink.cli:run"' in scripts.splitlines()

@@ -2,10 +2,14 @@ import csv
 import io
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import vblink.corpus as corpus_module
 from vblink.cli import main
 from vblink.corpus import (
     Corpus,
@@ -189,6 +193,111 @@ class TestReadRecordTable:
         assert db_sizes == (10_000, 10_000)
         np.testing.assert_array_equal(read, entities)
         assert peak < 140 * rows
+
+
+def reference_read_record_table(path, columns):
+    """read_record_table row by row: each row's ids parsed and checked in
+    turn, the value cells kept as strings and each column cast at the end."""
+    expected = ["db", "record", *columns]
+    width, db_sizes, cells = len(expected), [], []
+    with corpus_module.open_table(path) as (header, reader):
+        if header != expected:
+            raise ValueError(f"{path}: expected header {','.join(expected)}")
+        for row in reader:
+            if len(row) != width or not (row[0].isdecimal() and row[1].isdecimal()):
+                raise ValueError(f"{path}: malformed row {row!r}")
+            d, r = int(row[0]), int(row[1])
+            if r == 1 and d > len(db_sizes):
+                db_sizes += [0] * (d - len(db_sizes))
+            elif not (db_sizes and d == len(db_sizes) and r == db_sizes[-1] + 1):
+                raise ValueError(f"{path}: record ({d},{r}) out of sequence")
+            db_sizes[-1] = r
+            cells += row[2:]
+    arrays = []
+    for i, (name, dtype) in enumerate(columns.items()):
+        try:
+            arrays.append(np.array(cells[i :: len(columns)]).astype(dtype))
+        except (ValueError, OverflowError) as err:
+            raise ValueError(
+                f"{path}: column {name!r} is not all {np.dtype(dtype).name}: {err}"
+            ) from None
+    return tuple(db_sizes), arrays
+
+
+def _outcome(read, path, columns):
+    try:
+        return read(path, columns)
+    except ValueError as err:
+        return str(err)
+
+
+HUGE = "99999999999999999999"  # beyond int64
+# Id cells: decimal ones (a leading zero, an Arabic-Indic three) and not.
+ID_CELLS = ["0", "1", "2", "3", "4", "01", "\u0663", "x", "", "1.0", " 1", "-1"]
+VALUE_CELLS = ["1", "7", "2.5", "abc", "", HUGE, "1_0", " 3", "nan"]
+
+
+class TestReadRecordTableAgainstRowByRow:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        sizes=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+        edits=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 4),
+                      st.sampled_from(ID_CELLS + VALUE_CELLS)),
+            max_size=3,
+        ),
+        chunk=st.integers(1, 5),
+    )
+    # both value columns bad, entity's first bad cell in the second chunk
+    @example(sizes=[3], edits=[(0, 3, "abc"), (1, 2, "2.5"), (2, 2, "abc")], chunk=1)
+    def test_same_rows_accepted_and_same_errors(
+        self, tmp_path_factory, sizes, edits, chunk
+    ):
+        # A sound table of databases of the given sizes, then a few cells
+        # replaced, or dropped (column 4): both readers must return the
+        # same arrays, or raise the same message, at every chunk size.  A
+        # database id beyond int64 is left to test_ids_beyond_int64.
+        rows = [
+            [str(d), str(r), str(10 * d + r), f"0.{r}"]
+            for d, size in enumerate(sizes, 1)
+            for r in range(1, size + 1)
+        ]
+        for n, column, cell in edits:
+            if rows:
+                row = rows[n % len(rows)]
+                if column == 4:
+                    row.pop()
+                elif column < len(row) and (column, cell) != (0, HUGE):
+                    row[column] = cell
+        path = tmp_path_factory.mktemp("table") / "linkage.csv"
+        path.write_text(
+            "db,record,entity,max_prob\n" + "".join(",".join(r) + "\n" for r in rows),
+            encoding="utf-8",
+        )
+        columns = {"entity": np.int64, "max_prob": np.float64}
+        want = _outcome(reference_read_record_table, path, columns)
+        with mock.patch.object(corpus_module, "READ_CHUNK", chunk):
+            got = _outcome(read_record_table, path, columns)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0]
+            for a, b in zip(got[1], want[1]):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_ids_beyond_int64(self, tmp_path):
+        # A record id beyond int64 is out of sequence, as row by row; so is
+        # a database id, where the row-by-row reader overflowed making room
+        # for that many databases.
+        path = tmp_path / "truth.csv"
+        for rows, message in (
+            (f"1,1,1\n1,{HUGE},1\n", f"record (1,{HUGE}) out of sequence"),
+            (f"1,1,1\n{HUGE},1,1\n", f"record ({HUGE},1) out of sequence"),
+        ):
+            path.write_text("db,record,entity\n" + rows)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_record_table(path, {"entity": np.int64})
 
 
 class TestWriteRecordTable:
