@@ -35,6 +35,11 @@ WRITE_CHUNK = 8192
 # read in the collector.
 READ_CHUNK = 512
 
+# Databases a record table may hold.  No command makes more databases than
+# it has input files or --db-sizes entries, far fewer than this; a database
+# id above it is refused before the reader allocates one count per database.
+MAX_DATABASES = 1 << 20
+
 
 class SchemaError(ValueError):
     """Headers disagree across files, or a schema definition is malformed."""
@@ -268,7 +273,13 @@ def write_record_table(path, db_sizes, columns):
     written by ``repr``, as csv.writer writes them.  An empty database has
     no lines.  Each column is formatted by one ``map``, ``WRITE_CHUNK``
     values at a time, and each line joined from its cells by another, so
-    no Python code runs per line."""
+    no Python code runs per line.  More than ``MAX_DATABASES`` databases
+    are refused, as :func:`read_record_table` would refuse the table."""
+    if len(db_sizes) > MAX_DATABASES:
+        raise ValueError(
+            f"{path}: {len(db_sizes)} databases, more than the "
+            f"{MAX_DATABASES} a record table may hold"
+        )
     db = chain.from_iterable(
         repeat(repr(d), size) for d, size in enumerate(db_sizes, 1)
     )
@@ -316,6 +327,8 @@ def read_record_table(path, columns):
     Rows come database by database, with record ids 1, 2, ... in each.  A
     database number that skips ahead, at record 1, marks the databases in
     between as empty.  An empty last database has no row and is not counted.
+    A database id above ``MAX_DATABASES`` raises ``ValueError`` naming the
+    file, the row and the id, before any count is allocated for it.
     A cell that does not parse raises ``ValueError`` naming the file and
     the first bad row or, when every row is sound, the first bad column.
 
@@ -327,6 +340,7 @@ def read_record_table(path, columns):
     width, dbs, errors = len(expected), [np.zeros(0, np.int64)], {}
     parts = [[np.zeros(0, dtype)] for dtype in columns.values()]
     last_d = last_r = 0  # the ids of the row before; none before the first
+    seen = 0  # rows of the chunks before
     with open_table(path) as (header, reader):
         if header != expected:
             raise ValueError(f"{path}: expected header {','.join(expected)}")
@@ -341,14 +355,21 @@ def read_record_table(path, columns):
             in_sequence = ((r == 1) & (d > prev_d)) | (
                 (d == prev_d) & (prev_d > 0) & (r == prev_r + 1)
             )
-            if (bad := _first(~in_sequence)) < good:
+            if (bad := _first(~in_sequence | (d > MAX_DATABASES))) < good:
                 row = rows[bad]
+                if in_sequence[bad]:
+                    raise ValueError(
+                        f"{path}: row {seen + bad + 1} has database id "
+                        f"{int(row[0])}, more than the {MAX_DATABASES} a "
+                        "record table may hold"
+                    )
                 raise ValueError(
                     f"{path}: record ({int(row[0])},{int(row[1])}) out of sequence"
                 )
             if good < len(rows):
                 raise ValueError(f"{path}: malformed row {rows[good]!r}")
             last_d, last_r = d[-1], r[-1]
+            seen += len(rows)
             dbs.append(d)
             for i, (name, dtype) in enumerate(columns.items()):
                 if i in errors:

@@ -28,9 +28,12 @@ holding record 0 gives the normaliser Z of the evidence.  Its share
 w(S) = g(S) * R(rest) / Z is the posterior probability that S is a block,
 so P(z_i = z_j | x) is the sum of w(S) over the sets S holding i and j.
 Levels 2 .. B-1 take (3^N - 1)/2 pair terms each; all sums are taken in
-log space with a max shift, so none can overflow.  This is a test fixture
-for the variational engine, not a scalable inference path: instances
-beyond the enumeration budget are refused, never approximated.
+log space with a max shift, so none can overflow.  The pairs are held in
+order as two unsigned ids of 2 bytes each (N <= 16), 4 bytes per pair,
+and each level is evaluated one fixed chunk of pairs at a time.  This is
+a test fixture for the variational engine, not a scalable inference
+path: instances beyond the enumeration budget are refused, never
+approximated.
 """
 
 from dataclasses import dataclass
@@ -45,6 +48,10 @@ ENUMERATION_BUDGET = 10**6
 # power of two, so the 2^N subsets fill whole chunks and no chunk is one
 # column wide, whose sums numpy would take pairwise instead of in row order.
 SUBSET_CHUNK = 1 << 14
+
+# Pairs (T, S) per step of the pair program: a power of two, so its float64
+# terms and their temporaries take a fixed 256 KB each.
+PAIR_CHUNK = 1 << 15
 
 
 class EnumerationBudgetError(ValueError):
@@ -100,25 +107,73 @@ def _set_weights(corpus, hp):
 
 def _pairs(n):
     """The (3^N - 1)/2 pairs (T, S) of non-empty record sets T and subsets
-    S of T holding T's lowest record, sorted by T.  Record i joins each pair
-    of the records below it outside T, in T \\ S and in S, and starts the
-    pair ({i}, {i})."""
-    t = s = np.zeros(0, dtype=np.int64)
-    for bit in 1 << np.arange(n):
-        t, s = np.r_[t, bit, t | bit, t | bit], np.r_[s, bit, s, s | bit]
-    order = np.argsort(t, kind="stable")
-    return t[order], s[order]
+    S of T holding T's lowest record, as ``t`` and ``s`` in the smallest
+    unsigned dtype that holds 2^N - 1, and each T's group size
+    2^(|T| - 1) for T = 1 .. 2^N - 1.  The pairs run by T, and within T
+    by S.  The sets T with highest record h are {h} and T' + {h} for each
+    T' below it, whose group is T''s group followed by it with h added, so
+    each h doubles the groups already written, ``PAIR_CHUNK`` pairs at a
+    time."""
+    dtype = np.min_scalar_type(2**n - 1)
+    count = np.zeros(1, dtype=np.int32)
+    for _ in range(n):
+        count = np.r_[count, count + 1]  # popcount of 0 .. 2^N - 1
+    sizes = np.left_shift(1, count[1:] - 1)
+    starts = np.cumsum(sizes) - sizes
+    t = np.repeat(np.arange(1, 2**n, dtype=dtype), sizes)
+    s = np.empty_like(t)
+    for h in range(n):
+        done = (3**h - 1) // 2  # the pairs of every T below 2^h
+        s[done] = 1 << h
+        for lo in range(0, done, PAIR_CHUNK):
+            hi = min(lo + PAIR_CHUNK, done)
+            group = t[lo:hi] - 1
+            # T''s group of m pairs at p is copied to 2p and 2p + m past ({h}, {h}).
+            at = starts[group] + np.arange(done + 1 + lo, done + 1 + hi)
+            s[at] = s[lo:hi]
+            at += sizes[group]
+            s[at] = s[lo:hi] | (1 << h)
+    return t, s, sizes
 
 
-def _next_level(level, logg, t, s, starts):
+def _next_level(level, logg, t, s, sizes):
     """log P_b over every subset from log P_{b-1}: each set T's pair terms
-    are one group of ``t``, summed by a log-sum-exp shifted by its max."""
-    terms = logg[s] + level[t ^ s]
-    top = np.maximum.reduceat(terms, starts)
-    top[np.isneginf(top)] = 0.0  # every term -inf: T has fewer than b records
-    with np.errstate(divide="ignore"):
-        total = np.log(np.add.reduceat(np.exp(terms - top[t - 1]), starts))
-    return np.r_[-np.inf, top + total]
+    are one group of ``t``, summed by a log-sum-exp shifted by its max.
+    The groups are taken whole, as many as fit in ``PAIR_CHUNK`` pairs and
+    at least one, so each group reduces the same terms in the same order
+    whatever the chunk."""
+    out = np.empty_like(level)
+    out[0] = -np.inf
+    ends = np.cumsum(sizes)
+    first = 0
+    while first < len(sizes):
+        done = ends[first] - sizes[first]
+        last = max(np.searchsorted(ends, done + PAIR_CHUNK, side="right"), first + 1)
+        tc, sc = t[done : ends[last - 1]], s[done : ends[last - 1]]
+        terms = logg[sc]
+        terms += level[tc ^ sc]
+        heads = ends[first:last] - sizes[first:last] - done
+        top = np.maximum.reduceat(terms, heads)
+        top[np.isneginf(top)] = 0.0  # every term -inf: T has fewer than b records
+        terms -= np.repeat(top, sizes[first:last])
+        np.exp(terms, out=terms)
+        with np.errstate(divide="ignore"):
+            out[1 + first : 1 + last] = top + np.log(np.add.reduceat(terms, heads))
+        first = last
+    return out
+
+
+def _levels(logg, n, depth):
+    """log P_0 .. log P_{depth-1} over every subset; the pair program lives
+    only while levels 2 .. depth-1 are built."""
+    start = np.full(2**n, -np.inf)
+    start[0] = 0.0  # P_0: the empty set is the one set with a 0-block partition
+    levels = [start, np.r_[-np.inf, logg[1:]]][:depth]
+    if depth > 2:
+        t, s, sizes = _pairs(n)
+        while len(levels) < depth:
+            levels.append(_next_level(levels[-1], logg, t, s, sizes))
+    return levels
 
 
 def exact_posterior(corpus, hp):
@@ -132,16 +187,8 @@ def exact_posterior(corpus, hp):
         return ExactPosterior(log_evidence=0.0, cocluster=np.zeros((0, 0)))
     members, logg = _set_weights(corpus, hp)
     depth = min(k, n)
-    start = np.full(2**n, -np.inf)
-    start[0] = 0.0  # P_0: the empty set is the one set with a 0-block partition
-    levels = [start, np.r_[-np.inf, logg[1:]]][:depth]
-    if depth > 2:
-        t, s = _pairs(n)
-        starts = np.flatnonzero(np.diff(t, prepend=0))
-        while len(levels) < depth:
-            levels.append(_next_level(levels[-1], logg, t, s, starts))
     falling = np.cumsum(np.log(k - np.arange(depth)))  # ln K!/(K-b)!, b = 1..depth
-    rest = logsumexp(falling[:, None] + np.array(levels), axis=0)
+    rest = logsumexp(falling[:, None] + np.array(_levels(logg, n, depth)), axis=0)
     # Row 2^N - 1 - S of ``rest`` is R at the complement of S.
     logw = logg + rest[::-1]
     log_total = logsumexp(logw[1::2])

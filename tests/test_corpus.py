@@ -300,6 +300,66 @@ class TestReadRecordTableAgainstRowByRow:
                 read_record_table(path, {"entity": np.int64})
 
 
+# Database ids past MAX_DATABASES: int64's top, 2^62, 10^12 and one past it.
+FAR_IDS = ["9223372036854775807", "4611686018427387904", "1000000000000", "1048577"]
+
+
+class TestDatabaseIdLimit:
+    # Each table's header, the value cells of its rows and its columns
+    TABLES = {
+        "linkage": ("db,record,entity,max_prob", ",1,1.0",
+                    {"entity": np.int64, "max_prob": np.float64}),
+        "truth": ("db,record,entity", ",1", {"entity": np.int64}),
+    }
+
+    @pytest.mark.parametrize("chunk", [2, 512])
+    @pytest.mark.parametrize("lead", [0, 2])
+    @pytest.mark.parametrize("db_id", FAR_IDS)
+    @pytest.mark.parametrize("table", ["linkage", "truth"])
+    def test_far_id_is_refused_naming_file_row_and_id(
+        self, tmp_path, capsys, table, db_id, lead, chunk
+    ):
+        # Counting the databases up to such an id overruns the heap, wraps
+        # to no databases or runs out of memory, so it is refused before any
+        # count is made: as the only row or after two sound ones, in the
+        # first or the second chunk.
+        paths = {}
+        for name, (header, cells, _) in self.TABLES.items():
+            rows = [f"1,{r}{cells}" for r in range(1, lead + 1)]
+            if name == table:
+                rows.append(f"{db_id},1{cells}")
+            paths[name] = _write(tmp_path / f"{name}.csv", [header, *rows])
+        message = (
+            f"{paths[table]}: row {lead + 1} has database id {db_id}, more than the "
+            "1048576 a record table may hold"
+        )
+        argv = ["eval", paths["linkage"], paths["truth"], "--out", str(tmp_path / "out")]
+        with mock.patch.object(corpus_module, "READ_CHUNK", chunk):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_record_table(paths[table], self.TABLES[table][2])
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_tables_at_the_limit_read_back(self, tmp_path):
+        # The last database id a table may hold, after skipped empty
+        # databases, and empty ones skipped in between
+        path = tmp_path / "truth.csv"
+        limit = corpus_module.MAX_DATABASES
+        for db_sizes in ((0,) * (limit - 1) + (2,), (1, 0, 0, 3, 0, 2)):
+            entity = np.arange(1, sum(db_sizes) + 1)
+            write_record_table(path, db_sizes, {"entity": entity})
+            read, (back,) = read_record_table(path, {"entity": np.int64})
+            assert read == db_sizes
+            np.testing.assert_array_equal(back, entity)
+
+    def test_writer_refuses_more_databases(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        db_sizes = (1,) + (0,) * corpus_module.MAX_DATABASES
+        with pytest.raises(ValueError, match="1048577 databases, more than the 1048576"):
+            write_record_table(path, db_sizes, {"entity": np.ones(1, np.int64)})
+        assert not path.exists()
+
+
 class TestWriteRecordTable:
     def test_formats_columns_a_chunk_at_a_time(self, tmp_path):
         # 200,000 records of entity and max_prob: whole columns turned into

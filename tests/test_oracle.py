@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,68 @@ class TestSubsetChunks:
         post = exact_posterior(corpus, hp)
         assert post.log_evidence == one.log_evidence
         np.testing.assert_array_equal(post.cocluster, one.cocluster)
+
+
+def reference_pairs(n):
+    """The pair program as first built: doubling by each record, then a
+    stable argsort of the int64 ids by T."""
+    t = s = np.zeros(0, dtype=np.int64)
+    for bit in 1 << np.arange(n):
+        t, s = np.r_[t, bit, t | bit, t | bit], np.r_[s, bit, s, s | bit]
+    order = np.argsort(t, kind="stable")
+    return t[order], s[order]
+
+
+def random_problem(n, k, seed):
+    rng = np.random.default_rng(seed)
+    cards = [4, 3, 5]
+    corpus = small_corpus(rng.integers(0, cards, size=(n, 3)), cards)
+    return corpus, HyperParams(k, rng.uniform(0.1, 2.0, size=sum(cards)))
+
+
+class TestPairProgram:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_pairs_match_the_sorted_construction(self, n):
+        t, s, sizes = oracle._pairs(n)
+        ref_t, ref_s = reference_pairs(n)
+        dtype = np.uint8 if n <= 8 else np.uint16
+        assert t.dtype == s.dtype == dtype
+        np.testing.assert_array_equal(t, ref_t)
+        np.testing.assert_array_equal(s, ref_s)
+        # one group per set T = 1 .. 2^N - 1, of 2^(|T| - 1) pairs
+        np.testing.assert_array_equal(sizes, np.bincount(ref_t)[1:])
+        assert len(t) == (3**n - 1) // 2
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_chunks_match_the_default_bit_for_bit(self, monkeypatch, n, chunk):
+        # chunks of one group, of whole groups up to 3 or 64 pairs, and
+        # groups of up to 2^(N-1) pairs longer than the chunk
+        for k in (3, n):
+            corpus, hp = random_problem(n, k, seed=n)
+            whole = exact_posterior(corpus, hp)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "PAIR_CHUNK", chunk)
+                post = exact_posterior(corpus, hp)
+            assert post.log_evidence == whole.log_evidence
+            np.testing.assert_array_equal(post.cocluster, whole.cocluster)
+
+    def test_peak_memory_at_the_budget_edge(self):
+        # N = 13, K = 3: 797161 pairs at 4 bytes each (3.0 MiB), one
+        # chunk's float64 terms and temporaries (about 1 MiB) and the set
+        # weights.  With int64 pairs sorted by argsort and every level taken
+        # at once the peak was 30.8 MiB.  The untraced call makes the
+        # oracle's imports first.
+        corpus, hp = random_problem(13, 3, seed=13)
+        pairs = (3**13 - 1) // 2
+        exact_posterior(corpus, hp)
+        tracemalloc.start()
+        try:
+            exact_posterior(corpus, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * pairs + 2 * 2**20, peak
 
 
 class TestEntityCountAtRecordCount:
