@@ -5,7 +5,8 @@ file, else from its default.  A config entry is parsed by the flag's own
 type, so a bad config value is reported exactly like the same bad flag.
 Every run writes ``manifest.json`` into the output directory echoing the
 options that ran, with the defaults, ``k`` and the alpha actually used
-filled in, and the environment: the numpy and scipy versions and the CPU
+filled in, and the environment: the numpy version, the scipy version in
+the commands that run scipy (``fit`` and ``oracle-check``), and the CPU
 count (no timestamps), so identical invocations on one machine produce
 byte-identical files and the manifest suffices to reproduce a run.
 
@@ -22,16 +23,17 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .corpus import (
     load_databases,
+    open_text,
     read_schema_file,
     write_databases,
     write_schema_file,
 )
 from .engine import (
+    AlphaRangeError,
     HyperParams,
     NumericalFailureError,
     _check_fit_options,
@@ -77,7 +79,7 @@ def _config_defaults(parser, path):
     dashes (e.g. ``db-sizes``); other keys are ignored, so a file sets no
     positional and cannot replace the handler."""
     defaults = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -110,14 +112,18 @@ def _require(args, *names):
 
 
 def _read_alpha_file(path):
-    """One comma-separated concentration vector per line, one line per field."""
+    """One comma-separated concentration vector per line, one line per field.
+    A number that does not parse is refused naming the file and its line."""
     vectors = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            vectors.append(np.asarray([float(tok) for tok in line.split(",")]))
+            try:
+                vectors.append(np.asarray([float(tok) for tok in line.split(",")]))
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: {err}") from None
     return vectors
 
 
@@ -128,7 +134,11 @@ def _hyperparams(args, cardinalities):
     if args.alpha_file is not None:
         if args.alpha is not None:
             raise ValueError("give either --alpha or --alpha-file, not both")
-        vectors = resolve_alpha(_read_alpha_file(args.alpha_file), cardinalities)
+        vectors = _read_alpha_file(args.alpha_file)
+        try:
+            vectors = resolve_alpha(vectors, cardinalities)
+        except ValueError as err:
+            raise ValueError(f"{args.alpha_file}: {err}") from None
         # The leading empty piece lets a zero-field corpus stack no vectors.
         return HyperParams(args.k, np.concatenate([np.zeros(0), *vectors]))
     if args.alpha is None:
@@ -142,22 +152,21 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_manifest(args, outputs):
+def _write_manifest(args, outputs, scipy_used=False):
     """Every parsed option of the run, the outputs, the package version and
-    the environment: the numpy and scipy versions and the CPU count."""
+    the environment: the numpy version, the scipy version when the command
+    ran scipy (``scipy_used``), and the CPU count."""
     manifest = {
         key: value for key, value in vars(args).items() if key not in _NOT_ECHOED
     }
+    environment = {"numpy": np.__version__, "nproc": os.cpu_count()}
+    if scipy_used:
+        import scipy  # loaded by _fit_setup
+
+        environment["scipy"] = scipy.__version__
     _write_json(
         os.path.join(args.out, "manifest.json"),
-        dict(
-            manifest,
-            outputs=outputs,
-            version=__version__,
-            numpy=np.__version__,
-            scipy=scipy.__version__,
-            nproc=os.cpu_count(),
-        ),
+        dict(manifest, outputs=outputs, version=__version__, **environment),
     )
 
 
@@ -167,6 +176,11 @@ def _fit_setup(args):
     are written back into ``args``, which the manifest echoes."""
     _require(args, "out")
     _check_fit_options(args.max_sweeps, args.tol, args.workers)
+    # The commands that run scipy load it before the corpus, as every
+    # command did while the module imported it: loading it first in the
+    # fit's first sweep moved tall48k's peak RSS 74.7 -> 77.0 MiB through
+    # glibc's placement of the sweep's blocks.
+    import scipy
     schema = read_schema_file(args.schema) if args.schema else None
     corpus = load_databases(args.databases, schema=schema)
     if args.k is None:
@@ -227,6 +241,7 @@ def cmd_fit(args):
     _write_manifest(
         args,
         ["trace.csv", "linkage.csv", "state.npz", "entities.csv", "manifest.json"],
+        scipy_used=True,
     )
     if report.elbo_decreases:
         print(
@@ -288,7 +303,7 @@ def cmd_oracle_check(args):
     }
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "oracle_report.json"), report_payload)
-    _write_manifest(args, ["oracle_report.json", "manifest.json"])
+    _write_manifest(args, ["oracle_report.json", "manifest.json"], scipy_used=True)
     for name, value in report_payload.items():
         print(f"{name}={value}")
     if gap < -BOUND_SLACK:
@@ -370,6 +385,10 @@ def main(argv=None):
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except AlphaRangeError as exc:
+        given = args.alpha_file or f"--alpha {args.alpha!r}"
+        print(f"error: {given}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except MemoryError:
         advice = (
             ": the fit's (sum of field cardinalities) x K tables and one record "

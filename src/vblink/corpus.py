@@ -10,10 +10,12 @@ concurrent reads.
 
 Every CSV file the package writes goes through :func:`write_table`: UTF-8,
 ``\r\n`` line ends and ``csv.writer``'s quoting; each one it reads, through
-:func:`open_table`.  Record tables, keyed by record (ground truth,
-linkage), are written by :func:`write_record_table` and read back by
-:func:`read_record_table`.  Entity tables, keyed by entity (the true latent
-values, the fitted modal values), are written by :func:`write_entity_table`.
+:func:`open_table`.  Every text file it reads is opened by :func:`open_text`,
+which names the file and the line of a byte that is not UTF-8.  Record
+tables, keyed by record (ground truth, linkage), are written by
+:func:`write_record_table` and read back by :func:`read_record_table`.
+Entity tables, keyed by entity (the true latent values, the fitted modal
+values), are written by :func:`write_entity_table`.
 """
 
 import csv
@@ -150,11 +152,31 @@ class Corpus:
 
 
 @contextmanager
+def open_text(path, newline=None):
+    """Yields a UTF-8 text file open for reading.  Where it is not UTF-8,
+    the ``UnicodeDecodeError`` raised while reading it becomes a
+    ``ValueError`` naming the file and its first line that does not
+    decode, found by a rescan of the file's bytes."""
+    with open(path, newline=newline, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as err:
+                        raise ValueError(f"{path}: line {lineno}: {err}") from None
+            raise  # every line decodes: the error is not this file's
+
+
+@contextmanager
 def open_table(path):
     """Yields a CSV file's header row and a ``csv.reader`` over the rest.
     A file with no first row, or a blank one (``csv.reader`` reads a lone
-    line break as ``[]``), has no header."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    line break as ``[]``), has no header.  A file that is not UTF-8 is
+    refused as :func:`open_text` refuses it."""
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         if not (header := next(reader, None)):
             raise SchemaError(f"{path}: file has no header row")
@@ -248,21 +270,33 @@ def write_table(path, header, lines):
 def write_databases(corpus, paths):
     """Write one CSV per database: header row of field names, then raw
     attribute strings.  Inverse of :func:`load_databases` when the same
-    schema is supplied on the way back in."""
+    schema is supplied on the way back in.  Each attribute string is
+    quoted once.  A database is written ``WRITE_CHUNK`` records at a time,
+    each field's cells gathered by one index of its codes and each line
+    joined from its cells by ``map``, as :func:`write_record_table` does,
+    so no Python code runs and no list is made per record.  With no
+    fields, every record is an empty line."""
     paths = list(paths)
     if len(paths) != corpus.database_count:
         raise ValueError(
             f"{len(paths)} paths for {corpus.database_count} databases"
         )
     schema = corpus.schema
-    # Every attribute string, quoted once; code c of field f is at first[f] + c.
     alone = schema.field_count == 1
-    quoted = [c for vals in schema.field_values for c in quote_cells(vals, alone)]
-    quoted = np.array(quoted, dtype=object)
-    first = np.cumsum([0, *schema.cardinalities])[:-1]
+    quoted = [
+        np.array(quote_cells(vals, alone), dtype=object)
+        for vals in schema.field_values
+    ]
     for path, start, size in zip(paths, corpus._offsets, corpus.db_sizes):
-        cells = quoted[corpus.values[start : start + size] + first]
-        write_table(path, schema.field_names, map(",".join, cells.tolist()))
+        codes = corpus.values[start : start + size]
+        lines = chain.from_iterable(
+            map(
+                ",".join,
+                zip(*[q[c].tolist() for q, c in zip(quoted, chunk.T)]),
+            )
+            for chunk in np.split(codes, range(WRITE_CHUNK, size, WRITE_CHUNK))
+        )
+        write_table(path, schema.field_names, lines if quoted else repeat("", size))
 
 
 def write_record_table(path, db_sizes, columns):
@@ -425,7 +459,7 @@ def write_schema_file(schema, path):
 def read_schema_file(path):
     """Parse a schema file written by :func:`write_schema_file`."""
     names, values = [], []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -566,6 +566,8 @@ def fit(
     copy of it in any memory order) repeats sweeps S+1, ... of the fit it
     came from bit for bit.  ``on_sweep(sweep, elbo, state)`` is called
     after every sweep with the :class:`FitState`.
+    An alpha that no fit can start from raises :class:`AlphaRangeError`
+    before the first sweep (see :func:`_check_alpha_range`).
     Returns ``(FitState, FitReport)``; the trace is nondecreasing up to
     roundoff because each step maximizes the same objective, and the
     report counts the sweeps where it fell by more than ``DECREASE_SLACK``
@@ -589,6 +591,10 @@ def fit(
         max_prob=np.zeros(distinct),
     )
     columns, weights = _row_patterns(rows, distinct, corpus)
+    # Checked here, where the first sweep would import scipy.special anyway:
+    # importing it before the start's N x F temporaries moved tall48k's
+    # peak RSS 74.7 -> 79.7 MiB through glibc's placement of later blocks.
+    _check_alpha_range(corpus, hp)
     trace = []
     seconds = []
     decreases = 0
@@ -643,6 +649,35 @@ def _check_fit_options(max_sweeps, rel_tol, workers):
         raise ValueError("rel_tol must be positive")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+
+
+class AlphaRangeError(ValueError):
+    """An alpha that no fit can start from; see :func:`_check_alpha_range`."""
+
+
+def _check_alpha_range(corpus, hp):
+    """Refuse an alpha that no fit can start from: one where psi or ln
+    Gamma is not finite at an entry of some field, or at the field's alpha
+    sum plus the record count, the most any column of lam sums to over the
+    field's rows.  The ELBO of a fit from it is not finite.  Raises
+    :class:`AlphaRangeError` naming the first such field."""
+    from scipy.special import digamma, gammaln
+
+    n, cards = corpus.total_records, corpus.schema.cardinalities
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        sums = _field_sums(hp.alpha, cards) + n
+
+    def bad(x):
+        return ~(np.isfinite(digamma(x)) & np.isfinite(gammaln(x)))
+
+    fields = np.repeat(np.arange(len(cards)), cards)
+    unbounded = np.union1d(fields[bad(hp.alpha)], np.flatnonzero(bad(sums)))
+    if unbounded.size:
+        raise AlphaRangeError(
+            f"the alpha of field {corpus.schema.field_names[unbounded[0]]!r} "
+            "is out of range: digamma or ln Gamma of one of its entries, or "
+            f"of its sum plus the {n} records, is not finite"
+        )
 
 
 def _check_lam(lam, shape):

@@ -138,10 +138,26 @@ def write_entities(path, state, schema):
     write_entity_table(path, schema, entities + 1, codes)
 
 
+def _refuse_rows(path, name, column, bad, rule):
+    """Raise ``ValueError`` naming ``path``, the first row (1-based, after
+    the header) where ``bad`` holds, its value in the ``name`` column, and
+    the ``rule`` it breaks."""
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"{path}: row {i + 1} has {name} {column[i].item()!r}; {rule}")
+
+
 def read_linkage(path):
+    """Read a ``db,record,entity,max_prob`` file back as a :class:`Linkage`.
+    Entity ids are 1-based, and each ``max_prob`` is a probability: a NaN
+    or a value outside [0, 1] is refused, naming the file and its first
+    such row."""
     db_sizes, (entities, probs) = read_record_table(
         path, {"entity": np.int64, "max_prob": np.float64}
     )
+    _refuse_rows(path, "entity", entities, entities < 1, "entity ids are 1-based")
+    in_range = (probs >= 0.0) & (probs <= 1.0)  # False at NaN
+    _refuse_rows(path, "max_prob", probs, ~in_range, "max_prob must lie in [0, 1]")
     return Linkage(db_sizes=db_sizes, map_entity=entities, max_prob=probs)
 
 
@@ -149,6 +165,5 @@ def read_ground_truth(path):
     """Read a ``db,record,entity`` file back as a label-only GroundTruth
     (schema, latent values, and noise distributions are not stored there)."""
     db_sizes, (labels,) = read_record_table(path, {"entity": np.int64})
-    if labels.size and labels.min() < 1:
-        raise ValueError(f"{path}: entity ids are 1-based")
+    _refuse_rows(path, "entity", labels, labels < 1, "entity ids are 1-based")
     return GroundTruth(schema=None, db_sizes=db_sizes, assignments=labels - 1)

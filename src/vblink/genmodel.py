@@ -174,7 +174,16 @@ def _sample_assignments(rng, config, n):
 
 
 def sample_dataset(config):
-    """Draw one (Corpus, GroundTruth) pair; deterministic given the seed."""
+    """Draw one (Corpus, GroundTruth) pair; deterministic given the seed.
+
+    A cell of field f is drawn by inverting its record's noise row: with
+    one uniform u per record and the row's running sums c_0 <= c_1 <= ...,
+    its code is the number of sums at or below u, at most V_f - 1.  The
+    sums are one (V_f, K) table per field, each entity's added in value
+    order, and the count is taken one value at a time by gathering that
+    value's row of the table by the records' entities, so a field holds
+    O(N) memory whatever V_f is.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed)
     schema = default_schema(config.cardinalities)
@@ -186,13 +195,11 @@ def sample_dataset(config):
 
     values = np.empty((n, schema.field_count), dtype=np.int32)
     for f, beta in enumerate(betas):
-        # One CDF per entity, gathered per record: each row's sums are those
-        # of the record's own noise row, added in the same order.
-        cdf = np.cumsum(beta, axis=1)[z]
         u = rng.random(n)
-        values[:, f] = np.minimum(
-            np.sum(u[:, None] >= cdf, axis=1), beta.shape[1] - 1
-        )
+        count = np.zeros(n, dtype=np.int32)
+        for cdf_v in np.ascontiguousarray(np.cumsum(beta, axis=1).T):
+            count += u >= cdf_v[z]
+        values[:, f] = np.minimum(count, beta.shape[1] - 1)
 
     corpus = Corpus(schema=schema, db_sizes=db_sizes, values=values)
     truth = GroundTruth(

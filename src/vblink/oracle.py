@@ -40,7 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vblink.engine import _check_compatible, _columns, _field_sums, _log_beta, _one_hot
+from vblink.engine import (
+    _check_alpha_range,
+    _check_compatible,
+    _columns,
+    _field_sums,
+    _log_beta,
+    _one_hot,
+)
 
 ENUMERATION_BUDGET = 10**6
 
@@ -177,12 +184,15 @@ def _levels(logg, n, depth):
 
 
 def exact_posterior(corpus, hp):
-    """Sum over the set partitions of the records; see :class:`ExactPosterior`."""
+    """Sum over the set partitions of the records; see :class:`ExactPosterior`.
+    An alpha that no fit can start from raises
+    :class:`vblink.engine.AlphaRangeError`, as :func:`vblink.engine.fit` does."""
     from scipy.special import logsumexp
 
     _check_compatible(corpus, hp)
     n, k = corpus.total_records, hp.entity_count
     _check_budget(n, k)
+    _check_alpha_range(corpus, hp)
     if n == 0:
         return ExactPosterior(log_evidence=0.0, cocluster=np.zeros((0, 0)))
     members, logg = _set_weights(corpus, hp)

@@ -90,7 +90,9 @@ class TestSynth:
         assert manifest["db_sizes"] == [8, 6]
         assert "version" in manifest
         assert manifest["numpy"] == np.__version__
-        assert manifest["scipy"] == scipy.__version__
+        # synth runs no scipy, so its manifest names none, though this
+        # process has imported it
+        assert "scipy" in sys.modules and "scipy" not in manifest
         assert manifest["nproc"] == os.cpu_count()
 
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -737,6 +739,147 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    """A file that cannot be read as its format says exits 2, naming the
+    file and its line or row."""
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("db.csv", b"color\nred\nbl\xffue\n", 3),
+            ("db.csv", b"col\xffor\nred\n", 1),  # in the header
+            ("schema.txt", b"color\tred,bl\xffue\n", 1),
+            ("alpha.txt", b"0.5,0.5\n0.\xff5,0.5\n", 2),
+            ("config.txt", b"k=2\nseed=\xff\n", 2),
+            ("linkage.csv", b"db,record,entity,max_prob\n1,1,1,1.0\n1,2,1,\xff\n", 3),
+            ("truth.csv", b"db,record,entity\n1,1,1\n1,2,\xff\n", 3),
+        ],
+        ids=["database", "header", "schema", "alpha-file", "config",
+             "linkage", "truth"],
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, capsys, name, text, line):
+        db, schema = write_tiny_db(tmp_path)
+        linkage = tmp_path / "linkage.csv"
+        linkage.write_text("db,record,entity,max_prob\n1,1,1,1.0\n1,2,1,1.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("db,record,entity\n1,1,1\n1,2,1\n")
+        bad = tmp_path / name
+        bad.write_bytes(text)
+        out = ["--out", str(tmp_path / "out")]
+        argv = {
+            "db.csv": ["fit", db, "--k", "2", *out],
+            "schema.txt": ["fit", db, "--schema", schema, *out],
+            "alpha.txt": ["fit", db, "--schema", schema, "--alpha-file", str(bad), *out],
+            "config.txt": ["fit", db, "--schema", schema, "--config", str(bad), *out],
+            "linkage.csv": ["eval", str(linkage), str(truth), *out],
+            "truth.csv": ["eval", str(linkage), str(truth), *out],
+        }[name]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line {line}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_alpha_file_number_names_its_line(self, tmp_path, capsys):
+        db, schema = write_tiny_db(tmp_path)
+        alpha_file = tmp_path / "alpha.txt"
+        alpha_file.write_text("# red, blue\n0.1 0.2\n")
+        code = main(
+            ["fit", db, "--schema", schema, "--alpha-file", str(alpha_file),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {alpha_file}: line 2: could not convert string to float: "
+            "'0.1 0.2'\n"
+        )
+
+    def test_alpha_file_of_the_wrong_shape_is_named(self, tmp_path, capsys):
+        db, schema = write_tiny_db(tmp_path)
+        alpha_file = tmp_path / "alpha.txt"
+        alpha_file.write_text("0.1,0.2,0.3\n")
+        code = main(
+            ["fit", db, "--schema", schema, "--alpha-file", str(alpha_file),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {alpha_file}: ")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,1,1,1.0\n1,2,0,1.0\n", "row 2 has entity 0; entity ids are 1-based"),
+            ("1,1,1,nan\n", "row 1 has max_prob nan; max_prob must lie in [0, 1]"),
+            ("1,1,1,1.0\n1,2,1,2.0\n", "row 2 has max_prob 2.0; max_prob must lie in [0, 1]"),
+            ("1,1,1,-0.5\n", "row 1 has max_prob -0.5; max_prob must lie in [0, 1]"),
+        ],
+        ids=["entity-0", "nan", "above-1", "below-0"],
+    )
+    def test_linkage_values_name_their_row(self, tmp_path, capsys, rows, message):
+        linkage = tmp_path / "linkage.csv"
+        linkage.write_text("db,record,entity,max_prob\n" + rows)
+        truth = tmp_path / "truth.csv"  # eval reads the linkage first
+        truth.write_text("db,record,entity\n1,1,1\n1,2,1\n")
+        code = main(["eval", str(linkage), str(truth), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {linkage}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_truth_label_names_its_row(self, tmp_path, capsys):
+        linkage = tmp_path / "linkage.csv"
+        linkage.write_text("db,record,entity,max_prob\n1,1,1,1.0\n1,2,1,1.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("db,record,entity\n1,1,1\n1,2,0\n")
+        code = main(["eval", str(linkage), str(truth), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {truth}: row 2 has entity 0; entity ids are 1-based\n"
+        )
+
+
+class TestAlphaRange:
+    """An alpha whose digamma or ln Gamma overflows is refused before the
+    first sweep, as a usage error that names --alpha or the alpha file and
+    the field, never a numerical failure."""
+
+    @pytest.mark.parametrize("command", ["fit", "oracle-check"])
+    @pytest.mark.parametrize("alpha", ["1e307", "1e308", "1e-320"])
+    def test_overflowing_alpha_is_usage_error(self, tmp_path, capsys, command, alpha):
+        db, schema = write_tiny_db(tmp_path)
+        code = main([command, db, "--schema", schema, "--k", "2", "--alpha", alpha,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --alpha {float(alpha)!r}: the alpha of field 'color' is out "
+            "of range: digamma or ln Gamma of one of its entries, or of its sum "
+            "plus the 2 records, is not finite\n"
+        )
+        if command == "fit":  # only the header of the trace was written
+            assert (tmp_path / "run" / "trace.csv").read_text() == "sweep,elbo\n"
+        else:
+            assert not (tmp_path / "run").exists()
+
+    def test_alpha_file_names_the_field(self, tmp_path, capsys):
+        db = tmp_path / "db.csv"
+        db.write_text("color,size\nred,big\nblue,small\n")
+        alpha_file = tmp_path / "alpha.txt"
+        alpha_file.write_text("0.5,0.5\n1e-320,0.5\n")
+        code = main(
+            ["fit", str(db), "--alpha-file", str(alpha_file),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {alpha_file}: the alpha of field 'size' is out of range: "
+        )
+
+    @pytest.mark.parametrize("command", ["fit", "oracle-check"])
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e300"])
+    def test_extreme_but_bounded_alpha_runs(self, tmp_path, command, alpha):
+        db, schema = write_tiny_db(tmp_path)
+        code = main([command, db, "--schema", schema, "--k", "2", "--alpha", alpha,
+                     "--max-sweeps", "5", "--out", str(tmp_path / "run")])
+        assert code in (0, 4)
+
+
 class TestOracleCheck:
     def test_bound_holds_on_tiny_instance(self, tmp_path, capsys):
         db, schema = write_tiny_db(tmp_path, rows=("red", "red", "blue"))
@@ -834,8 +977,15 @@ class TestManifest:
             ["oracle-check", db, "--schema", schema, "--k", "2", "--out", str(check)]
         ) == 0
         for out in (data, run, score, check):
-            outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+            manifest = json.loads((out / "manifest.json").read_text())
+            outputs = manifest["outputs"]
             assert sorted(outputs) == sorted(p.name for p in out.iterdir()), out.name
+            assert manifest["numpy"] == np.__version__, out.name
+            # the scipy version of the commands that run scipy, and only those
+            if out in (run, check):
+                assert manifest["scipy"] == scipy.__version__, out.name
+            else:
+                assert "scipy" not in manifest, out.name
 
 
 class TestWorkers:
@@ -913,14 +1063,14 @@ class TestParser:
 
 
 class TestImports:
-    def test_synth_and_eval_leave_scipy_special_and_sparse_unloaded(self, tmp_path):
-        # Only a fit or the oracle needs scipy.special and scipy.sparse, and
-        # only a fit the thread pool of concurrent.futures; the import,
-        # `vblink synth` and `vblink eval` load none of them.  A tiny fit at
-        # the end is the positive control for scipy.special and
-        # scipy.sparse only: each of them imports concurrent.futures
-        # itself, so its third True shows nothing about _pass's own lazy
-        # import of the pool.
+    def test_synth_and_eval_leave_scipy_unloaded(self, tmp_path):
+        # Only a fit or the oracle needs scipy, and only a fit the thread
+        # pool of concurrent.futures; the import, `vblink synth` and
+        # `vblink eval` load neither scipy itself nor scipy.special,
+        # scipy.sparse or concurrent.futures.  A tiny fit at the end is the
+        # positive control for the scipy modules only: scipy.special and
+        # scipy.sparse each import concurrent.futures themselves, so its
+        # last True shows nothing about _pass's own lazy import of the pool.
         data, run = tmp_path / "data", tmp_path / "run"
         synth = ["synth", "--k", "2", "--db-sizes", "3,3", "--fields", "2",
                  "--cardinality", "3", "--distortion", "0.1"]
@@ -939,7 +1089,8 @@ class TestImports:
             "import vblink.cli\n"
             "def loaded():\n"
             "    print('loaded', *(m in sys.modules for m in\n"
-            "        ('scipy.special', 'scipy.sparse', 'concurrent.futures')))\n"
+            "        ('scipy', 'scipy.special', 'scipy.sparse',\n"
+            "         'concurrent.futures')))\n"
             "loaded()\n"
             f"for argv in {steps!r}:\n"
             "    assert vblink.cli.main(argv) == 0\n"
@@ -954,7 +1105,7 @@ class TestImports:
         )
         seen = [line.split()[1:] for line in done.stdout.splitlines()
                 if line.startswith("loaded ")]
-        assert seen == [["False"] * 3] * 3 + [["True"] * 3]
+        assert seen == [["False"] * 4] * 3 + [["True"] * 4]
 
 
 class TestRun:

@@ -418,6 +418,72 @@ class TestWriteRecordTable:
         assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
+def write_databases_by_record(corpus, paths):
+    """The reference writer: csv.writer, one record at a time."""
+    schema = corpus.schema
+    for path, start, size in zip(paths, corpus._offsets, corpus.db_sizes):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(schema.field_names)
+            for row in corpus.values[start : start + size].tolist():
+                writer.writerow([schema.value(f, c) for f, c in enumerate(row)])
+
+
+class TestWriteDatabases:
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            Schema(
+                ("name, full", 'say "hi"', "plain"),
+                (("a,b", '"q"', "x", ""), ('y"', " z ", "w,"), ("1", "\n")),
+            ),
+            # Alone on its line, an empty cell is written "".
+            Schema(("",), (("", "a,b", "c"),)),
+            Schema((), ()),  # every record is an empty line
+        ],
+        ids=["commas-and-quotes", "one-field", "no-fields"],
+    )
+    def test_bytes_match_a_per_record_writer(self, tmp_path, monkeypatch, schema):
+        # chunks of 3 records: the 11-record database ends inside one
+        monkeypatch.setattr(corpus_module, "WRITE_CHUNK", 3)
+        db_sizes = (7, 0, 11, 3)
+        n = sum(db_sizes)
+        rng = np.random.default_rng(3)
+        values = np.empty((n, schema.field_count), dtype=np.int32)
+        for f, v in enumerate(schema.cardinalities):
+            values[:, f] = rng.integers(0, v, size=n)
+        corpus = Corpus(schema=schema, db_sizes=db_sizes, values=values)
+        names = [f"db{d}.csv" for d in range(1, len(db_sizes) + 1)]
+        write_databases(corpus, [tmp_path / name for name in names])
+        write_databases_by_record(corpus, [tmp_path / f"want_{name}" for name in names])
+        for name in names:
+            got = (tmp_path / name).read_bytes()
+            assert got == (tmp_path / f"want_{name}").read_bytes(), name
+        if schema.field_count == 0:
+            assert (tmp_path / "db3.csv").read_bytes() == b"\r\n" * 12
+
+    def test_peak_is_a_chunk_of_records(self, tmp_path):
+        # 200,000 records x 10 fields: one list per record peaked at 46 MB;
+        # WRITE_CHUNK records at a time, near 2 MB whatever the record count
+        rows, fields = 200_000, 10
+        schema = Schema(
+            tuple(f"f{f}" for f in range(fields)),
+            tuple(tuple(f"v{v}" for v in range(10)) for _ in range(fields)),
+        )
+        values = np.random.default_rng(1).integers(0, 10, (rows, fields), np.int32)
+        corpus = Corpus(schema=schema, db_sizes=(rows,), values=values)
+        path = tmp_path / "db1.csv"
+        tracemalloc.start()
+        try:
+            write_databases(corpus, [path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * rows
+        back = load_databases([path], schema=schema)
+        np.testing.assert_array_equal(back.values, values)
+
+
 @pytest.mark.parametrize(
     "read, argv",
     [

@@ -29,6 +29,7 @@ from vblink.engine import (
 )
 from vblink.evaluate import map_linkage
 from vblink.genmodel import GenConfig, sample_dataset
+from vblink.oracle import exact_posterior
 
 from problems import (
     central_differences,
@@ -759,6 +760,61 @@ class TestHyperParams:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 HyperParams(2, np.array([1.0, bad]))
+
+
+class TestAlphaRange:
+    """engine._check_alpha_range refuses the fields whose alpha makes
+    digamma or ln Gamma overflow, at an entry or at the field's sum plus N,
+    and fit and the oracle refuse such an alpha before any sweep."""
+
+    @staticmethod
+    def corpus(cards, n):
+        schema = Schema(
+            tuple(f"f{f}" for f in range(len(cards))),
+            tuple(tuple(f"v{v}" for v in range(c)) for c in cards),
+        )
+        return Corpus(schema, (n,), np.zeros((n, len(cards)), dtype=np.int32))
+
+    def test_bounded_alphas(self):
+        corpus = self.corpus([2, 3], 10)
+        for a in (1e-300, 0.1, 1.0, 1e300):
+            engine._check_alpha_range(corpus, HyperParams.symmetric(2, a, [2, 3]))
+
+    @pytest.mark.parametrize(
+        "alpha, n, field",
+        [
+            ([1, 1, 1, 1e-320, 1, 1], 4, "f1"),  # digamma(1e-320) = -inf
+            ([1, 1, 1, 1, 1, 1e307], 4, "f2"),  # ln Gamma(1e307) = inf
+            ([1, 1, 1, 1e-320, 1, 1e307], 4, "f1"),  # the first field is named
+            ([1e308, 1e308, 1, 1, 1, 1], 4, "f0"),  # the sum overflows too
+            ([1, 1, 1, 1, 1, 2.5e305], 10**304, "f2"),  # only with the records
+        ],
+        ids=["digamma", "gammaln", "first-field", "sum", "records"],
+    )
+    def test_each_way_out_of_range(self, alpha, n, field):
+        # the check reads the record count, not the rows, so a count of
+        # 10**304 is patched in
+        corpus = self.corpus([2, 3, 1], 1)
+        hp = HyperParams(2, np.array(alpha, dtype=float))
+        with mock.patch.object(Corpus, "total_records", n):
+            with pytest.raises(engine.AlphaRangeError, match=f"field '{field}'"):
+                engine._check_alpha_range(corpus, hp)
+        if n == 10**304:  # bounded with one record
+            engine._check_alpha_range(corpus, hp)
+
+    def test_fit_and_oracle_refuse_before_any_sweep(self):
+        corpus = self.corpus([2], 3)
+        hp = HyperParams.symmetric(2, 1e307, [2])
+        called = []
+        with mock.patch.object(engine, "_sweep", lambda *a: called.append(a)):
+            with pytest.raises(engine.AlphaRangeError, match="field 'f0'"):
+                fit(corpus, hp)
+        assert called == []
+        with pytest.raises(engine.AlphaRangeError, match="field 'f0'"):
+            exact_posterior(corpus, hp)
+
+    def test_no_fields(self):
+        engine._check_alpha_range(self.corpus([], 3), HyperParams(2, np.zeros(0)))
 
 
 def fit_sweeps(corpus, hp, **options):
