@@ -25,16 +25,10 @@ from .engine import (
     FitState,
     HyperParams,
     NumericalFailureError,
-    VariationalState,
-    elbo,
-    elbo_grad_lambda,
     fit,
-    init_state,
+    last_phi,
     load_state,
-    reference_state,
     save_state,
-    update_lambda,
-    update_phi,
 )
 from .evaluate import (
     Linkage,
@@ -77,12 +71,9 @@ __all__ = [
     "Schema",
     "SchemaError",
     "UnknownAttributeError",
-    "VariationalState",
-    "elbo",
-    "elbo_grad_lambda",
     "exact_posterior",
     "fit",
-    "init_state",
+    "last_phi",
     "load_databases",
     "load_state",
     "map_linkage",
@@ -91,12 +82,9 @@ __all__ = [
     "read_ground_truth",
     "read_linkage",
     "read_schema_file",
-    "reference_state",
     "resolve_alpha",
     "sample_dataset",
     "save_state",
-    "update_lambda",
-    "update_phi",
     "write_databases",
     "write_ground_truth",
     "write_linkage",

@@ -38,7 +38,7 @@ from .engine import (
     NumericalFailureError,
     _check_fit_options,
     fit,
-    reference_state,
+    last_phi,
     save_state,
 )
 from .evaluate import (
@@ -291,7 +291,7 @@ def cmd_oracle_check(args):
     i, j = np.triu_indices(corpus.total_records, 1)
     # the last sweep's phi, rebuilt from the lam that produced it
     estimate = posterior_cocluster_estimate(
-        reference_state(state, corpus, hp), np.column_stack([i, j])
+        last_phi(state, corpus), state.rows, np.column_stack([i, j])
     )
     max_discrepancy = float(np.abs(exact.cocluster[i, j] - estimate).max(initial=0.0))
 

@@ -8,62 +8,39 @@ responsibilities of a record depend on it only through its value tuple,
 so records that carry the same tuple share one row of ``phi``: ``phi`` is
 (U, K) over the U distinct tuples, ``rows`` maps each of the N records to
 its row, and row ``u`` stands for ``m[u]`` records.  The prior ``alpha``
-of :class:`HyperParams` is one (sum V_f,) vector in the same rows, and a
-sweep applies the two closed-form updates
+of :class:`HyperParams` is one (sum V_f,) vector in the same rows.  A
+sweep (:func:`_sweep`) is the three closed-form equations
 
-    lam[j, k] <- alpha[j] + sum_u m[u] * phi[u, k] * 1{row u has value j}
-    phi[u, k] propto exp( sum_f T[offset_f + x[u, f], k] ),
+    phi[u, k] = exp( (X @ T)[u, k] - lse[u] ),
     T = psi(lam) - psi(field sums of lam)
+    lam[j, k] <- alpha[j] + counts[j, k],  counts = X^T diag(m) phi
+    ELBO = sum ln B(lam) - K * sum_f ln B(alpha_f) - <counts, T>
+           + sum_u m[u] lse[u] - N log K
 
-and evaluates the evidence lower bound (ELBO) once per sweep, with the
-assignment entropy weighted the same way,
-- sum_u m[u] sum_k phi[u, k] log phi[u, k].
-The bound includes the constant -N*log(K), N = sum_u m[u], from the uniform
-assignment prior, so it is a true lower bound on the log evidence of the
-data.  ``psi`` is ``scipy.special.digamma``; the field sums of a column,
-over each field's rows, come from one ``np.add.reduceat``.  A state with
-one row per record (``rows`` = 0..N-1, every ``m[u]`` = 1) is the
-per-record form of the same updates; :func:`fit` finds the distinct tuples
-once and runs every sweep on them, so per-sweep cost scales with U, not N.
-``scipy.special``, ``scipy.sparse`` and ``concurrent.futures`` are
-imported inside the functions that call them, not at the top, so
-importing the package, ``vblink synth`` and ``vblink eval`` (no fit) load
-none of them.
+where X (U, sum V_f) is the one-hot indicator of each row's F values
+(:func:`_one_hot`), lse[u] the log-normaliser of row u's scores and
+N = sum_u m[u].  The ELBO is in closed form after the lam update: the
+likelihood, prior and q(beta) terms telescope, and the entropy term
+sum_u m[u] sum_k phi[u, k] log phi[u, k] is <counts, T> - sum_u m[u] lse[u].
+It includes -N log K from the uniform assignment prior, so it is a true
+lower bound on the log evidence.  ``psi`` is ``scipy.special.digamma``;
+the field sums come from one ``np.add.reduceat``.  ``scipy.special``,
+``scipy.sparse`` and ``concurrent.futures`` are imported inside the
+functions that call them, so importing the package, ``vblink synth`` and
+``vblink eval`` load none of them.
 
-A fit sweep is one blocked pass (:func:`_sweep`).  T is built once per
-sweep (O(K * sum V_f)).  A block of rows has one sparse one-hot
-indicator X (rows, sum V_f) with F entries per row, one in each field's
-column offset_f + x[u, f] (:func:`_one_hot`).  Its scores are the product
-X @ T, which adds each row's F table rows in field order, at
-O(rows * K * F) cost.  Each block's scores are normalized in place (max
-shift, exp, divide by the row sum) into its responsibilities; the block
-keeps its weighted log-normaliser sum sum_u m[u] lse[u] (lse[u] = row
-max + log row sum) and each row's argmax and MAP responsibility
-1 / row sum, and adds its weighted counts X^T diag(m) phi, a table in the
-layout of lam, while it is still in cache.  Then the block is dropped:
-a fit never holds the (U, K) phi, only the (sum V_f, K) tables, one block
+A sweep is one blocked pass (:func:`_pass`) over the U rows, so per-sweep
+cost scales with U, not N.  Each block's scores X @ T are normalised in
+place, its argmax and MAP responsibility 1 / row sum are kept, and its
+counts are taken while it is still in cache; then the block is dropped.
+A fit never holds the (U, K) phi, only the (sum V_f, K) tables, one block
 per worker and two (U,) MAP arrays (:class:`FitState`), the memoized form
 of coordinate ascent that keeps summary statistics and no per-item local
-parameters.  The lam update is then lam = alpha + counts, and the ELBO
-telescopes to a closed form in lam, the counts, T and the
-log-normalisers: since log phi[u, k] = (X @ T)[u, k] - lse[u],
-sum_u m[u] sum_k phi[u, k] log phi[u, k] = <counts, T>
-- sum_u m[u] lse[u].  So a sweep computes each phi entry once and its
-ELBO costs O(K * sum V_f + U).  The public :func:`update_phi`,
-:func:`update_lambda` and :func:`elbo` are the general updates for any
-(phi, lam) held in a :class:`VariationalState`; the tests hold the sweep
-to them, and :func:`reference_state` rebuilds a fit's last phi from the
-lam that produced it.  Each makes one pass of the sweep's :func:`_pass`,
-whose step returns the block's rows of phi, so each walks phi once
-(:func:`update_phi` drops its counts), and they share the score table,
-the one-hot indicator, ln B and lam = alpha + counts with the sweep.  The
-reference :func:`elbo` is in bracket form: its bracket alpha + counts -
-lam vanishes at lam = alpha + counts, which leaves the sweep's closed
-form.  :func:`elbo_grad_lambda` gives the ELBO's gradient in lam from the
-same bracket, as one (sum V_f, K) table in the layout of lam.
-The exact oracle (:mod:`vblink.oracle`) weighs each record subset by
-the ln B terms at its counts, through the same one-hot indicator, field
-sums and ln B, and sums over the set partitions of the records.
+parameters.  :func:`last_phi` rebuilds a fit's last phi by the same pass.
+The tests hold the sweep to an independent reference, the general
+updates for any (phi, lam) with phi held, in ``tests/reference.py``.  The
+exact oracle (:mod:`vblink.oracle`) shares the one-hot indicator, the
+field sums and ln B.
 
 A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20
 responsibilities (8 MiB), so wide-K blocks still fit in cache.
@@ -72,9 +49,9 @@ their partial results are added in block index order, so results are
 bit-identical for a given seed and any worker count.  :func:`fit` runs a
 pass's blocks in rounds of ``workers``, the calling thread taking the
 first block of each round and ``workers - 1`` pool threads the rest; one
-worker starts no thread, and the reference updates always run on the
-calling thread.  Within a pass ``lam`` is read-only and blocks write
-disjoint rows of the MAP arrays (or of a reference phi).
+worker starts no thread, and :func:`last_phi` runs on the calling thread.
+Within a pass ``lam`` is read-only and blocks write disjoint rows of the
+MAP arrays (or of :func:`last_phi`'s phi).
 """
 
 import contextvars
@@ -133,30 +110,6 @@ class HyperParams:
 
 
 @dataclass(eq=False)
-class VariationalState:
-    """Responsibilities ``phi`` (U, K), the (N,) index ``rows`` from each
-    record to its row of ``phi``, and the Dirichlet parameters ``lam``
-    (sum V_f, K), field f's (V_f, K) table ``lam[offset_f : offset_f +
-    V_f]``, offset_f = V_0 + ... + V_{f-1}.
-
-    Records that share a row must carry the same value tuple.  Without
-    ``rows`` every record has its own row (``rows`` = 0..N-1).
-    """
-
-    phi: np.ndarray
-    lam: np.ndarray
-    rows: np.ndarray = None
-
-    def __post_init__(self):
-        if self.rows is None:
-            self.rows = np.arange(self.phi.shape[0])
-
-    @property
-    def entity_count(self):
-        return int(self.phi.shape[1])
-
-
-@dataclass(eq=False)
 class FitState:
     """What :func:`fit` keeps: the Dirichlet parameters ``lam``
     (sum V_f, K) after the last sweep, ``prev``, the lam that produced the
@@ -164,7 +117,7 @@ class FitState:
     distinct value tuple, and per tuple the last sweep's MAP: ``argmax``
     (U,), the entity of its largest responsibility (the first maximum,
     0-based), and ``max_prob`` (U,), that responsibility.  There is no
-    phi; :func:`reference_state` rebuilds it from ``prev``."""
+    phi; :func:`last_phi` rebuilds it from ``prev``."""
 
     lam: np.ndarray
     prev: np.ndarray
@@ -307,15 +260,28 @@ def _anchor_weights(n, seed):
 
 
 def _seeded_lambda(corpus, hp, seed):
-    """The lam that :func:`update_lambda` gives on the anchored start of
-    :func:`init_state`, in closed form with no N x K array:
+    """The lam of the seeded soft-anchored start, with no N x K array.
+
+    Record ``n`` leans on entity ``n mod K`` with a random weight ``w_n``
+    drawn from U(0.05, 0.3); the rest of its mass is uniform over all K
+    entities.  Randomized symmetry breaking is mandatory — exactly uniform
+    phi makes every entity identical and is a fixed point of both updates
+    — but it must be anchored and soft: unanchored jitter lets a few early
+    entities absorb records of many distinct individuals (merges that
+    coordinate ascent can never split), while hard per-record anchors
+    freeze out the slightly-corrupted records (their one mismatched field
+    is too expensive to move under a small concentration until clusters
+    carry some mass).  The random weights also decide, for near-duplicate
+    records anchored to different entities, which anchor the merged
+    cluster keeps.
+
+    The start is the lam update of that phi, in closed form:
 
         counts[j, k] = sum_{x_n has value j} (1 - w_n) / K
                      + sum_{x_n has value j, n mod K = k} w_n
 
     from one bincount over the records' stacked columns and one over their
-    (column, anchor) pairs, at O(N * F + K * sum V_f) cost, with the same
-    weights ``w``.
+    (column, anchor) pairs, at O(N * F + K * sum V_f) cost.
     """
     n, k = corpus.total_records, hp.entity_count
     cards = corpus.schema.cardinalities
@@ -328,55 +294,10 @@ def _seeded_lambda(corpus, hp, seed):
     return (hp.alpha + spread)[:, None] + peak.reshape(-1, k)
 
 
-def init_state(corpus, hp, seed):
-    """Seeded soft-anchored start, one row per record, with its lam.
-
-    Record ``n`` leans on entity ``n mod K`` with a random weight drawn from
-    U(0.05, 0.3); the rest of its mass is uniform over all K entities.
-    Randomized symmetry breaking is mandatory — exactly uniform phi makes
-    every entity identical and is a fixed point of both updates — but it
-    must be anchored and soft: unanchored jitter lets a few early entities
-    absorb records of many distinct individuals (merges that coordinate
-    ascent can never split), while hard per-record anchors freeze out the
-    slightly-corrupted records (their one mismatched field is too expensive
-    to move under a small concentration until clusters carry some mass).
-    The random weights also decide, for near-duplicate records anchored to
-    different entities, which anchor the merged cluster keeps.
-
-    ``lam`` is the lam update of that phi, computed in closed form; it is
-    all that :func:`fit` needs of the start, which it builds without phi.
-    """
-    _check_compatible(corpus, hp)
-    n, k = corpus.total_records, hp.entity_count
-    w = _anchor_weights(n, seed)
-    phi = np.empty((n, k))
-    phi[:] = ((1.0 - w) / k)[:, None]
-    phi[np.arange(n), np.arange(n) % k] += w
-    return VariationalState(phi=phi, lam=_seeded_lambda(corpus, hp, seed))
-
-
 def _check_compatible(corpus, hp):
     width = sum(corpus.schema.cardinalities)
     if hp.alpha.shape != (width,):
         raise ValueError(f"alpha has {hp.alpha.size} entries, not sum V_f = {width}")
-
-
-def _counts(state, corpus):
-    """The (sum V_f, K) counts of a reference state's phi, from one pass
-    that leaves phi as it is."""
-    columns, weights = _row_patterns(state.rows, len(state.phi), corpus)
-    width = sum(corpus.schema.cardinalities)
-    return _pass(
-        columns, weights, width, state.entity_count,
-        lambda lo, hi, x: (0.0, state.phi[lo:hi]),
-    )[1]
-
-
-def update_lambda(state, corpus, hp):
-    """Closed-form Dirichlet update: prior plus multiplicity- and
-    responsibility-weighted counts, from a pass that leaves phi as it is."""
-    state.lam = hp.alpha[:, None] + _counts(state, corpus)
-    return state.lam
 
 
 def _score_tables(lam, cardinalities):
@@ -414,71 +335,6 @@ def _normalise_block(scores, out):
     total = scores.sum(axis=1)
     np.divide(scores, total[:, None], out=out)
     return top_at, total, top + np.log(total)
-
-
-def update_phi(state, corpus, hp):
-    """Log-space responsibility update, normalized into ``phi`` by one
-    pass whose counts are dropped."""
-    table = _score_tables(state.lam, corpus.schema.cardinalities)
-    columns, weights = _row_patterns(state.rows, len(state.phi), corpus)
-
-    def step(lo, hi, x):
-        p = state.phi[lo:hi]
-        return _normalise_block(x @ table, p)[2] @ weights[lo:hi], p
-
-    _pass(columns, weights, table.shape[0], state.entity_count, step)
-    return state.phi
-
-
-def elbo(state, corpus, hp):
-    """Evidence lower bound of the current state, in bracket form:
-
-        <alpha + counts - lam, T> + sum_{k,f} [ln B(lam[k, f]) - ln B(alpha_f)]
-        - sum_u m[u] sum_k phi[u, k] log phi[u, k] - N log K
-
-    with T the score table of ``lam``, alpha stacked and broadcast over
-    the K columns, and 0 log 0 = 0.  The counts and the entropy come from
-    one pass over phi.  The expected log likelihood, the Dirichlet prior
-    and the q(beta) terms collect into the bracket, which vanishes at
-    lam = alpha + counts.  Valid for any (phi, lam); equals log p(x)
-    exactly when K = 1.
-    """
-    from scipy.special import entr
-
-    k = state.entity_count
-    columns, weights = _row_patterns(state.rows, len(state.phi), corpus)
-    cards = corpus.schema.cardinalities
-
-    def step(lo, hi, x):
-        p = state.phi[lo:hi]
-        return entr(p).sum(axis=1) @ weights[lo:hi], p
-
-    entropy, counts = _pass(columns, weights, sum(cards), k, step)
-    bracket = hp.alpha[:, None] + counts - state.lam
-    return (
-        float(entropy) - float(weights.sum()) * math.log(k)
-        + float(np.vdot(bracket, _score_tables(state.lam, cards)))
-        + _log_beta(state.lam, cards) - k * _log_beta(hp.alpha, cards)
-    )
-
-
-def elbo_grad_lambda(state, corpus, hp):
-    """The (sum V_f, K) table of the ELBO's partial derivatives in lam.
-    With bracket = alpha + counts - lam, the bracket of :func:`elbo`, the
-    entry at row j of field f and entity k is
-
-        psi'(lam[j, k]) * bracket[j, k]
-        - psi'(field f's sum of lam[:, k]) * (field f's sum of bracket[:, k])
-
-    with psi' the trigamma function; zero at the fixed point reached by
-    :func:`update_lambda`.
-    """
-    from scipy.special import polygamma
-
-    cards = corpus.schema.cardinalities
-    bracket = hp.alpha[:, None] + _counts(state, corpus) - state.lam
-    fields = polygamma(1, _field_sums(state.lam, cards)) * _field_sums(bracket, cards)
-    return polygamma(1, state.lam) * bracket - np.repeat(fields, cards, axis=0)
 
 
 def _sweep(state, columns, weights, alpha, cardinalities, workers):
@@ -552,20 +408,20 @@ def fit(
 
     The distinct value tuples and their multiplicities are found once and
     every sweep runs on them.  Each sweep is one blocked pass that does the
-    phi update, the lam update and the ELBO (see :func:`_sweep`); it gives
-    what :func:`update_phi`, :func:`update_lambda` and :func:`elbo` give.
+    phi update, the lam update and the ELBO (see :func:`_sweep`).
     No (U, K) phi is ever held: a block's responsibilities live only while
     the block is processed, so the fit holds a few (sum V_f, K) tables, one
     block per worker and O(N) per-record state.  The pass runs its blocks on
     ``workers`` threads (see :func:`_pass`), with bit-identical results for
     any ``workers``.
-    ``initial_lam`` (one (sum V_f, K) array, see :class:`VariationalState`)
-    overrides the seeded start and the seed is then unused; the caller's
-    array is not written.  lam is the whole state of a fit, so a fit
-    started from the lam of sweep S (say, from :func:`load_state`, or a
-    copy of it in any memory order) repeats sweeps S+1, ... of the fit it
-    came from bit for bit.  ``on_sweep(sweep, elbo, state)`` is called
-    after every sweep with the :class:`FitState`.
+    ``initial_lam`` (one (sum V_f, K) array in the layout of lam)
+    overrides the seeded start (:func:`_seeded_lambda`) and the seed is
+    then unused; the caller's array is not written.  lam is the whole
+    state of a fit, so a fit started from the lam of sweep S (say, from
+    :func:`load_state`, or a copy of it in any memory order) repeats
+    sweeps S+1, ... of the fit it came from bit for bit.
+    ``on_sweep(sweep, elbo, state)`` is called after every sweep with the
+    :class:`FitState`.
     An alpha that no fit can start from raises :class:`AlphaRangeError`
     before the first sweep (see :func:`_check_alpha_range`).
     Returns ``(FitState, FitReport)``; the trace is nondecreasing up to
@@ -626,18 +482,23 @@ def fit(
     return state, report
 
 
-def reference_state(state, corpus, hp):
-    """The reference :class:`VariationalState` of a fit's last sweep: its
-    phi is :func:`update_phi` on ``state.prev``, bit for bit the phi that
-    sweep normalised, and its lam is ``state.lam``, the lam update of that
-    phi.  It allocates the (U, K) phi that :func:`fit` never holds, so it
-    is for small instances and checks."""
-    ref = VariationalState(
-        np.empty((len(state.argmax), state.entity_count)), state.prev, state.rows
-    )
-    update_phi(ref, corpus, hp)
-    ref.lam = state.lam
-    return ref
+def last_phi(state, corpus):
+    """The (U, K) responsibilities of a :class:`FitState`'s last sweep, one
+    row per distinct value tuple (``state.rows`` maps each record to its
+    row): one pass over ``state.prev``, the lam that sweep normalised, so
+    they are bit for bit the sweep's, their argmax is ``state.argmax`` and
+    their max ``state.max_prob``.  It allocates the (U, K) phi that
+    :func:`fit` never holds, so it is for small instances and checks."""
+    table = _score_tables(state.prev, corpus.schema.cardinalities)
+    phi = np.empty((len(state.argmax), state.entity_count))
+    columns, weights = _row_patterns(state.rows, len(phi), corpus)
+
+    def step(lo, hi, x):
+        _normalise_block(x @ table, phi[lo:hi])
+        return 0.0, phi[lo:hi]
+
+    _pass(columns, weights, table.shape[0], state.entity_count, step)
+    return phi
 
 
 def _check_fit_options(max_sweeps, rel_tol, workers):
@@ -696,8 +557,8 @@ def save_state(path, lam, corpus, hp):
     lam is the whole state of a fit: each sweep computes phi from lam, so
     ``fit(corpus, hp, initial_lam=lam)`` on the loaded lam continues the
     fit bit for bit.  The fit's last phi came from the lam before its last
-    lam update; :func:`update_phi` on the saved lam gives the next sweep's
-    phi.
+    lam update (``FitState.prev``, see :func:`last_phi`); the saved lam
+    gives the next sweep's phi.
     """
     with open(path, "wb") as fh:
         np.savez(

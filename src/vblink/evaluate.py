@@ -99,16 +99,19 @@ def pairwise_metrics(predicted, truth):
     )
 
 
-def posterior_cocluster_estimate(state, pairs):
+def posterior_cocluster_estimate(phi, rows, pairs):
     """Mean-field co-clustering probability sum_k phi[i, k] * phi[j, k]
-    for each (i, j) pair of flat record indices, as a row-wise dot."""
+    for each (i, j) pair of flat record indices, as a row-wise dot.
+    ``phi`` (U, K) holds one row per distinct value tuple, as
+    :func:`vblink.engine.last_phi` gives it, and ``rows`` (N,) maps each
+    record to its row."""
     pairs = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
-    n = state.rows.shape[0]
+    n = rows.shape[0]
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if outside.any():
         i, j = pairs[outside][0]
         raise IndexError(f"record pair ({i}, {j}) outside 0..{n - 1}")
-    phi = state.phi[state.rows[pairs]]  # (pairs, 2, K)
+    phi = phi[rows[pairs]]  # (pairs, 2, K)
     return np.einsum("pk,pk->p", phi[:, 0], phi[:, 1])
 
 

@@ -96,9 +96,19 @@ class GenConfig:
                         f"{v_f}-valued field"
                     )
         if self.dirichlet_alpha is not None:
-            for a_f in resolve_alpha(self.dirichlet_alpha, self.cardinalities):
+            alphas = resolve_alpha(self.dirichlet_alpha, self.cardinalities)
+            for f, a_f in enumerate(alphas):
                 if not np.all(np.isfinite(a_f) & (a_f > 0.0)):
                     raise ValueError("dirichlet_alpha entries must be finite and positive")
+                with np.errstate(over="ignore"):  # an infinite sum is refused below
+                    total = a_f.sum()
+                # numpy's Dirichlet draws are all zero once the sum overflows
+                if not np.isfinite(total):
+                    raise ValueError(
+                        f"dirichlet_alpha {float(a_f.max())!r} is too large: the "
+                        f"{a_f.size} concentrations of field {f} sum past the "
+                        "largest float"
+                    )
         if self.small_cluster_max is not None:
             m = int(self.small_cluster_max)
             n = sum(int(s) for s in self.db_sizes)

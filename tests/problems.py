@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from vblink.corpus import Corpus, Schema
-from vblink.engine import HyperParams, VariationalState, _check_lam, elbo
+from vblink.engine import HyperParams, _check_lam
+
+from reference import VariationalState, elbo
 
 
 @st.composite
@@ -46,16 +48,6 @@ def central_differences(state, corpus, hp, h=1e-5):
         lo.lam[index] -= h
         table[index] = (elbo(hi, corpus, hp) - elbo(lo, corpus, hp)) / (2 * h)
     return table
-
-
-def permute_entities(state, perm):
-    """Relabel entities: new entity ``i`` is old entity ``perm[i]``."""
-    perm = np.asarray(perm)
-    return VariationalState(
-        phi=np.ascontiguousarray(state.phi[:, perm]),
-        lam=np.ascontiguousarray(state.lam[:, perm]),
-        rows=state.rows.copy(),
-    )
 
 
 def validate(state, atol=1e-12):

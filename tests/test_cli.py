@@ -879,6 +879,19 @@ class TestAlphaRange:
                      "--max-sweeps", "5", "--out", str(tmp_path / "run")])
         assert code in (0, 4)
 
+    def test_synth_refuses_an_alpha_whose_field_sum_overflows(self, tmp_path, capsys):
+        def synth(alpha, out):
+            return main(["synth", "--k", "2", "--db-sizes", "3,3", "--fields", "2",
+                         "--cardinality", "3", "--alpha", alpha, "--out", str(out)])
+
+        assert synth("1e307", tmp_path / "runs") == 0  # 3 values sum to 3e307
+        assert synth("1e308", tmp_path / "refused") == 2
+        assert capsys.readouterr().err == (
+            "error: dirichlet_alpha 1e+308 is too large: the 3 concentrations "
+            "of field 0 sum past the largest float\n"
+        )
+        assert not (tmp_path / "refused").exists()
+
 
 class TestOracleCheck:
     def test_bound_holds_on_tiny_instance(self, tmp_path, capsys):

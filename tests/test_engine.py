@@ -13,20 +13,7 @@ from scipy.special import digamma, logsumexp, polygamma, softmax
 
 import vblink.engine as engine
 from vblink.corpus import Corpus, Schema
-from vblink.engine import (
-    HyperParams,
-    NumericalFailureError,
-    VariationalState,
-    elbo,
-    elbo_grad_lambda,
-    fit,
-    init_state,
-    load_state,
-    reference_state,
-    save_state,
-    update_lambda,
-    update_phi,
-)
+from vblink.engine import HyperParams, NumericalFailureError, fit, load_state, save_state
 from vblink.evaluate import map_linkage
 from vblink.genmodel import GenConfig, sample_dataset
 from vblink.oracle import exact_posterior
@@ -34,9 +21,17 @@ from vblink.oracle import exact_posterior
 from problems import (
     central_differences,
     copy_state,
-    permute_entities,
     tiny_problems,
     validate,
+)
+from reference import (
+    VariationalState,
+    elbo,
+    elbo_grad_lambda,
+    init_state,
+    reference_state,
+    update_lambda,
+    update_phi,
 )
 
 # Duplicate-heavy: the paper's recovery config, 600 records in about 280
@@ -48,6 +43,13 @@ DUPLICATE_HEAVY = GenConfig(
     distortion=0.02,
     seed=42,
 )
+
+
+@pytest.fixture(scope="module")
+def duplicate_heavy():
+    corpus, _ = sample_dataset(DUPLICATE_HEAVY)
+    return corpus, HyperParams.symmetric(600, 0.1, corpus.schema.cardinalities)
+
 
 # Arbitrary-precision reference values (mpmath, 30 significant digits).
 DIGAMMA_REFERENCE = {
@@ -78,13 +80,6 @@ def tiny_corpus(column, cardinality=2):
     )
     values = np.asarray(column, dtype=np.int32).reshape(-1, 1)
     return Corpus(schema=schema, db_sizes=(len(column),), values=values)
-
-
-def make_state(phi, lam):
-    """A state with one row per record and ``lam`` the (sum V_f, K) table."""
-    return VariationalState(
-        phi=np.asarray(phi, dtype=np.float64), lam=np.asarray(lam, dtype=np.float64)
-    )
 
 
 @pytest.fixture
@@ -164,6 +159,20 @@ class TestFieldCounts:
         assert counts.shape == (0, 3)
 
 
+def run_with_frequent_switches(target):
+    """Run ``target`` on a thread while the interpreter switches threads
+    every microsecond, so pool blocks interleave as much as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=target, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+
+
 def pool_problem(n=400, k=7, cards=(5, 3, 9), seed=5):
     """Random stacked columns, multiplicities and phi for a blocked pass."""
     rng = np.random.default_rng(seed)
@@ -207,15 +216,7 @@ class TestBlockPool:
                 )
                 runs.append((total, counts.tobytes(), got_phi.tobytes()))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=run_many, daemon=True)
-            runner.start()
-            runner.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive()
+        run_with_frequent_switches(run_many)
         assert len(runs) == 30
         for total, counts, got_phi in runs:
             assert total == want_total
@@ -243,15 +244,7 @@ class TestBlockPool:
             for _ in range(10):
                 runs.append(arrays(fit(corpus, hp, max_sweeps=3, seed=2, workers=4)[0]))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=run_many, daemon=True)
-            runner.start()
-            runner.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive()
+        run_with_frequent_switches(run_many)
         assert runs == [want] * 10
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
@@ -375,21 +368,21 @@ class TestScores:
 class TestUpdateLambda:
     def test_prior_plus_counts(self, pair_corpus):
         hp = HyperParams.symmetric(1, 1.0, [2])
-        state = make_state(np.ones((2, 1)), np.ones((2, 1)))
+        state = VariationalState(np.ones((2, 1)), np.ones((2, 1)))
         update_lambda(state, pair_corpus, hp)
         np.testing.assert_allclose(state.lam, [[3.0], [1.0]])
 
     def test_split_responsibilities(self):
         corpus = tiny_corpus([0, 1])
         hp = HyperParams.symmetric(2, 0.5, [2])
-        state = make_state(np.full((2, 2), 0.5), np.ones((2, 2)))
+        state = VariationalState(np.full((2, 2), 0.5), np.ones((2, 2)))
         update_lambda(state, corpus, hp)
         np.testing.assert_allclose(state.lam, np.full((2, 2), 1.0))
 
     def test_no_records_leaves_prior(self):
         corpus = tiny_corpus([])
         hp = HyperParams(2, [0.3, 0.9])
-        state = make_state(np.zeros((0, 2)), np.ones((2, 2)))
+        state = VariationalState(np.zeros((0, 2)), np.ones((2, 2)))
         update_lambda(state, corpus, hp)
         np.testing.assert_array_equal(state.lam, [[0.3, 0.3], [0.9, 0.9]])
 
@@ -415,21 +408,21 @@ class TestUpdateLambda:
 class TestUpdatePhi:
     def test_single_entity(self, pair_corpus):
         hp = HyperParams.symmetric(1, 1.0, [2])
-        state = make_state(np.zeros((2, 1)), [[3.0], [1.0]])
+        state = VariationalState(np.zeros((2, 1)), [[3.0], [1.0]])
         update_phi(state, pair_corpus, hp)
         np.testing.assert_array_equal(state.phi, np.ones((2, 1)))
 
     def test_identical_entities_give_uniform(self):
         corpus = tiny_corpus([0, 1, 0])
         hp = HyperParams.symmetric(3, 1.0, [2])
-        state = make_state(np.zeros((3, 3)), np.full((2, 3), 1.7))
+        state = VariationalState(np.zeros((3, 3)), np.full((2, 3), 1.7))
         update_phi(state, corpus, hp)
         np.testing.assert_allclose(state.phi, np.full((3, 3), 1 / 3), atol=1e-15)
 
     def test_hand_computed_two_entities(self):
         corpus = tiny_corpus([0])
         hp = HyperParams.symmetric(2, 1.0, [2])
-        state = make_state(np.zeros((1, 2)), [[2.0, 1.0], [1.0, 2.0]])
+        state = VariationalState(np.zeros((1, 2)), [[2.0, 1.0], [1.0, 2.0]])
         update_phi(state, corpus, hp)
         # scores are psi(2)-psi(3), psi(1)-psi(3) = -0.5, -1.5
         np.testing.assert_allclose(
@@ -463,7 +456,7 @@ class TestUpdatePhi:
         monkeypatch.setattr(engine, "_score_tables", lambda _lam, _cards: table)
         corpus = tiny_corpus([0, 1, 0])
         hp = HyperParams.symmetric(3, 1.0, [2])
-        state = make_state(np.zeros((3, 3)), np.ones((2, 3)))
+        state = VariationalState(np.zeros((3, 3)), np.ones((2, 3)))
         update_phi(state, corpus, hp)
         assert np.all(np.isfinite(state.phi)) and np.all(state.phi >= 0.0)
         np.testing.assert_allclose(state.phi.sum(axis=1), 1.0, atol=1e-15)
@@ -492,7 +485,7 @@ class TestElbo:
     def test_zero_when_no_data_and_prior_state(self):
         corpus = tiny_corpus([])
         hp = HyperParams(3, [0.7, 1.3])
-        state = make_state(np.zeros((0, 3)), np.repeat([[0.7], [1.3]], 3, axis=1))
+        state = VariationalState(np.zeros((0, 3)), np.repeat([[0.7], [1.3]], 3, axis=1))
         assert elbo(state, corpus, hp) == pytest.approx(0.0, abs=1e-13)
 
     def test_single_entity_closed_form(self, pair_corpus):
@@ -511,7 +504,7 @@ class TestElbo:
         # -2 ln 2 - 2 ln 2 = log p(x, z) = ln(1/16).
         corpus = tiny_corpus([0, 1])
         hp = HyperParams.symmetric(2, 1.0, [2])
-        state = make_state([[1.0, 0.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]])
+        state = VariationalState([[1.0, 0.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]])
         value = elbo(state, corpus, hp)
         assert math.isfinite(value)
         assert value == pytest.approx(math.log(1.0 / 16.0), abs=1e-12)
@@ -538,7 +531,7 @@ class TestGradient:
         corpus, hp = problem
         rng = np.random.default_rng(7)
         for _ in range(3):
-            state = make_state(
+            state = VariationalState(
                 rng.dirichlet(np.ones(3), size=5), rng.uniform(0.5, 4.0, size=(5, 3))
             )
             grad = elbo_grad_lambda(state, corpus, hp)
@@ -550,11 +543,11 @@ class TestGradient:
     def test_zero_after_update_lambda(self, problem):
         corpus, hp = problem
         rng = np.random.default_rng(2)
-        state = make_state(rng.dirichlet(np.ones(3), size=5), np.ones((5, 3)))
+        state = VariationalState(rng.dirichlet(np.ones(3), size=5), np.ones((5, 3)))
         update_lambda(state, corpus, hp)
         # fit's last sweep ends with a lam update; its state shares rows
         # between duplicate records
-        fitted = reference_state(fit(corpus, hp, max_sweeps=2, seed=2)[0], corpus, hp)
+        fitted = reference_state(fit(corpus, hp, max_sweeps=2, seed=2)[0], corpus)
         assert fitted.phi.shape[0] < corpus.total_records
         for state in (state, fitted):
             np.testing.assert_array_equal(elbo_grad_lambda(state, corpus, hp), 0.0)
@@ -562,7 +555,7 @@ class TestGradient:
     def test_zero_for_prior_state_without_data(self):
         corpus = tiny_corpus([])
         hp = HyperParams(2, [0.5, 2.0])
-        state = make_state(np.zeros((0, 2)), [[0.5, 0.5], [2.0, 2.0]])
+        state = VariationalState(np.zeros((0, 2)), [[0.5, 0.5], [2.0, 2.0]])
         np.testing.assert_array_equal(elbo_grad_lambda(state, corpus, hp), 0.0)
 
 
@@ -604,14 +597,12 @@ class TestFit:
         start = init_state(corpus, hp, seed=9)
         perm = np.array([2, 0, 3, 1])
         state_a, report_a = fit(corpus, hp, initial_lam=start.lam, max_sweeps=25)
-        state_b, report_b = fit(
-            corpus, hp, initial_lam=permute_entities(start, perm).lam, max_sweeps=25
-        )
+        state_b, report_b = fit(corpus, hp, initial_lam=start.lam[:, perm], max_sweeps=25)
         for ea, eb in zip(report_a.elbo_trace, report_b.elbo_trace):
             assert eb == pytest.approx(ea, rel=1e-12)
         np.testing.assert_allclose(
-            reference_state(state_b, corpus, hp).phi,
-            reference_state(state_a, corpus, hp).phi[:, perm],
+            reference_state(state_b, corpus).phi,
+            reference_state(state_a, corpus).phi[:, perm],
             rtol=1e-9,
             atol=1e-12,
         )
@@ -629,7 +620,7 @@ class TestFit:
         n = corpus.total_records
 
         def on_sweep(_sweep, _value, state):
-            sizes = np.bincount(state.rows) @ reference_state(state, corpus, hp).phi
+            sizes = np.bincount(state.rows) @ reference_state(state, corpus).phi
             assert sizes.sum() == pytest.approx(n, rel=1e-9)
             by_field = engine._field_sums(
                 state.lam - hp.alpha[:, None], corpus.schema.cardinalities
@@ -919,9 +910,10 @@ class TestCheckpoint:
         assert header["entity_count"] == 5
 
     @pytest.mark.parametrize("first", [1, 3])
-    def test_resume_matches_uninterrupted_fit(self, tmp_path, monkeypatch, first):
-        corpus, _ = sample_dataset(DUPLICATE_HEAVY)
-        hp = HyperParams.symmetric(600, 0.1, corpus.schema.cardinalities)
+    def test_resume_matches_uninterrupted_fit(
+        self, duplicate_heavy, tmp_path, monkeypatch, first
+    ):
+        corpus, hp = duplicate_heavy
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)
         distinct = engine._distinct_rows(corpus.values).max() + 1
         assert len(engine._blocks(distinct, hp.entity_count)) > 3
@@ -979,25 +971,20 @@ class TestCheckpoint:
 class TestStateValidation:
     def test_rejects_broken_simplex(self):
         for phi in ([[0.6, 0.6]], [[np.nan, 0.5]], [[np.inf, 0.5]]):
-            state = make_state(phi, np.ones((2, 2)))
+            state = VariationalState(phi, np.ones((2, 2)))
             with pytest.raises(ValueError):
                 validate(state)
 
     def test_rejects_nonpositive_lambda(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
-            state = make_state([[0.5, 0.5]], [[1.0, 1.0], [bad, 1.0]])
+            state = VariationalState([[0.5, 0.5]], [[1.0, 1.0], [bad, 1.0]])
             with pytest.raises(ValueError):
                 validate(state)
 
 
 class TestDistinctRecords:
-    """fit runs on one phi row per distinct value tuple; the public updates
-    on a per-record state are its reference."""
-
-    @pytest.fixture(scope="class")
-    def duplicate_heavy(self):
-        corpus, _ = sample_dataset(DUPLICATE_HEAVY)
-        return corpus, HyperParams.symmetric(600, 0.1, corpus.schema.cardinalities)
+    """fit runs on one phi row per distinct value tuple; the reference
+    updates on a per-record state hold it."""
 
     def test_fit_matches_per_record_reference(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
@@ -1039,7 +1026,7 @@ class TestDistinctRecords:
         assert rows[0] == rows[2] == rows[3]
         assert rows[1] == rows[5]
         assert len({rows[0], rows[1], rows[4]}) == 3
-        reference = reference_state(state, corpus, hp)
+        reference = reference_state(state, corpus)
         assert reference.phi.shape == (3, 4)
         validate(reference)
 
@@ -1077,19 +1064,14 @@ class TestDistinctRecords:
 
 class TestFusedSweep:
     """Each fit sweep is one blocked pass over phi with the ELBO in closed
-    form; the public update_phi, update_lambda and elbo are its reference."""
-
-    @pytest.fixture(scope="class")
-    def duplicate_heavy(self):
-        corpus, _ = sample_dataset(DUPLICATE_HEAVY)
-        return corpus, HyperParams.symmetric(600, 0.1, corpus.schema.cardinalities)
+    form; the reference update_phi, update_lambda and elbo hold it."""
 
     def test_elbo_matches_reference_at_every_sweep(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
         gaps = []
 
         def check(_sweep, value, state):
-            reference = reference_state(state, corpus, hp)
+            reference = reference_state(state, corpus)
             gaps.append(abs(value - elbo(reference, corpus, hp)) / abs(value))
 
         _, report = fit(corpus, hp, max_sweeps=8, rel_tol=1e-14, seed=4, on_sweep=check)
@@ -1099,7 +1081,7 @@ class TestFusedSweep:
     def test_lambda_is_the_update_of_the_returned_phi(self, duplicate_heavy):
         corpus, hp = duplicate_heavy
         state, _ = fit(corpus, hp, max_sweeps=5, seed=6)
-        reference = reference_state(state, corpus, hp)
+        reference = reference_state(state, corpus)
         update_lambda(reference, corpus, hp)
         np.testing.assert_array_equal(state.lam, reference.lam)
 
@@ -1107,7 +1089,7 @@ class TestFusedSweep:
         self, duplicate_heavy, tmp_path
     ):
         corpus, hp = duplicate_heavy
-        state = reference_state(fit(corpus, hp, max_sweeps=2, seed=6)[0], corpus, hp)
+        state = reference_state(fit(corpus, hp, max_sweeps=2, seed=6)[0], corpus)
         updated = copy_state(state)
         update_lambda(updated, corpus, hp)
         assert state.lam.flags.c_contiguous and updated.lam.flags.c_contiguous
@@ -1123,14 +1105,14 @@ class TestFusedSweep:
         for s in (copied, reloaded, fortran):
             np.testing.assert_array_equal(s.phi, state.phi)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_map_arrays_are_the_argmax_and_max_of_the_last_phi(
         self, duplicate_heavy, monkeypatch, workers
     ):
         corpus, hp = duplicate_heavy
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)  # 5 blocks
         state, _ = fit(corpus, hp, max_sweeps=4, seed=1, workers=workers)
-        phi = reference_state(state, corpus, hp).phi
+        phi = engine.last_phi(state, corpus)
         assert len(engine._blocks(*phi.shape)) == 5
         np.testing.assert_array_equal(state.argmax, phi.argmax(axis=1))
         np.testing.assert_array_equal(state.max_prob, phi.max(axis=1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vblink.cli import main
-from vblink.engine import FitState, VariationalState, _normalise_block
+from vblink.engine import FitState, _normalise_block
 from vblink.evaluate import (
     Linkage,
     LinkageScore,
@@ -16,11 +16,6 @@ from vblink.evaluate import (
     write_linkage,
 )
 from vblink.genmodel import GenConfig, GroundTruth, sample_dataset, write_ground_truth
-
-
-def phi_state(phi):
-    phi = np.asarray(phi, dtype=np.float64)
-    return VariationalState(phi=phi, lam=np.ones((2, phi.shape[1])))
 
 
 def state_from_phi(phi, rows=None):
@@ -150,35 +145,36 @@ class TestPairwiseMetrics:
 
 
 class TestCoclusterEstimate:
+    @staticmethod
+    def estimate(phi, pairs, rows=None):
+        phi = np.asarray(phi, dtype=np.float64)
+        rows = np.arange(len(phi)) if rows is None else np.asarray(rows)
+        return posterior_cocluster_estimate(phi, rows, pairs)
+
     def test_point_masses(self):
-        state = phi_state([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        out = posterior_cocluster_estimate(state, [(0, 1), (0, 2)])
+        out = self.estimate([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(0, 1), (0, 2)])
         np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_uniform_rows_give_one_over_k(self):
-        state = phi_state(np.full((2, 4), 0.25))
-        out = posterior_cocluster_estimate(state, [(0, 1)])
+        out = self.estimate(np.full((2, 4), 0.25), [(0, 1)])
         np.testing.assert_allclose(out, [0.25])
 
     def test_hand_computed_dot_product(self):
-        state = phi_state([[0.7, 0.3], [0.4, 0.6]])
-        out = posterior_cocluster_estimate(state, [(0, 1), (1, 0), (0, 0)])
+        out = self.estimate([[0.7, 0.3], [0.4, 0.6]], [(0, 1), (1, 0), (0, 0)])
         np.testing.assert_allclose(out, [0.46, 0.46, 0.58])
 
     def test_out_of_range_pair(self):
-        state = phi_state([[1.0]])
         with pytest.raises(IndexError):
-            posterior_cocluster_estimate(state, [(0, 1)])
+            self.estimate([[1.0]], [(0, 1)])
         with pytest.raises(IndexError):
-            posterior_cocluster_estimate(state, [(-1, 0)])
+            self.estimate([[1.0]], [(-1, 0)])
 
     def test_records_sharing_a_row(self):
-        state = phi_state([[0.7, 0.3], [0.4, 0.6]])
-        state.rows = np.array([0, 1, 0])
-        out = posterior_cocluster_estimate(state, [(0, 2), (1, 2), (2, 1)])
+        phi, rows = [[0.7, 0.3], [0.4, 0.6]], [0, 1, 0]
+        out = self.estimate(phi, [(0, 2), (1, 2), (2, 1)], rows)
         np.testing.assert_allclose(out, [0.58, 0.46, 0.46])
         with pytest.raises(IndexError):
-            posterior_cocluster_estimate(state, [(0, 3)])
+            self.estimate(phi, [(0, 3)], rows)
 
 
 class TestLinkageFiles:

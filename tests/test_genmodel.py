@@ -59,6 +59,12 @@ class TestValidation:
         for alpha in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 sample_dataset(peaked(eps=None, dirichlet_alpha=alpha))
+        # numpy's Dirichlet draws are all zero once a field's alpha sum
+        # overflows; per-field vectors are summed per field
+        for alpha in (1e308, [[1e308, 1e308], [1.0, 1.0]]):
+            config = peaked(eps=None, dirichlet_alpha=alpha, cardinalities=[2, 2])
+            with pytest.raises(ValueError, match="field 0 sum past the largest float"):
+                sample_dataset(config)
 
     def test_entity_count_positive(self):
         with pytest.raises(ValueError):
