@@ -50,7 +50,9 @@ from .evaluate import (
     write_entities,
     write_linkage,
 )
-from .genmodel import GenConfig, resolve_alpha, sample_dataset, write_ground_truth
+from .genmodel import (
+    GenConfig, latent_path_for, resolve_alpha, sample_dataset, write_ground_truth
+)
 from .oracle import exact_posterior
 
 EXIT_OK = 0
@@ -152,28 +154,34 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_manifest(args, outputs, scipy_used=False):
-    """Every parsed option of the run, the outputs, the package version and
-    the environment: the numpy version, the scipy version when the command
-    ran scipy (``scipy_used``), and the CPU count."""
+def _write_manifest(args, outputs):
+    """Every parsed option of the run, with what ``_fit_setup`` wrote back
+    (scipy's version among it), the outputs, the package version, the
+    numpy version and the CPU count."""
     manifest = {
         key: value for key, value in vars(args).items() if key not in _NOT_ECHOED
     }
-    environment = {"numpy": np.__version__, "nproc": os.cpu_count()}
-    if scipy_used:
-        import scipy  # loaded by _fit_setup
-
-        environment["scipy"] = scipy.__version__
-    _write_json(
-        os.path.join(args.out, "manifest.json"),
-        dict(manifest, outputs=outputs, version=__version__, **environment),
+    manifest.update(
+        outputs=outputs, version=__version__, numpy=np.__version__, nproc=os.cpu_count()
     )
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+
+
+def _finish(args, name, payload):
+    """Write ``payload`` as the JSON file ``name`` and the manifest into
+    ``--out``, and print each of its entries as a ``key=value`` line."""
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, name), payload)
+    _write_manifest(args, [name, "manifest.json"])
+    for key, value in payload.items():
+        print(f"{key}={value}")
 
 
 def _fit_setup(args):
     """Check the options, then load the corpus and build the hyperparameters
-    shared by ``fit`` and ``oracle-check``.  The resolved ``k`` and alpha
-    are written back into ``args``, which the manifest echoes."""
+    shared by ``fit`` and ``oracle-check``; returns them with :func:`fit`'s
+    keyword options.  The resolved ``k``, alpha and scipy version are
+    written back into ``args``, which the manifest echoes."""
     _require(args, "out")
     _check_fit_options(args.max_sweeps, args.tol, args.workers)
     # The commands that run scipy load it before the corpus, as every
@@ -181,11 +189,15 @@ def _fit_setup(args):
     # fit's first sweep moved tall48k's peak RSS 74.7 -> 77.0 MiB through
     # glibc's placement of the sweep's blocks.
     import scipy
+    args.scipy = scipy.__version__
     schema = read_schema_file(args.schema) if args.schema else None
     corpus = load_databases(args.databases, schema=schema)
     if args.k is None:
         args.k = corpus.total_records
-    return corpus, _hyperparams(args, corpus.schema.cardinalities)
+    options = dict(
+        max_sweeps=args.max_sweeps, rel_tol=args.tol, seed=args.seed, workers=args.workers
+    )
+    return corpus, _hyperparams(args, corpus.schema.cardinalities), options
 
 
 def cmd_synth(args):
@@ -206,15 +218,13 @@ def cmd_synth(args):
     write_databases(corpus, [os.path.join(args.out, name) for name in db_names])
     write_schema_file(corpus.schema, os.path.join(args.out, "schema.txt"))
     write_ground_truth(truth, os.path.join(args.out, "truth.csv"))
-    _write_manifest(
-        args,
-        db_names + ["schema.txt", "truth.csv", "truth_latent.csv", "manifest.json"],
-    )
+    outputs = ["schema.txt", "truth.csv", latent_path_for("truth.csv"), "manifest.json"]
+    _write_manifest(args, db_names + outputs)
     return EXIT_OK
 
 
 def cmd_fit(args):
-    corpus, hp = _fit_setup(args)
+    corpus, hp, options = _fit_setup(args)
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
@@ -224,15 +234,7 @@ def cmd_fit(args):
         def on_sweep(sweep, value, _state):
             trace.write(f"{sweep},{value!r}\n")
 
-        state, report = fit(
-            corpus,
-            hp,
-            max_sweeps=args.max_sweeps,
-            rel_tol=args.tol,
-            seed=args.seed,
-            workers=args.workers,
-            on_sweep=on_sweep,
-        )
+        state, report = fit(corpus, hp, **options, on_sweep=on_sweep)
 
     linkage = map_linkage(state, corpus.db_sizes)
     write_linkage(os.path.join(args.out, "linkage.csv"), linkage)
@@ -241,7 +243,6 @@ def cmd_fit(args):
     _write_manifest(
         args,
         ["trace.csv", "linkage.csv", "state.npz", "entities.csv", "manifest.json"],
-        scipy_used=True,
     )
     if report.elbo_decreases:
         print(
@@ -264,27 +265,15 @@ def cmd_eval(args):
     linkage = read_linkage(args.linkage)
     truth = read_ground_truth(args.truth)
     score = pairwise_metrics(linkage, truth)
-
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "score.json"), asdict(score))
-    _write_manifest(args, ["score.json", "manifest.json"])
-    for name, value in asdict(score).items():
-        print(f"{name}={value}")
+    _finish(args, "score.json", asdict(score))
     return EXIT_OK
 
 
 def cmd_oracle_check(args):
-    corpus, hp = _fit_setup(args)
+    corpus, hp, options = _fit_setup(args)
 
     exact = exact_posterior(corpus, hp)
-    state, report = fit(
-        corpus,
-        hp,
-        max_sweeps=args.max_sweeps,
-        rel_tol=args.tol,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    state, report = fit(corpus, hp, **options)
     final_elbo = report.elbo_trace[-1]
     gap = exact.log_evidence - final_elbo
 
@@ -295,17 +284,13 @@ def cmd_oracle_check(args):
     )
     max_discrepancy = float(np.abs(exact.cocluster[i, j] - estimate).max(initial=0.0))
 
-    report_payload = {
+    payload = {
         "exact_log_evidence": exact.log_evidence,
         "final_elbo": final_elbo,
         "gap": gap,
         "max_cocluster_discrepancy": max_discrepancy,
     }
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "oracle_report.json"), report_payload)
-    _write_manifest(args, ["oracle_report.json", "manifest.json"], scipy_used=True)
-    for name, value in report_payload.items():
-        print(f"{name}={value}")
+    _finish(args, "oracle_report.json", payload)
     if gap < -BOUND_SLACK:
         print(
             f"bound violated: ELBO exceeds the exact evidence by {-gap}",

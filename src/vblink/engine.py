@@ -36,7 +36,7 @@ counts are taken while it is still in cache; then the block is dropped.
 A fit never holds the (U, K) phi, only the (sum V_f, K) tables, one block
 per worker and two (U,) MAP arrays (:class:`FitState`), the memoized form
 of coordinate ascent that keeps summary statistics and no per-item local
-parameters.  :func:`last_phi` rebuilds a fit's last phi by the same pass.
+parameters.  :func:`last_phi` rebuilds a fit's last phi in the same blocks.
 The tests hold the sweep to an independent reference, the general
 updates for any (phi, lam) with phi held, in ``tests/reference.py``.  The
 exact oracle (:mod:`vblink.oracle`) shares the one-hot indicator, the
@@ -51,7 +51,7 @@ pass's blocks in rounds of ``workers``, the calling thread taking the
 first block of each round and ``workers - 1`` pool threads the rest; one
 worker starts no thread, and :func:`last_phi` runs on the calling thread.
 Within a pass ``lam`` is read-only and blocks write disjoint rows of the
-MAP arrays (or of :func:`last_phi`'s phi).
+MAP arrays.
 """
 
 import contextvars
@@ -132,14 +132,18 @@ class FitState:
 
 @dataclass
 class FitReport:
-    """Per-sweep ELBO trace plus convergence status."""
+    """Per-sweep ELBO trace plus convergence status, appended to by
+    :func:`fit` as each sweep ends; ``sweeps_run`` is the trace's length."""
 
     elbo_trace: list = field(default_factory=list)
-    sweeps_run: int = 0
     converged: bool = False
     distinct_records: int = 0  # U, the distinct value tuples the sweeps ran on
     elbo_decreases: int = 0  # sweeps whose ELBO fell beyond DECREASE_SLACK
     sweep_seconds: list = field(default_factory=list)  # wall time of each sweep
+
+    @property
+    def sweeps_run(self):
+        return len(self.elbo_trace)
 
 
 def _rows_per_block(entity_count):
@@ -154,26 +158,25 @@ def _blocks(row_count, entity_count):
     return [(lo, min(lo + step, row_count)) for lo in range(0, row_count, step)]
 
 
-def _row_patterns(rows, row_count, corpus):
-    """Stacked columns ``(U, F)`` (see :func:`_columns`) and multiplicity
-    ``(U,)`` of each of ``row_count`` rows, read off the (N,) index
-    ``rows`` from each record to its row."""
-    first = np.zeros(row_count, dtype=np.intp)
-    first[rows] = np.arange(rows.size)
-    multiplicity = np.bincount(rows, minlength=row_count).astype(np.float64)
-    return _columns(corpus.values[first], corpus.schema.cardinalities), multiplicity
-
-
-def _distinct_rows(values):
-    """The index from each record to its distinct value tuple.  One sort of
-    the rows viewed as opaque byte strings, so no combined key can
-    overflow."""
+def _distinct_rows(corpus):
+    """The tuple view of a corpus, from one sort of its rows viewed as
+    opaque byte strings, so no combined key can overflow: the (N,) index
+    ``rows`` from each record to its distinct value tuple, numbered in
+    byte order, and per tuple its stacked columns (U, F) (see
+    :func:`_columns`), read off its first record, and its multiplicity
+    (U,) as float64."""
+    values = corpus.values  # C-contiguous int32, as Corpus keeps it
     n, field_count = values.shape
-    if field_count == 0:  # every record carries the empty tuple
-        return np.zeros(n, dtype=np.intp)
-    values = np.ascontiguousarray(values)
-    as_bytes = values.view(np.dtype((np.void, values.dtype.itemsize * field_count)))
-    return np.unique(as_bytes.ravel(), return_inverse=True)[1]
+    if field_count == 0:  # a 0-byte void cannot be sorted: one empty tuple
+        rows = np.zeros(n, dtype=np.intp)
+        first, counts = rows[:1], np.full(min(n, 1), n)
+    else:
+        as_bytes = values.view(np.dtype((np.void, values.dtype.itemsize * field_count)))
+        _, first, rows, counts = np.unique(
+            as_bytes.ravel(), return_index=True, return_inverse=True, return_counts=True
+        )
+    columns = _columns(values[first], corpus.schema.cardinalities)
+    return rows, columns, counts.astype(np.float64)
 
 
 def _starts(cardinalities):
@@ -437,67 +440,53 @@ def fit(
     else:
         _check_lam(initial_lam, (sum(cards), hp.entity_count))
         lam = np.array(initial_lam, dtype=np.float64, order="C")
-    rows = _distinct_rows(corpus.values)
-    distinct = int(rows.max(initial=-1)) + 1
+    rows, columns, weights = _distinct_rows(corpus)
     state = FitState(
         lam=lam,
         prev=lam,
         rows=rows,
-        argmax=np.zeros(distinct, dtype=np.intp),
-        max_prob=np.zeros(distinct),
+        argmax=np.zeros(len(weights), dtype=np.intp),
+        max_prob=np.zeros(len(weights)),
     )
-    columns, weights = _row_patterns(rows, distinct, corpus)
     # Checked here, where the first sweep would import scipy.special anyway:
     # importing it before the start's N x F temporaries moved tall48k's
     # peak RSS 74.7 -> 79.7 MiB through glibc's placement of later blocks.
     _check_alpha_range(corpus, hp)
-    trace = []
-    seconds = []
-    decreases = 0
-    converged = False
+    report = FitReport(distinct_records=len(weights))
+    trace = report.elbo_trace
     for sweep in range(1, max_sweeps + 1):
         start = time.perf_counter()
         value = _sweep(state, columns, weights, hp.alpha, cards, workers)
-        seconds.append(time.perf_counter() - start)
+        report.sweep_seconds.append(time.perf_counter() - start)
         if not math.isfinite(value):
             raise NumericalFailureError(
                 sweep, f"ELBO is {value}; {_state_stats(state)}"
             )
         if trace and value < trace[-1] - DECREASE_SLACK * abs(trace[-1]):
-            decreases += 1
+            report.elbo_decreases += 1
         trace.append(value)
         if on_sweep is not None:
             on_sweep(sweep, value, state)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= rel_tol * abs(trace[-1]):
-            converged = True
+            report.converged = True
             break
-    report = FitReport(
-        elbo_trace=trace,
-        sweeps_run=len(trace),
-        converged=converged,
-        distinct_records=distinct,
-        elbo_decreases=decreases,
-        sweep_seconds=seconds,
-    )
     return state, report
 
 
 def last_phi(state, corpus):
     """The (U, K) responsibilities of a :class:`FitState`'s last sweep, one
     row per distinct value tuple (``state.rows`` maps each record to its
-    row): one pass over ``state.prev``, the lam that sweep normalised, so
+    row): each of the sweep's blocks normalises its scores X @ T under
+    ``state.prev``, the lam that sweep normalised, into its rows of phi, and
+    no counts are taken.  The blocks and operations are the sweep's, so
     they are bit for bit the sweep's, their argmax is ``state.argmax`` and
     their max ``state.max_prob``.  It allocates the (U, K) phi that
     :func:`fit` never holds, so it is for small instances and checks."""
     table = _score_tables(state.prev, corpus.schema.cardinalities)
     phi = np.empty((len(state.argmax), state.entity_count))
-    columns, weights = _row_patterns(state.rows, len(phi), corpus)
-
-    def step(lo, hi, x):
-        _normalise_block(x @ table, phi[lo:hi])
-        return 0.0, phi[lo:hi]
-
-    _pass(columns, weights, table.shape[0], state.entity_count, step)
+    columns = _distinct_rows(corpus)[1]
+    for lo, hi in _blocks(*phi.shape):
+        _normalise_block(_one_hot(columns[lo:hi], table.shape[0]) @ table, phi[lo:hi])
     return phi
 
 

@@ -8,9 +8,11 @@ sum m * ``scipy.special.entr``(phi) from one pass.  They share T, ln B
 and lam = alpha + counts with the sweep.  :func:`elbo` is in bracket
 form, <alpha + counts - lam, T> + sum ln B(lam) - K * sum_f ln B(alpha_f),
 which at lam = alpha + counts is the sweep's closed form, and
-:func:`elbo_grad_lambda` is its gradient in lam.  The engine's building
-blocks are looked up on the module at call time, so a test that patches
-one patches the reference too.
+:func:`elbo_grad_lambda` is its gradient in lam.  Each row's columns and
+multiplicity come from :func:`_row_patterns`, for any ``rows``, not from
+the engine's tuple view.  The engine's building blocks are looked up on
+the module at call time, so a test that patches one patches the
+reference too.
 """
 
 import math
@@ -66,10 +68,21 @@ def reference_state(state, corpus):
     return VariationalState(engine.last_phi(state, corpus), state.lam, state.rows)
 
 
+def _row_patterns(rows, row_count, corpus):
+    """Stacked columns (U, F) and multiplicity (U,) of each of
+    ``row_count`` rows, read off the (N,) index ``rows`` from each record to
+    its row, which need not be the engine's (say, one row per record)."""
+    first = np.zeros(row_count, dtype=np.intp)
+    first[rows] = np.arange(rows.size)
+    multiplicity = np.bincount(rows, minlength=row_count).astype(np.float64)
+    columns = engine._columns(corpus.values[first], corpus.schema.cardinalities)
+    return columns, multiplicity
+
+
 def _counts(state, corpus):
     """The (sum V_f, K) counts of a state's phi, from one pass that leaves
     phi as it is."""
-    columns, weights = engine._row_patterns(state.rows, len(state.phi), corpus)
+    columns, weights = _row_patterns(state.rows, len(state.phi), corpus)
     width = sum(corpus.schema.cardinalities)
     return engine._pass(
         columns, weights, width, state.entity_count,
@@ -88,7 +101,7 @@ def update_phi(state, corpus, hp):
     """Log-space responsibility update, normalized into ``phi`` by one
     pass whose counts are dropped."""
     table = engine._score_tables(state.lam, corpus.schema.cardinalities)
-    columns, weights = engine._row_patterns(state.rows, len(state.phi), corpus)
+    columns, weights = _row_patterns(state.rows, len(state.phi), corpus)
 
     def step(lo, hi, x):
         p = state.phi[lo:hi]
@@ -114,7 +127,7 @@ def elbo(state, corpus, hp):
     from scipy.special import entr
 
     k = state.entity_count
-    columns, weights = engine._row_patterns(state.rows, len(state.phi), corpus)
+    columns, weights = _row_patterns(state.rows, len(state.phi), corpus)
     cards = corpus.schema.cardinalities
 
     def step(lo, hi, x):

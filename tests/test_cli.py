@@ -1021,8 +1021,8 @@ class TestWorkers:
         assert run_synth(data) == 0
         dbs = [str(data / "db1.csv"), str(data / "db2.csv")]
         assert engine._distinct_rows(
-            corpus_module.load_databases(dbs).values
-        ).max() >= 4  # at least 3 blocks of 2 rows
+            corpus_module.load_databases(dbs)
+        )[0].max() >= 4  # at least 3 blocks of 2 rows
         common = [*dbs, "--schema", str(data / "schema.txt")]
         for argv in (["fit", *common], ["oracle-check", *common, "--k", "2"]):
             outs = {}
@@ -1174,7 +1174,7 @@ class TestRun:
                      "--cardinality", "5", "--distortion", "0.3", "--out",
                      str(data)]) == 0
         dbs = [str(data / "db1.csv"), str(data / "db2.csv")]
-        rows = engine._distinct_rows(corpus_module.load_databases(dbs).values)
+        rows = engine._distinct_rows(corpus_module.load_databases(dbs))[0]
         assert rows.max() >= 32  # at least 33 distinct rows
         argv = ["fit", *dbs, "--k", str(2**15), "--max-sweeps", "3",
                 "--workers", "2", "--out"]

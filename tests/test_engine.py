@@ -26,6 +26,7 @@ from problems import (
 )
 from reference import (
     VariationalState,
+    _row_patterns,
     elbo,
     elbo_grad_lambda,
     init_state,
@@ -915,7 +916,7 @@ class TestCheckpoint:
     ):
         corpus, hp = duplicate_heavy
         monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)
-        distinct = engine._distinct_rows(corpus.values).max() + 1
+        distinct = engine._distinct_rows(corpus)[0].max() + 1
         assert len(engine._blocks(distinct, hp.entity_count)) > 3
         path = tmp_path / "state.npz"
         assert assert_resume_is_exact(corpus, hp, path, first, 3, seed=4) == 3
@@ -1041,6 +1042,30 @@ class TestDistinctRecords:
         np.testing.assert_array_equal(
             map_linkage(state, corpus.db_sizes).map_entity, [1, 1, 1]
         )
+
+    @pytest.mark.parametrize("shape", ["duplicate_heavy", "no_fields", "no_records"])
+    def test_tuple_view_matches_the_reference_patterns(self, duplicate_heavy, shape):
+        corpus = {
+            "duplicate_heavy": duplicate_heavy[0],
+            "no_fields": Corpus(Schema((), ()), (4,), np.zeros((4, 0))),
+            "no_records": Corpus(duplicate_heavy[0].schema, (0,), np.zeros((0, 8))),
+        }[shape]
+        rows, columns, weights = engine._distinct_rows(corpus)
+        # rows number the tuples in the byte order of their codes
+        keys = [record.tobytes() for record in corpus.values]
+        order = {key: u for u, key in enumerate(sorted(set(keys)))}
+        np.testing.assert_array_equal(rows, [order[key] for key in keys])
+        expected = _row_patterns(rows, len(order), corpus)
+        for ours, theirs in zip((columns, weights), expected):
+            assert ours.dtype == theirs.dtype
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_last_phi_without_fields_is_the_map_row(self):
+        corpus = Corpus(Schema((), ()), (3,), np.zeros((3, 0)))
+        state, _ = fit(corpus, HyperParams(2, []), max_sweeps=3)
+        phi = engine.last_phi(state, corpus)
+        assert phi.shape == (1, 2)
+        assert phi[0, state.argmax[0]] == state.max_prob[0]
 
     def test_caller_initial_state_is_not_written(self, duplicate_heavy):
         corpus, hp = duplicate_heavy

@@ -12,7 +12,6 @@ from vblink import oracle
 from vblink.cli import BOUND_SLACK
 from vblink.corpus import Corpus, Schema
 from vblink.engine import HyperParams, fit
-from vblink.genmodel import GenConfig, sample_dataset
 from vblink.oracle import EnumerationBudgetError, exact_posterior
 
 from problems import tiny_problems
