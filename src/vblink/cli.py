@@ -183,7 +183,7 @@ def _fit_setup(args):
     keyword options.  The resolved ``k``, alpha and scipy version are
     written back into ``args``, which the manifest echoes."""
     _require(args, "out")
-    _check_fit_options(args.max_sweeps, args.tol, args.workers)
+    _check_fit_options(args.max_sweeps, args.tol, args.seed, args.workers)
     # The commands that run scipy load it before the corpus, as every
     # command did while the module imported it: loading it first in the
     # fit's first sweep moved tall48k's peak RSS 74.7 -> 77.0 MiB through

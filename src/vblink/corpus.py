@@ -11,7 +11,8 @@ concurrent reads.
 Every CSV file the package writes goes through :func:`write_table`: UTF-8,
 ``\r\n`` line ends and ``csv.writer``'s quoting; each one it reads, through
 :func:`open_table`.  Every text file it reads is opened by :func:`open_text`,
-which names the file and the line of a byte that is not UTF-8.  Record
+which drops a leading byte order mark and names the file and the line of a
+byte that is not UTF-8.  Record
 tables, keyed by record (ground truth, linkage), are written by
 :func:`write_record_table` and read back by :func:`read_record_table`.
 Entity tables, keyed by entity (the true latent values, the fitted modal
@@ -153,11 +154,13 @@ class Corpus:
 
 @contextmanager
 def open_text(path, newline=None):
-    """Yields a UTF-8 text file open for reading.  Where it is not UTF-8,
-    the ``UnicodeDecodeError`` raised while reading it becomes a
+    """Yields a UTF-8 text file open for reading, without the byte order
+    mark that some editors write first, which would otherwise become part
+    of the first key, field name or cell.  Where it is not UTF-8, the
+    ``UnicodeDecodeError`` raised while reading it becomes a
     ``ValueError`` naming the file and its first line that does not
     decode, found by a rescan of the file's bytes."""
-    with open(path, newline=newline, encoding="utf-8") as fh:
+    with open(path, newline=newline, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:

@@ -432,7 +432,7 @@ def fit(
     report counts the sweeps where it fell by more than ``DECREASE_SLACK``
     relative.
     """
-    _check_fit_options(max_sweeps, rel_tol, workers)
+    _check_fit_options(max_sweeps, rel_tol, seed, workers)
     _check_compatible(corpus, hp)
     cards = corpus.schema.cardinalities
     if initial_lam is None:
@@ -490,13 +490,15 @@ def last_phi(state, corpus):
     return phi
 
 
-def _check_fit_options(max_sweeps, rel_tol, workers):
+def _check_fit_options(max_sweeps, rel_tol, seed, workers):
     """The checks on :func:`fit`'s options; the command line runs them
     before it reads any input or writes any output."""
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
+    if seed < 0:  # numpy's own refusal names neither the seed nor its value
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
 

@@ -77,6 +77,8 @@ class GenConfig:
     def validate(self):
         if self.entity_count < 1:
             raise ValueError("entity_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.db_sizes or any(int(s) < 0 for s in self.db_sizes):
             raise ValueError("db_sizes must be a nonempty list of nonnegative sizes")
         if not self.cardinalities:

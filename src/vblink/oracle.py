@@ -27,6 +27,10 @@ R(U) = sum_b K!/(K-b)! * P_{b-1}(U), and summing that over the sets S
 holding record 0 gives the normaliser Z of the evidence.  Its share
 w(S) = g(S) * R(rest) / Z is the posterior probability that S is a block,
 so P(z_i = z_j | x) is the sum of w(S) over the sets S holding i and j.
+A superset sum gives every such sum at once: after N in-place passes over
+w, pass i adding w at each set holding record i into the same set without
+it, w at T is the sum of w(S) over the sets S holding T, and the pair
+(i, j) reads it at T = {i, j}.  Each set is only its bitmask.
 Levels 2 .. B-1 take (3^N - 1)/2 pair terms each; all sums are taken in
 log space with a max shift, so none can overflow.  The pairs are held in
 order as two unsigned ids of 2 bytes each (N <= 16), 4 bytes per pair,
@@ -90,26 +94,23 @@ def _check_budget(n, k):
 
 
 def _set_weights(corpus, hp):
-    """The (2^N, N) uint8 membership matrix of every record subset (bit i
-    of row S is record i) and log g(S) for each row, ``SUBSET_CHUNK``
-    subsets at a time: each subset's sums run over the same rows in the
-    same order whatever the chunk."""
+    """log g(S) for every record subset S (bit i of S is record i),
+    ``SUBSET_CHUNK`` subsets at a time: each chunk forms its subsets' bits,
+    uses them and drops them, and each subset's sums run over the same
+    rows in the same order whatever the chunk."""
     from scipy.special import gammaln
 
     n = corpus.total_records
     cards = corpus.schema.cardinalities
     xt = _one_hot(_columns(corpus.values, cards), hp.alpha.size).T
-    members = np.empty((2**n, n), dtype=np.uint8)
     logg = np.empty(2**n)
     for lo in range(0, 2**n, SUBSET_CHUNK):
-        chunk = members[lo : lo + SUBSET_CHUNK]
-        bits = np.arange(lo, lo + len(chunk))[:, None] >> np.arange(n)
-        np.bitwise_and(bits, 1, out=chunk, casting="unsafe")
-        lam = hp.alpha[:, None] + xt @ chunk.T
-        logg[lo : lo + len(chunk)] = (
+        bits = np.arange(lo, min(lo + SUBSET_CHUNK, 2**n))[:, None] >> np.arange(n) & 1
+        lam = hp.alpha[:, None] + xt @ bits.T
+        logg[lo : lo + len(bits)] = (
             gammaln(lam).sum(axis=0) - gammaln(_field_sums(lam, cards)).sum(axis=0)
         )
-    return members, logg - _log_beta(hp.alpha, cards)
+    return logg - _log_beta(hp.alpha, cards)
 
 
 def _pairs(n):
@@ -195,7 +196,7 @@ def exact_posterior(corpus, hp):
     _check_alpha_range(corpus, hp)
     if n == 0:
         return ExactPosterior(log_evidence=0.0, cocluster=np.zeros((0, 0)))
-    members, logg = _set_weights(corpus, hp)
+    logg = _set_weights(corpus, hp)
     depth = min(k, n)
     falling = np.cumsum(np.log(k - np.arange(depth)))  # ln K!/(K-b)!, b = 1..depth
     rest = logsumexp(falling[:, None] + np.array(_levels(logg, n, depth)), axis=0)
@@ -203,8 +204,11 @@ def exact_posterior(corpus, hp):
     logw = logg + rest[::-1]
     log_total = logsumexp(logw[1::2])
 
-    cocluster = members.T @ (np.exp(logw - log_total)[:, None] * members)
-    cocluster = (cocluster + cocluster.T) / 2.0
+    w = np.exp(logw - log_total)
+    for i in range(n):  # superset sums: w[T] becomes the sum of w(S) over S holding T
+        w.reshape(-1, 2, 1 << i)[:, 0] += w.reshape(-1, 2, 1 << i)[:, 1]
+    bit = 1 << np.arange(n)
+    cocluster = w[bit[:, None] | bit]
     np.fill_diagonal(cocluster, 1.0)
     return ExactPosterior(
         log_evidence=float(log_total - n * np.log(k)), cocluster=cocluster

@@ -17,7 +17,13 @@ import vblink.corpus as corpus_module
 import vblink.engine as engine
 import vblink.evaluate as evaluate
 from vblink.cli import main
-from vblink.corpus import Corpus, Schema, read_schema_file, write_databases
+from vblink.corpus import (
+    Corpus,
+    Schema,
+    load_databases,
+    read_schema_file,
+    write_databases,
+)
 from vblink.engine import HyperParams, NumericalFailureError, fit, load_state
 from vblink.genmodel import GroundTruth, write_ground_truth
 
@@ -505,6 +511,21 @@ class TestFit:
             assert main(["oracle-check", *base[1:], *flags]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "oracle-check", "synth"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command):
+        # numpy's own refusal, "expected non-negative integer", names neither
+        db, schema = write_tiny_db(tmp_path)
+        out = tmp_path / "run"
+        argv = {
+            "fit": ["fit", db, "--schema", schema],
+            "oracle-check": ["oracle-check", db, "--schema", schema],
+            "synth": ["synth", "--k", "2", "--db-sizes", "3,3", "--fields", "2",
+                      "--cardinality", "3", "--distortion", "0.1"],
+        }[command]
+        assert main([*argv, "--seed", "-5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+        assert not out.exists()
+
 
 def csv_writer_bytes(path, rows):
     """The bytes a csv.writer writes for ``rows``, one row per call."""
@@ -833,6 +854,50 @@ class TestInputErrors:
         assert capsys.readouterr().err == (
             f"error: {truth}: row 2 has entity 0; entity ids are 1-based\n"
         )
+
+
+def plain(value):
+    """A reader's result as lists, dicts and scalars, so == compares it."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {k: plain(v) for k, v in vars(value).items()}
+    return value
+
+
+class TestByteOrderMark:
+    """A file that an editor saved with a UTF-8 byte order mark reads
+    exactly as the same file without one."""
+
+    @pytest.mark.parametrize(
+        "text, read",
+        [
+            ("max-sweeps=2\nk=1\n", lambda path: cli._config_defaults(
+                cli.build_parser().parse_args(["fit", "db.csv"]).subparser, path)),
+            ("0.5,2.0\n", cli._read_alpha_file),
+            ("color\tred,blue\n", read_schema_file),
+            ("color,size\nred,big\nblue,big\n", lambda path: load_databases([path])),
+            ("db,record,entity,max_prob\n1,1,1,1.0\n1,2,1,0.5\n", evaluate.read_linkage),
+        ],
+        ids=["config", "alpha-file", "schema", "database", "linkage"],
+    )
+    def test_reads_as_without_one(self, tmp_path, text, read):
+        path, marked = tmp_path / "plain", tmp_path / "marked"
+        path.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert plain(read(str(marked))) == plain(read(str(path)))
+
+    def test_first_config_key_is_applied(self, tmp_path):
+        # the key read as "\ufeffmax-sweeps" named no flag and was ignored
+        db, schema = write_tiny_db(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeffmax-sweeps=2\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["fit", db, "--schema", schema, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 4)
+        assert json.loads((out / "manifest.json").read_text())["max_sweeps"] == 2
 
 
 class TestAlphaRange:

@@ -655,6 +655,8 @@ class TestFit:
             fit(pair_corpus, hp, rel_tol=0.0)
         with pytest.raises(ValueError):
             fit(pair_corpus, hp, workers=0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            fit(pair_corpus, hp, seed=-1)
 
     def test_sweep_seconds_has_one_positive_time_per_sweep(self, pair_corpus):
         hp = HyperParams.symmetric(2, 1.0, [2])

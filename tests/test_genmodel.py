@@ -70,6 +70,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             sample_dataset(peaked(entity_count=0))
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+            sample_dataset(peaked(seed=-5))
+
     def test_no_fields_rejected(self):
         with pytest.raises(ValueError, match="at least one field is required"):
             sample_dataset(peaked(cardinalities=[]))
