@@ -178,12 +178,17 @@ def open_table(path):
     """Yields a CSV file's header row and a ``csv.reader`` over the rest.
     A file with no first row, or a blank one (``csv.reader`` reads a lone
     line break as ``[]``), has no header.  A file that is not UTF-8 is
-    refused as :func:`open_text` refuses it."""
+    refused as :func:`open_text` refuses it, and a ``csv.Error`` raised
+    while reading it, such as a cell over csv's field size limit, becomes
+    a ``ValueError`` naming the file and the line it was raised at."""
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        if not (header := next(reader, None)):
-            raise SchemaError(f"{path}: file has no header row")
-        yield header, reader
+        try:
+            if not (header := next(reader, None)):
+                raise SchemaError(f"{path}: file has no header row")
+            yield header, reader
+        except csv.Error as err:
+            raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
 
 
 class _FirstSeen(dict):
@@ -460,7 +465,8 @@ def write_schema_file(schema, path):
 
 
 def read_schema_file(path):
-    """Parse a schema file written by :func:`write_schema_file`."""
+    """Parse a schema file written by :func:`write_schema_file`.  A line
+    whose values csv cannot read is refused naming the file and the line."""
     names, values = [], []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -471,6 +477,10 @@ def read_schema_file(path):
                 raise SchemaError(f"{path}: line {lineno} has no tab separator")
             name, _, joined = line.partition("\t")
             names.append(name)
+            try:
+                cells = next(csv.reader([joined]))
+            except csv.Error as err:
+                raise ValueError(f"{path}: line {lineno}: {err}") from None
             # csv reads an empty line as no cells; it is the one empty value
-            values.append(tuple(next(csv.reader([joined]))) or ("",))
+            values.append(tuple(cells) or ("",))
     return Schema(field_names=tuple(names), field_values=tuple(values))

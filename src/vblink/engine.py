@@ -98,6 +98,10 @@ class HyperParams:
             raise ValueError(
                 f"entity_count must be an integer >= 1, not {self.entity_count!r}"
             )
+        if k > np.iinfo(np.intp).max:  # numpy cannot index or count that many
+            raise ValueError(
+                f"entity_count must be at most {np.iinfo(np.intp).max}, not {k}"
+            )
         self.entity_count = k
         a = self.alpha = np.ascontiguousarray(self.alpha, dtype=np.float64)
         if a.ndim != 1 or not np.all(np.isfinite(a) & (a > 0.0)):

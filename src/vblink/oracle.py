@@ -20,24 +20,33 @@ P_0 is 1 at the empty set, P_1 = g off it, and for b >= 2
 
     P_b(T) = sum_{S subset of T, S holds T's lowest record} g(S) * P_{b-1}(T \\ S),
 
-which names every partition once, by the block of T's lowest record.  Only
-P_0 .. P_{B-1}, B = min(K, N), are needed over all 2^N subsets: the record
-set S is one block of the partition with weight g(S) * R(rest), with
-R(U) = sum_b K!/(K-b)! * P_{b-1}(U), and summing that over the sets S
-holding record 0 gives the normaliser Z of the evidence.  Its share
+which names every partition once, by the block of T's lowest record.  The
+record set S is one block of the partition with weight g(S) * R(rest),
+with R(U) = sum_b K!/(K-b)! * P_{b-1}(U), and summing that over the sets S
+holding record 0 gives the normaliser Z of the evidence.  R is a
+polynomial in falling factorials, so Horner's rule evaluates it with one
+level alive: R = K * F_1, where F_j is 1 at the empty set and, off it,
+
+    F_j(U) = (K - j) * sum_{S subset of U, S holds U's lowest record} g(S) * F_{j+1}(U \\ S),
+
+starting from F_B, 1 at the empty set and 0 elsewhere, B = min(K, N); the
+first step gives F_{B-1} = (K - B + 1) * g off the empty set.  For K <= N
+the terms this start drops carry K!/(K-b)! = 0, b > K; for K > N they
+carry P_N and beyond, which are 0 at every set of fewer than N records,
+and R is read only at the complement of a non-empty set.  The share
 w(S) = g(S) * R(rest) / Z is the posterior probability that S is a block,
 so P(z_i = z_j | x) is the sum of w(S) over the sets S holding i and j.
 A superset sum gives every such sum at once: after N in-place passes over
 w, pass i adding w at each set holding record i into the same set without
 it, w at T is the sum of w(S) over the sets S holding T, and the pair
-(i, j) reads it at T = {i, j}.  Each set is only its bitmask.
-Levels 2 .. B-1 take (3^N - 1)/2 pair terms each; all sums are taken in
-log space with a max shift, so none can overflow.  The pairs are held in
-order as two unsigned ids of 2 bytes each (N <= 16), 4 bytes per pair,
-and each level is evaluated one fixed chunk of pairs at a time.  This is
-a test fixture for the variational engine, not a scalable inference
-path: instances beyond the enumeration budget are refused, never
-approximated.
+(i, j) reads it at T = {i, j}.  Each set is only its bitmask.  Each
+step of Horner's rule after the first takes (3^N - 1)/2 pair terms; all
+sums are taken in log space with a max shift, so none can overflow.  The
+pairs are held in order as two unsigned ids of 2 bytes each (N <= 16),
+4 bytes per pair, and each step is evaluated one fixed chunk of pairs at
+a time.  This is a test fixture for the variational engine, not a
+scalable inference path: instances beyond the enumeration budget are
+refused, never approximated.
 """
 
 from dataclasses import dataclass
@@ -145,8 +154,9 @@ def _pairs(n):
 
 
 def _next_level(level, logg, t, s, sizes):
-    """log P_b over every subset from log P_{b-1}: each set T's pair terms
-    are one group of ``t``, summed by a log-sum-exp shifted by its max.
+    """log P_b over every subset from log P_{b-1}, as log F_j - log(K - j)
+    off the empty set from log F_{j+1}: each set T's pair terms are one
+    group of ``t``, summed by a log-sum-exp shifted by its max.
     The groups are taken whole, as many as fit in ``PAIR_CHUNK`` pairs and
     at least one, so each group reduces the same terms in the same order
     whatever the chunk."""
@@ -171,19 +181,6 @@ def _next_level(level, logg, t, s, sizes):
     return out
 
 
-def _levels(logg, n, depth):
-    """log P_0 .. log P_{depth-1} over every subset; the pair program lives
-    only while levels 2 .. depth-1 are built."""
-    start = np.full(2**n, -np.inf)
-    start[0] = 0.0  # P_0: the empty set is the one set with a 0-block partition
-    levels = [start, np.r_[-np.inf, logg[1:]]][:depth]
-    if depth > 2:
-        t, s, sizes = _pairs(n)
-        while len(levels) < depth:
-            levels.append(_next_level(levels[-1], logg, t, s, sizes))
-    return levels
-
-
 def exact_posterior(corpus, hp):
     """Sum over the set partitions of the records; see :class:`ExactPosterior`.
     An alpha that no fit can start from raises
@@ -198,13 +195,21 @@ def exact_posterior(corpus, hp):
         return ExactPosterior(log_evidence=0.0, cocluster=np.zeros((0, 0)))
     logg = _set_weights(corpus, hp)
     depth = min(k, n)
-    falling = np.cumsum(np.log(k - np.arange(depth)))  # ln K!/(K-b)!, b = 1..depth
-    rest = logsumexp(falling[:, None] + np.array(_levels(logg, n, depth)), axis=0)
-    # Row 2^N - 1 - S of ``rest`` is R at the complement of S.
-    logw = logg + rest[::-1]
-    log_total = logsumexp(logw[1::2])
-
-    w = np.exp(logw - log_total)
+    rest = np.r_[0.0, np.full(2**n - 1, -np.inf)]  # log F_B, B = depth
+    program = _pairs(n) if depth > 2 else ()
+    for j in range(depth - 1, 0, -1):
+        rest = _next_level(rest, logg, *program) if j < depth - 1 else logg.copy()
+        rest += np.log(k - j)
+        rest[0] = 0.0
+    rest += np.log(k)
+    del program  # the pair program lives only while R is built
+    # Row 2^N - 1 - S of ``rest`` is R at the complement of S; w(S) is
+    # formed in log g's own buffer.
+    w = logg
+    w += rest[::-1]
+    log_total = logsumexp(w[1::2])
+    w -= log_total
+    np.exp(w, out=w)
     for i in range(n):  # superset sums: w[T] becomes the sum of w(S) over S holding T
         w.reshape(-1, 2, 1 << i)[:, 0] += w.reshape(-1, 2, 1 << i)[:, 1]
     bit = 1 << np.arange(n)

@@ -511,6 +511,17 @@ class TestFit:
             assert main(["oracle-check", *base[1:], *flags]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "oracle-check"])
+    def test_entity_count_beyond_intp_is_named(self, tmp_path, capsys, command):
+        db, schema = write_tiny_db(tmp_path)
+        out = tmp_path / "run"
+        k = "99999999999999999999"
+        assert main([command, db, "--schema", schema, "--k", k, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: entity_count must be at most {np.iinfo(np.intp).max}, not {k}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "oracle-check", "synth"])
     def test_negative_seed_is_named(self, tmp_path, capsys, command):
         # numpy's own refusal, "expected non-negative integer", names neither
@@ -760,6 +771,34 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
+# One character more than csv's field size limit, which the call reads
+# without changing it.
+LONG_CELL = b"x" * (csv.field_size_limit() + 1)
+
+
+def run_on_bad_file(tmp_path, name, text):
+    """Write ``text`` to the input ``name`` beside sound ones, run the
+    command that reads it, assert it exits 2 and return the file's path."""
+    db, schema = write_tiny_db(tmp_path)
+    linkage = tmp_path / "linkage.csv"
+    linkage.write_text("db,record,entity,max_prob\n1,1,1,1.0\n1,2,1,1.0\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("db,record,entity\n1,1,1\n1,2,1\n")
+    bad = tmp_path / name
+    bad.write_bytes(text)
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "db.csv": ["fit", db, "--k", "2", *out],
+        "schema.txt": ["fit", db, "--schema", schema, *out],
+        "alpha.txt": ["fit", db, "--schema", schema, "--alpha-file", str(bad), *out],
+        "config.txt": ["fit", db, "--schema", schema, "--config", str(bad), *out],
+        "linkage.csv": ["eval", str(linkage), str(truth), *out],
+        "truth.csv": ["eval", str(linkage), str(truth), *out],
+    }[name]
+    assert main(argv) == 2
+    return bad
+
+
 class TestInputErrors:
     """A file that cannot be read as its format says exits 2, naming the
     file and its line or row."""
@@ -779,25 +818,27 @@ class TestInputErrors:
              "linkage", "truth"],
     )
     def test_bytes_that_are_not_utf8(self, tmp_path, capsys, name, text, line):
-        db, schema = write_tiny_db(tmp_path)
-        linkage = tmp_path / "linkage.csv"
-        linkage.write_text("db,record,entity,max_prob\n1,1,1,1.0\n1,2,1,1.0\n")
-        truth = tmp_path / "truth.csv"
-        truth.write_text("db,record,entity\n1,1,1\n1,2,1\n")
-        bad = tmp_path / name
-        bad.write_bytes(text)
-        out = ["--out", str(tmp_path / "out")]
-        argv = {
-            "db.csv": ["fit", db, "--k", "2", *out],
-            "schema.txt": ["fit", db, "--schema", schema, *out],
-            "alpha.txt": ["fit", db, "--schema", schema, "--alpha-file", str(bad), *out],
-            "config.txt": ["fit", db, "--schema", schema, "--config", str(bad), *out],
-            "linkage.csv": ["eval", str(linkage), str(truth), *out],
-            "truth.csv": ["eval", str(linkage), str(truth), *out],
-        }[name]
-        assert main(argv) == 2
+        bad = run_on_bad_file(tmp_path, name, text)
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line {line}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("db.csv", b"color\nred\n" + LONG_CELL + b"\n", 3),
+            ("db.csv", LONG_CELL + b"\nred\n", 1),  # in the header
+            ("schema.txt", b"color\tred," + LONG_CELL + b"\n", 1),
+            ("linkage.csv", b"db,record,entity,max_prob\n1,1,1,1.0\n1,2,1," + LONG_CELL + b"\n", 3),
+            ("truth.csv", b"db,record,entity\n1,1,1\n1,2," + LONG_CELL + b"\n", 3),
+        ],
+        ids=["database", "header", "schema", "linkage", "truth"],
+    )
+    def test_cell_over_the_csv_field_limit(self, tmp_path, capsys, name, text, line):
+        bad = run_on_bad_file(tmp_path, name, text)
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line {line}: field larger than field limit "
+            f"({csv.field_size_limit()})\n"
+        )
 
     def test_alpha_file_number_names_its_line(self, tmp_path, capsys):
         db, schema = write_tiny_db(tmp_path)

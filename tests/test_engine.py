@@ -746,6 +746,12 @@ class TestHyperParams:
         with pytest.raises(ValueError, match="entity_count"):
             HyperParams(count, np.ones(2))
 
+    def test_rejects_entity_counts_beyond_intp(self):
+        top = np.iinfo(np.intp).max
+        assert HyperParams(top, np.ones(2)).entity_count == top
+        with pytest.raises(ValueError, match=f"at most {top}, not {2**63}$"):
+            HyperParams(2**63, np.ones(2))
+
     def test_accepts_integral_entity_counts(self):
         for count in (3, np.int64(3), np.float64(3.0)):
             assert HyperParams(count, np.ones(2)).entity_count == 3
