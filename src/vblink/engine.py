@@ -33,10 +33,13 @@ A sweep is one blocked pass (:func:`_pass`) over the U rows, so per-sweep
 cost scales with U, not N.  Each block's scores X @ T are normalised in
 place, its argmax and MAP responsibility 1 / row sum are kept, and its
 counts are taken while it is still in cache; then the block is dropped.
-A fit never holds the (U, K) phi, only the (sum V_f, K) tables, one block
-per worker and two (U,) MAP arrays (:class:`FitState`), the memoized form
-of coordinate ascent that keeps summary statistics and no per-item local
-parameters.  :func:`last_phi` rebuilds a fit's last phi in the same blocks.
+A fit never holds the (U, K) phi.  During a pass it holds three kinds of
+(sum V_f, K) table: T, formed in the buffer of the lam it scores, the
+counts, and one partial counts table per worker, beside one block per
+worker and two (U,) MAP arrays (:class:`FitState`), the memoized form of
+coordinate ascent that keeps summary statistics and no per-item local
+parameters.  :func:`last_phi` rebuilds a fit's last phi in the same
+blocks from the last T.
 The tests hold the sweep to an independent reference, the general
 updates for any (phi, lam) with phi held, in ``tests/reference.py``.  The
 exact oracle (:mod:`vblink.oracle`) shares the one-hot indicator, the
@@ -116,15 +119,17 @@ class HyperParams:
 @dataclass(eq=False)
 class FitState:
     """What :func:`fit` keeps: the Dirichlet parameters ``lam``
-    (sum V_f, K) after the last sweep, ``prev``, the lam that produced the
-    last sweep's phi, the (N,) index ``rows`` from each record to its
-    distinct value tuple, and per tuple the last sweep's MAP: ``argmax``
-    (U,), the entity of its largest responsibility (the first maximum,
-    0-based), and ``max_prob`` (U,), that responsibility.  There is no
-    phi; :func:`last_phi` rebuilds it from ``prev``."""
+    (sum V_f, K) after the last sweep, ``table``, the score table T
+    (sum V_f, K) that the last sweep's phi was normalised from, the (N,)
+    index ``rows`` from each record to its distinct value tuple, and per
+    tuple the last sweep's MAP: ``argmax`` (U,), the entity of its largest
+    responsibility (the first maximum, 0-based), and ``max_prob`` (U,),
+    that responsibility.  There is no phi; :func:`last_phi` rebuilds it
+    from ``table``.  A sweep forms its T in the buffer of the lam it
+    starts from, so no lam but the last is kept."""
 
     lam: np.ndarray
-    prev: np.ndarray
+    table: np.ndarray
     rows: np.ndarray
     argmax: np.ndarray
     max_prob: np.ndarray
@@ -307,12 +312,13 @@ def _check_compatible(corpus, hp):
         raise ValueError(f"alpha has {hp.alpha.size} entries, not sum V_f = {width}")
 
 
-def _score_tables(lam, cardinalities):
-    """The score table T = psi(lam) - psi(field sums of lam)."""
+def _score_tables(lam, cardinalities, out=None):
+    """The score table T = psi(lam) - psi(field sums of lam), written into
+    ``out`` when one is given; ``out=lam`` forms T in lam's own buffer."""
     from scipy.special import digamma
 
-    table = digamma(lam)
     field_psi = digamma(_field_sums(lam, cardinalities))
+    table = digamma(lam, out=out)
     for start, v_f, psi_f in zip(_starts(cardinalities), cardinalities, field_psi):
         table[start : start + v_f] -= psi_f
     return table
@@ -350,9 +356,10 @@ def _sweep(state, columns, weights, alpha, cardinalities, workers):
     stacked prior ``alpha``): the phi update, the lam update and the ELBO,
     from one blocked pass on ``workers`` threads.  Returns the ELBO.
 
-    The sweep's lam becomes ``state.prev`` (the previous one is dropped
-    first).  Each block's scores X @ T are normalised in place into its
-    responsibilities, whose argmax and MAP responsibility go into
+    The previous sweep's ``state.table`` is dropped first; then T is
+    formed in the buffer of ``state.lam``, which nothing reads again, and
+    becomes ``state.table``.  Each block's scores X @ T are normalised in
+    place into its responsibilities, whose argmax and MAP responsibility go into
     ``state.argmax`` and ``state.max_prob``; the block returns its weighted
     log-normaliser sum and, while it is still in cache, its counts, and
     then nothing of it is kept.  The counts, plus alpha in place, become
@@ -363,13 +370,13 @@ def _sweep(state, columns, weights, alpha, cardinalities, workers):
                - K * sum_f ln B(alpha_f)
                - (<counts, T> - sum_u m[u] lse[u]) - N log K
 
-    where T is the score table of ``state.prev``.  Since
+    where T is ``state.table``.  Since
     log phi[u, k] = (X @ T)[u, k] - lse[u], the bracket is the weighted
     sum of phi log phi, so the entropy needs no second read of phi and the
     ELBO costs O(K * sum V_f + U).
     """
-    lam = state.prev = state.lam
-    table = _score_tables(lam, cardinalities)
+    state.table = None  # the previous sweep's T: not alive during the pass
+    table = state.table = _score_tables(state.lam, cardinalities, out=state.lam)
 
     def step(lo, hi, x):
         p = x @ table
@@ -417,10 +424,11 @@ def fit(
     every sweep runs on them.  Each sweep is one blocked pass that does the
     phi update, the lam update and the ELBO (see :func:`_sweep`).
     No (U, K) phi is ever held: a block's responsibilities live only while
-    the block is processed, so the fit holds a few (sum V_f, K) tables, one
-    block per worker and O(N) per-record state.  The pass runs its blocks on
-    ``workers`` threads (see :func:`_pass`), with bit-identical results for
-    any ``workers``.
+    the block is processed, so the fit holds three kinds of (sum V_f, K)
+    table, T, the counts and one partial per worker, beside one block per
+    worker and O(N) per-record state; the start lam becomes the first T.
+    The pass runs its blocks on ``workers`` threads (see :func:`_pass`),
+    with bit-identical results for any ``workers``.
     ``initial_lam`` (one (sum V_f, K) array in the layout of lam)
     overrides the seeded start (:func:`_seeded_lambda`) and the seed is
     then unused; the caller's array is not written.  lam is the whole
@@ -428,7 +436,9 @@ def fit(
     :func:`load_state`, or a copy of it in any memory order) repeats
     sweeps S+1, ... of the fit it came from bit for bit.
     ``on_sweep(sweep, elbo, state)`` is called after every sweep with the
-    :class:`FitState`.
+    :class:`FitState`.  A callback that keeps ``state.lam`` or
+    ``state.table`` must copy it: the next sweep writes its T into the
+    buffer of ``state.lam``, and drops ``state.table``.
     An alpha that no fit can start from raises :class:`AlphaRangeError`
     before the first sweep (see :func:`_check_alpha_range`).
     Returns ``(FitState, FitReport)``; the trace is nondecreasing up to
@@ -447,11 +457,12 @@ def fit(
     rows, columns, weights = _distinct_rows(corpus)
     state = FitState(
         lam=lam,
-        prev=lam,
+        table=None,
         rows=rows,
         argmax=np.zeros(len(weights), dtype=np.intp),
         max_prob=np.zeros(len(weights)),
     )
+    del lam  # the first sweep writes T into the start's buffer
     # Checked here, where the first sweep would import scipy.special anyway:
     # importing it before the start's N x F temporaries moved tall48k's
     # peak RSS 74.7 -> 79.7 MiB through glibc's placement of later blocks.
@@ -480,13 +491,13 @@ def fit(
 def last_phi(state, corpus):
     """The (U, K) responsibilities of a :class:`FitState`'s last sweep, one
     row per distinct value tuple (``state.rows`` maps each record to its
-    row): each of the sweep's blocks normalises its scores X @ T under
-    ``state.prev``, the lam that sweep normalised, into its rows of phi, and
-    no counts are taken.  The blocks and operations are the sweep's, so
-    they are bit for bit the sweep's, their argmax is ``state.argmax`` and
+    row): each of the sweep's blocks normalises its scores X @ T, with T
+    the sweep's ``state.table``, into its rows of phi, and no counts are
+    taken.  The blocks and operations are the sweep's, so they are bit for
+    bit the sweep's, their argmax is ``state.argmax`` and
     their max ``state.max_prob``.  It allocates the (U, K) phi that
     :func:`fit` never holds, so it is for small instances and checks."""
-    table = _score_tables(state.prev, corpus.schema.cardinalities)
+    table = state.table
     phi = np.empty((len(state.argmax), state.entity_count))
     columns = _distinct_rows(corpus)[1]
     for lo, hi in _blocks(*phi.shape):
@@ -551,9 +562,9 @@ def save_state(path, lam, corpus, hp):
 
     lam is the whole state of a fit: each sweep computes phi from lam, so
     ``fit(corpus, hp, initial_lam=lam)`` on the loaded lam continues the
-    fit bit for bit.  The fit's last phi came from the lam before its last
-    lam update (``FitState.prev``, see :func:`last_phi`); the saved lam
-    gives the next sweep's phi.
+    fit bit for bit.  The fit's last phi came from the score table of the
+    lam before its last lam update (``FitState.table``, see
+    :func:`last_phi`); the saved lam gives the next sweep's phi.
     """
     with open(path, "wb") as fh:
         np.savez(

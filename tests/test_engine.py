@@ -824,7 +824,7 @@ def fit_sweeps(corpus, hp, **options):
     sweeps = []
 
     def keep(_sweep, value, state):
-        kept = (state.prev, state.argmax, state.max_prob, state.lam)
+        kept = (state.table, state.argmax, state.max_prob, state.lam)
         sweeps.append((value, *(a.copy() for a in kept)))
 
     state, _ = fit(corpus, hp, rel_tol=1e-300, on_sweep=keep, **options)
@@ -885,6 +885,39 @@ class TestFitMemory:
         assert dense >= 32 * 2**20
         assert peak < dense / 2
         assert report.sweeps_run == 2 and state.argmax.size == report.distinct_records
+
+    @pytest.fixture(scope="class")
+    def wide_tables(self):
+        # 3000 random rows of F = 6 fields of V = 300 values at K = 1000:
+        # one (sum V_f, K) table takes 13.7 MiB, more than a block's 8 MiB
+        rng = np.random.default_rng(31)
+        cards = [300] * 6
+        schema = Schema(
+            tuple(f"f{f}" for f in range(6)),
+            tuple(tuple(str(v) for v in range(300)) for _ in cards),
+        )
+        values = rng.integers(0, 300, size=(3000, 6), dtype=np.int32)
+        corpus = Corpus(schema=schema, db_sizes=(3000,), values=values)
+        hp = HyperParams.symmetric(1000, 0.1, cards)
+        fit(corpus, hp, max_sweeps=1, workers=2)
+        return corpus, hp
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wide_k_peak_is_t_counts_and_a_partial_per_worker(self, wide_tables, workers):
+        corpus, hp = wide_tables
+        tracemalloc.start()
+        try:
+            fit(corpus, hp, max_sweeps=2, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = hp.entity_count
+        table = 8 * hp.alpha.size * k
+        block = 8 * engine._rows_per_block(k) * k
+        # T (in lam's buffer), the counts and one partial and one block per
+        # worker: 3.60 and 5.19 tables measured, 5.60 and 7.19 when the
+        # start lam and the sweep's input lam were kept beside them
+        assert peak <= (2 + workers) * table + workers * block + 2**20
 
 
 class TestCheckpoint:
@@ -1030,7 +1063,7 @@ class TestDistinctRecords:
         state, report = fit(corpus, hp, max_sweeps=3, seed=0)
         assert report.distinct_records == 3
         assert state.argmax.shape == state.max_prob.shape == (3,)
-        assert state.lam.shape == state.prev.shape == (3, 4)
+        assert state.lam.shape == state.table.shape == (3, 4)
         rows = state.rows
         assert rows[0] == rows[2] == rows[3]
         assert rows[1] == rows[5]

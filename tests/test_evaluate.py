@@ -28,7 +28,7 @@ def state_from_phi(phi, rows=None):
     lam = np.ones((2, phi.shape[1]))
     return FitState(
         lam=lam,
-        prev=lam,
+        table=lam,
         rows=np.arange(len(phi)) if rows is None else np.asarray(rows),
         argmax=argmax,
         max_prob=1.0 / total,
