@@ -47,14 +47,16 @@ field sums and ln B.
 
 A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20
 responsibilities (8 MiB), so wide-K blocks still fit in cache.
-Determinism contract: the blocks are fixed by the row count and K, and
-their partial results are added in block index order, so results are
-bit-identical for a given seed and any worker count.  :func:`fit` runs a
+Determinism contract: the blocks are fixed by the row count and K, their
+partial results are added in block index order, and the ELBO's dot
+products are ``np.einsum`` loops, not BLAS calls, which OpenBLAS splits
+across its threads, so results are bit-identical for a given seed, any
+worker count and any BLAS thread count.  :func:`fit` runs a
 pass's blocks in rounds of ``workers``, the calling thread taking the
 first block of each round and ``workers - 1`` pool threads the rest; one
 worker starts no thread, and :func:`last_phi` runs on the calling thread.
-Within a pass ``lam`` is read-only and blocks write disjoint rows of the
-MAP arrays.
+Within a pass T is read-only and blocks write disjoint rows of the MAP
+arrays.
 """
 
 import contextvars
@@ -382,12 +384,12 @@ def _sweep(state, columns, weights, alpha, cardinalities, workers):
         p = x @ table
         state.argmax[lo:hi], total, lse = _normalise_block(p, p)
         np.divide(1.0, total, out=state.max_prob[lo:hi])
-        return lse @ weights[lo:hi], p
+        return np.einsum("i,i->", lse, weights[lo:hi]), p
 
     log_normaliser, counts = _pass(
         columns, weights, table.shape[0], state.entity_count, step, workers
     )
-    bracket = float(np.vdot(counts, table)) - float(log_normaliser)
+    bracket = float(np.einsum("ij,ij->", counts, table)) - float(log_normaliser)
     counts += alpha[:, None]
     state.lam = counts
     k = state.entity_count

@@ -1150,6 +1150,36 @@ class TestWorkers:
                         assert (one.pop("workers"), other.pop("workers")) == (1, w)
                     assert one == other, (argv[0], w, name)
 
+    def test_blas_thread_counts_write_identical_files(self, tmp_path):
+        # 200 records of 8 fields of 10 values at K = N = 200: the
+        # (sum V_f, K) tables hold 16000 entries, enough for OpenBLAS to
+        # split a dot product of two of them across threads, and so to move
+        # its last bits with the thread count; the ELBO's bracket did so
+        # while it was np.vdot.
+        data = tmp_path / "data"
+        synth = ["synth", "--k", "100", "--db-sizes", "100,100", "--fields", "8"]
+        synth += ["--cardinality", "10", "--distortion", "0.02", "--seed", "1"]
+        assert main([*synth, "--out", str(data)]) == 0
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "vblink.cli", "fit",
+                    data / "db1.csv", data / "db2.csv", "--schema", data / "schema.txt",
+                    "--max-sweeps", "10", "--out", out,
+                ],
+                env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode in (0, 4), done.stderr
+            files[threads] = {
+                name: (out / name).read_bytes()
+                for name in ("trace.csv", "linkage.csv", "entities.csv", "state.npz")
+            }
+        assert files["1"] == files["2"]
+
 
 class TestParser:
     def test_unknown_flag_is_usage_error(self):
