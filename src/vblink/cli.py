@@ -36,6 +36,7 @@ from .engine import (
     AlphaRangeError,
     HyperParams,
     NumericalFailureError,
+    _check_compatible,
     _check_fit_options,
     fit,
     last_phi,
@@ -194,10 +195,12 @@ def _fit_setup(args):
     corpus = load_databases(args.databases, schema=schema)
     if args.k is None:
         args.k = corpus.total_records
+    hp = _hyperparams(args, corpus.schema.cardinalities)
+    _check_compatible(corpus, hp)
     options = dict(
         max_sweeps=args.max_sweeps, rel_tol=args.tol, seed=args.seed, workers=args.workers
     )
-    return corpus, _hyperparams(args, corpus.schema.cardinalities), options
+    return corpus, hp, options
 
 
 def cmd_synth(args):

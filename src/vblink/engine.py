@@ -309,9 +309,15 @@ def _seeded_lambda(corpus, hp, seed):
 
 
 def _check_compatible(corpus, hp):
-    width = sum(corpus.schema.cardinalities)
+    """alpha has sum V_f entries, and a (sum V_f, K) table fits np.intp."""
+    width, k = sum(corpus.schema.cardinalities), hp.entity_count
     if hp.alpha.shape != (width,):
         raise ValueError(f"alpha has {hp.alpha.size} entries, not sum V_f = {width}")
+    if width * k > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"K = {k} and sum V_f = {width}: a (sum V_f, K) table of "
+            f"{width * k} entries is beyond np.intp ({np.iinfo(np.intp).max})"
+        )
 
 
 def _score_tables(lam, cardinalities, out=None):

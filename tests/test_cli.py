@@ -522,6 +522,28 @@ class TestFit:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "oracle-check"])
+    def test_tables_beyond_intp_are_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # a K that np.intp holds, but not sum V_f * K = 2 K: refused before
+        # the start lam is sized or the oracle runs
+        def refuse(*_args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(engine, "_seeded_lambda", refuse)
+        monkeypatch.setattr(cli, "exact_posterior", refuse)
+        db, schema = write_tiny_db(tmp_path)
+        out = tmp_path / "run"
+        top = np.iinfo(np.intp).max
+        argv = [command, db, "--schema", schema, "--k", str(top), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: K = {top} and sum V_f = 2: a (sum V_f, K) table of "
+            f"{2 * top} entries is beyond np.intp ({top})\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "oracle-check", "synth"])
     def test_negative_seed_is_named(self, tmp_path, capsys, command):
         # numpy's own refusal, "expected non-negative integer", names neither

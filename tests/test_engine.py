@@ -752,6 +752,26 @@ class TestHyperParams:
         with pytest.raises(ValueError, match=f"at most {top}, not {2**63}$"):
             HyperParams(2**63, np.ones(2))
 
+    def test_fit_refuses_tables_beyond_intp_before_any_allocation(self):
+        # K = np.intp's max is a valid entity count, but over 3 values its
+        # (sum V_f, K) tables cannot be indexed, let alone allocated
+        corpus = tiny_corpus([0, 1, 2], cardinality=3)
+        top = np.iinfo(np.intp).max
+        hp = HyperParams.symmetric(top, 0.5, [3])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as refused:
+                fit(corpus, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            f"K = {top} and sum V_f = 3: a (sum V_f, K) table of {3 * top} "
+            f"entries is beyond np.intp ({top})"
+        )
+        assert peak < 2**16
+        engine._check_compatible(corpus, HyperParams.symmetric(top // 3, 0.5, [3]))
+
     def test_accepts_integral_entity_counts(self):
         for count in (3, np.int64(3), np.float64(3.0)):
             assert HyperParams(count, np.ones(2)).entity_count == 3
