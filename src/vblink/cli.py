@@ -281,7 +281,7 @@ def cmd_oracle_check(args):
     gap = exact.log_evidence - final_elbo
 
     i, j = np.triu_indices(corpus.total_records, 1)
-    # the last sweep's phi, rebuilt from the lam that produced it
+    # the last sweep's phi, rebuilt from the score table it was normalised from
     estimate = posterior_cocluster_estimate(
         last_phi(state, corpus), state.rows, np.column_stack([i, j])
     )

@@ -839,8 +839,9 @@ class TestAlphaRange:
 
 def fit_sweeps(corpus, hp, **options):
     """Run fit to the sweep limit or an exactly flat ELBO, keeping each
-    sweep's ELBO, the lam that produced its phi (which fixes that phi), its
-    MAP arrays and its lam."""
+    sweep's ELBO, the score table its phi was normalised from (which fixes
+    that phi), its MAP arrays and its lam, each copied, since the next
+    sweep writes its T into the buffer of lam."""
     sweeps = []
 
     def keep(_sweep, value, state):
@@ -855,7 +856,8 @@ def assert_resume_is_exact(corpus, hp, path, first, then, seed=0):
     """Fit ``first`` sweeps, checkpoint, and fit ``then`` more sweeps from
     the loaded lam and from a Fortran-ordered copy of it: each sweep that
     both such a fit and an uninterrupted fit made has the same ELBO, phi
-    (the lam that produced it), MAP arrays and lam bit for bit.  Returns
+    (the score table it was normalised from), MAP arrays and lam bit for
+    bit.  Returns
     how many sweeps were compared."""
     _, whole = fit_sweeps(corpus, hp, max_sweeps=first + then, seed=seed)
     state, head = fit_sweeps(corpus, hp, max_sweeps=first, seed=seed)
