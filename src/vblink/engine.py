@@ -29,29 +29,54 @@ the field sums come from one ``np.add.reduceat``.  ``scipy.special``,
 functions that call them, so importing the package, ``vblink synth`` and
 ``vblink eval`` load none of them.
 
+Most entities of a wide-K fit end up empty: their column of lam is alpha
+exactly, so their columns of T, phi and the counts are all the same.
+When a sweep starts with a set E of two or more empty entities
+(:func:`_entity_columns`), the first stands for all of them as one
+shared column s, and the three equations run on the K_c = K - |E| + 1
+columns of the occupied entities and s, with S = X @ T:
+
+    lse[u] = top[u] + log( sum_c exp(S[u, c] - top[u])
+                           + (|E| - 1) exp(S[u, s] - top[u]) )
+    lam[:, k] <- alpha + counts[:, s]  for every k in E
+    ELBO: sum ln B(lam) and <counts, T> add |E| - 1 more copies of
+          column s's terms to their sums over the K_c columns
+
+and each row's argmax, the first maximum, maps back to the lowest entity
+of its column, as the first maximum over all K would.  Membership is
+read off lam alone, so a fit resumed from a lam repeats the sweeps of
+the fit it came from bit for bit.  With fewer than two empty entities
+K_c = K and the sweep's arithmetic is the dense one.  This is the
+entity-side counterpart of the distinct-tuple rows, and of the memoized
+treatment of unused components in Hughes & Sudderth 2013.
+
 A sweep is one blocked pass (:func:`_pass`) over the U rows, so per-sweep
-cost scales with U, not N.  Each block's scores X @ T are normalised in
-place, its argmax and MAP responsibility 1 / row sum are kept, and its
-counts are taken while it is still in cache; then the block is dropped.
-A fit never holds the (U, K) phi.  During a pass it holds three kinds of
-(sum V_f, K) table: T, formed in the buffer of the lam it scores, the
-counts, and one partial counts table per worker, beside one block per
-worker and two (U,) MAP arrays (:class:`FitState`), the memoized form of
-coordinate ascent that keeps summary statistics and no per-item local
-parameters.  :func:`last_phi` rebuilds a fit's last phi in the same
-blocks from the last T.
+cost scales with U and K_c, not N and K.  Each block's scores X @ T are
+normalised in place, its argmax and MAP responsibility 1 / row sum are
+kept, and its counts are taken before the next block is made; then the
+block is dropped.  A fit never holds the (U, K) phi.  During a pass it
+holds three kinds of (sum V_f, K_c) table: T, formed in the buffer of
+the lam it scores, the counts, and one partial counts table per worker,
+beside one block per worker and two (U,) MAP arrays (:class:`FitState`),
+the memoized form of coordinate ascent that keeps summary statistics and
+no per-item local parameters.  The new lam is expanded to (sum V_f, K).
+:func:`last_phi` rebuilds a fit's last phi in the same blocks from the
+last T.
 The tests hold the sweep to an independent reference, the general
 updates for any (phi, lam) with phi held, in ``tests/reference.py``.  The
 exact oracle (:mod:`vblink.oracle`) shares the one-hot indicator, the
 field sums and ln B.
 
 A block holds at most ``BLOCK_RECORDS`` rows and at most 2**20
-responsibilities (8 MiB), so wide-K blocks still fit in cache.
-Determinism contract: the blocks are fixed by the row count and K, their
-partial results are added in block index order, and the ELBO's dot
-products are ``np.einsum`` loops, not BLAS calls, which OpenBLAS splits
-across its threads, so results are bit-identical for a given seed, any
-worker count and any BLAS thread count.  :func:`fit` runs a
+responsibilities (8 MiB).  The cap bounds the memory of a worker's
+block; it does not keep a block in cache, since at wide K an 8 MiB block
+is larger than a core's L2 cache.
+Determinism contract: the blocks are fixed by the row count U and the
+table width K_c, both functions of the corpus and lam; their partial
+results are added in block index order, and the ELBO's dot products are
+``np.einsum`` loops, not BLAS calls, which OpenBLAS splits across its
+threads, so results are bit-identical for a given seed, any worker count
+and any BLAS thread count.  :func:`fit` runs a
 pass's blocks in rounds of ``workers``, the calling thread taking the
 first block of each round and ``workers - 1`` pool threads the rest; one
 worker starts no thread, and :func:`last_phi` runs on the calling thread.
@@ -122,19 +147,25 @@ class HyperParams:
 class FitState:
     """What :func:`fit` keeps: the Dirichlet parameters ``lam``
     (sum V_f, K) after the last sweep, ``table``, the score table T
-    (sum V_f, K) that the last sweep's phi was normalised from, the (N,)
+    (sum V_f, K_c) that the last sweep's phi was normalised from, the (K,)
+    index ``cols`` from each entity to its column of ``table``, the (N,)
     index ``rows`` from each record to its distinct value tuple, and per
     tuple the last sweep's MAP: ``argmax`` (U,), the entity of its largest
     responsibility (the first maximum, 0-based), and ``max_prob`` (U,),
-    that responsibility.  There is no phi; :func:`last_phi` rebuilds it
-    from ``table``.  A sweep forms its T in the buffer of the lam it
-    starts from, so no lam but the last is kept."""
+    that responsibility.  ``table`` has one column per occupied entity
+    and, when two or more entities were empty (lam exactly alpha) at the
+    sweep's start, one column they all share, so K_c <= K; otherwise
+    K_c = K and ``cols`` is 0..K-1 (see :func:`_entity_columns`).  There
+    is no phi; :func:`last_phi` rebuilds it from ``table`` and ``cols``.
+    A sweep forms its T in the buffer of the lam it starts from, so no lam
+    but the last is kept."""
 
     lam: np.ndarray
     table: np.ndarray
     rows: np.ndarray
     argmax: np.ndarray
     max_prob: np.ndarray
+    cols: np.ndarray = None
 
     @property
     def entity_count(self):
@@ -159,8 +190,7 @@ class FitReport:
 
 def _rows_per_block(entity_count):
     """Rows per block: at most ``BLOCK_RECORDS``, and at most 2**20
-    responsibilities (8 MiB of float64), so a block stays in cache while it
-    is used."""
+    responsibilities (8 MiB of float64), which bounds a block's memory."""
     return min(BLOCK_RECORDS, max(1, 2**20 // entity_count))
 
 
@@ -226,8 +256,8 @@ def _pass(columns, weights, width, entity_count, step, workers=1):
     (U, F), see :func:`_columns`, with multiplicities ``weights`` (U,).
     Each block's bounds ``lo, hi`` and its one-hot indicator X (entries 1,
     built once) go to ``step(lo, hi, X)``, which returns a number and the
-    block's (hi - lo, K) responsibilities p.  While p is still in cache
-    X's entries become the block's multiplicities m and its weighted
+    block's (hi - lo, K) responsibilities p.  Before the next block is
+    made X's entries become the block's multiplicities m and its weighted
     counts X^T diag(m) p are taken; then the block's p and X are dropped.
     Returns the summed number and the (width, K) table ``counts[j, k]`` =
     sum over rows with a value in column j of ``weights[u] * p[u, k]``.
@@ -339,23 +369,54 @@ def _log_beta(a, cardinalities):
     return float(gammaln(a).sum() - gammaln(_field_sums(a, cardinalities)).sum())
 
 
-def _normalise_block(scores, out):
+def _normalise_block(scores, out, shared=0, copies=0):
     """Responsibilities of one block of rows from its scores X @ T
     (rows, K), the product of its one-hot indicator (see :func:`_one_hot`)
     and the stacked table T, written into ``out`` (``scores`` itself, or
     the block's rows of a phi); ``scores`` is overwritten.  Each row is
     shifted by its max, the score at its argmax, so large field counts
-    cannot overflow the exp, and divided by its sum.  Returns each row's
-    argmax (the first maximum), its sum, whose reciprocal is the
-    responsibility at the argmax bit for bit (exp(0) = 1), and its log
-    normaliser, the max plus the log of the sum."""
+    cannot overflow the exp, and divided by its sum, in which column
+    ``shared`` counts ``copies`` more times (see :func:`_entity_columns`).
+    Returns each row's argmax (the first maximum), its sum, whose
+    reciprocal is the responsibility at the argmax bit for bit
+    (exp(0) = 1), and its log normaliser, the max plus the log of the sum."""
     top_at = scores.argmax(axis=1)
-    top = np.take_along_axis(scores, top_at[:, None], axis=1)[:, 0]
+    top = scores.ravel()[top_at + scores.shape[1] * np.arange(len(top_at))]
     scores -= top[:, None]
     np.exp(scores, out=scores)
     total = scores.sum(axis=1)
+    if copies:
+        total += copies * scores[:, shared]
     np.divide(scores, total[:, None], out=out)
     return top_at, total, top + np.log(total)
+
+
+def _entity_columns(lam, alpha):
+    """The (K,) index ``cols`` from each entity to its column of a sweep's
+    score table, and the entities ``kept`` (K_c,), ascending, that own
+    those columns.  An empty entity's column of lam is alpha exactly, so
+    all empty entities have the same scores, responsibilities and counts;
+    when there are two or more, the first stands for them all as one
+    shared column and the rest map to it.  Otherwise ``cols`` and ``kept``
+    are 0..K-1.  Both are functions of lam alone."""
+    k = lam.shape[1]
+    empty = np.flatnonzero((lam == alpha[:, None]).all(axis=0))
+    if empty.size < 2:
+        cols = np.arange(k)
+        return cols, cols
+    kept = np.ones(k, dtype=bool)
+    kept[empty[1:]] = False
+    cols = np.cumsum(kept) - 1
+    cols[empty] = cols[empty[0]]
+    return cols, np.flatnonzero(kept)
+
+
+def _shared_column(cols, width):
+    """The column of a (sum V_f, ``width``) score table that several
+    entities share (see :func:`_entity_columns`) and how many entities
+    beyond one it stands for: ``(0, 0)`` when each column is one entity's."""
+    copies = cols.size - width
+    return (int(np.bincount(cols).argmax()) if copies else 0), copies
 
 
 def _sweep(state, columns, weights, alpha, cardinalities, workers):
@@ -364,13 +425,20 @@ def _sweep(state, columns, weights, alpha, cardinalities, workers):
     stacked prior ``alpha``): the phi update, the lam update and the ELBO,
     from one blocked pass on ``workers`` threads.  Returns the ELBO.
 
-    The previous sweep's ``state.table`` is dropped first; then T is
-    formed in the buffer of ``state.lam``, which nothing reads again, and
-    becomes ``state.table``.  Each block's scores X @ T are normalised in
-    place into its responsibilities, whose argmax and MAP responsibility go into
-    ``state.argmax`` and ``state.max_prob``; the block returns its weighted
-    log-normaliser sum and, while it is still in cache, its counts, and
-    then nothing of it is kept.  The counts, plus alpha in place, become
+    The previous sweep's ``state.table`` is dropped first.  The entities
+    are mapped to the columns of the sweep's table (:func:`_entity_columns`):
+    with two or more empty entities, lam keeps the K_c columns of the
+    occupied entities and of one shared empty column, which stands for
+    ``copies`` = K - K_c more entities.  T is formed in the buffer of that
+    lam, which nothing reads again, and becomes ``state.table``, beside
+    the index ``state.cols``.  Each block's scores X @ T (its rows, K_c)
+    are normalised in place into its responsibilities, the shared column
+    counted 1 + ``copies`` times in each row sum; their argmax, mapped
+    back to the lowest entity of its column, and MAP responsibility go
+    into ``state.argmax`` and ``state.max_prob``; the block returns its
+    weighted log-normaliser sum and, before the next block is made, its
+    counts, and then nothing of it is kept.  The counts, plus alpha in
+    place, expanded to the K entities through ``state.cols``, become
     ``state.lam``.  With lam = alpha + counts the likelihood, prior and
     q(beta) terms telescope:
 
@@ -378,29 +446,42 @@ def _sweep(state, columns, weights, alpha, cardinalities, workers):
                - K * sum_f ln B(alpha_f)
                - (<counts, T> - sum_u m[u] lse[u]) - N log K
 
-    where T is ``state.table``.  Since
-    log phi[u, k] = (X @ T)[u, k] - lse[u], the bracket is the weighted
-    sum of phi log phi, so the entropy needs no second read of phi and the
-    ELBO costs O(K * sum V_f + U).
+    where T is ``state.table`` expanded to K columns: the sums over the
+    K_c columns add the shared column's ln B and <counts, T> terms
+    ``copies`` more times.  Since log phi[u, k] = (X @ T)[u, k] - lse[u],
+    the bracket is the weighted sum of phi log phi, so the entropy needs
+    no second read of phi and the ELBO costs O(K_c * sum V_f + U).
     """
     state.table = None  # the previous sweep's T: not alive during the pass
+    k = state.entity_count
+    state.cols, kept = _entity_columns(state.lam, alpha)
+    if kept.size < k:  # np.take keeps lam C-ordered, as a[:, kept] would not
+        state.lam = np.take(state.lam, kept, axis=1)
     table = state.table = _score_tables(state.lam, cardinalities, out=state.lam)
+    shared, copies = _shared_column(state.cols, kept.size)
+    extra = (shared, copies) if copies else ()
 
     def step(lo, hi, x):
         p = x @ table
-        state.argmax[lo:hi], total, lse = _normalise_block(p, p)
+        top_at, total, lse = _normalise_block(p, p, *extra)
+        state.argmax[lo:hi] = kept[top_at]
         np.divide(1.0, total, out=state.max_prob[lo:hi])
         return np.einsum("i,i->", lse, weights[lo:hi]), p
 
     log_normaliser, counts = _pass(
-        columns, weights, table.shape[0], state.entity_count, step, workers
+        columns, weights, table.shape[0], kept.size, step, workers
     )
     bracket = float(np.einsum("ij,ij->", counts, table)) - float(log_normaliser)
+    if copies:
+        bracket += copies * float(np.einsum("i,i->", counts[:, shared], table[:, shared]))
     counts += alpha[:, None]
+    log_b = _log_beta(counts, cardinalities)
+    if copies:
+        log_b += copies * _log_beta(counts[:, shared : shared + 1], cardinalities)
+        counts = np.take(counts, state.cols, axis=1)
     state.lam = counts
-    k = state.entity_count
     return (
-        _log_beta(counts, cardinalities) - k * _log_beta(alpha, cardinalities)
+        log_b - k * _log_beta(alpha, cardinalities)
         - bracket
         - float(weights.sum()) * math.log(k)
     )
@@ -432,9 +513,12 @@ def fit(
     every sweep runs on them.  Each sweep is one blocked pass that does the
     phi update, the lam update and the ELBO (see :func:`_sweep`).
     No (U, K) phi is ever held: a block's responsibilities live only while
-    the block is processed, so the fit holds three kinds of (sum V_f, K)
+    the block is processed, so the fit holds three kinds of (sum V_f, K_c)
     table, T, the counts and one partial per worker, beside one block per
-    worker and O(N) per-record state; the start lam becomes the first T.
+    worker, O(N) per-record state and the (sum V_f, K) lam; the start lam
+    becomes the first T.  K_c is K less all but one of the entities that
+    are empty (lam exactly alpha) when the sweep starts, which share one
+    column (see :func:`_sweep`).
     The pass runs its blocks on ``workers`` threads (see :func:`_pass`),
     with bit-identical results for any ``workers``.
     ``initial_lam`` (one (sum V_f, K) array in the layout of lam)
@@ -444,9 +528,12 @@ def fit(
     :func:`load_state`, or a copy of it in any memory order) repeats
     sweeps S+1, ... of the fit it came from bit for bit.
     ``on_sweep(sweep, elbo, state)`` is called after every sweep with the
-    :class:`FitState`.  A callback that keeps ``state.lam`` or
+    :class:`FitState`: ``state.lam`` is (sum V_f, K), and ``state.table``
+    is the sweep's (sum V_f, K_c) T, whose columns ``state.cols`` (K,)
+    gives each entity.  A callback that keeps ``state.lam`` or
     ``state.table`` must copy it: the next sweep writes its T into the
-    buffer of ``state.lam``, and drops ``state.table``.
+    buffer of ``state.lam`` when it keeps all K columns, and drops
+    ``state.table``.
     An alpha that no fit can start from raises :class:`AlphaRangeError`
     before the first sweep (see :func:`_check_alpha_range`).
     Returns ``(FitState, FitReport)``; the trace is nondecreasing up to
@@ -500,16 +587,22 @@ def last_phi(state, corpus):
     """The (U, K) responsibilities of a :class:`FitState`'s last sweep, one
     row per distinct value tuple (``state.rows`` maps each record to its
     row): each of the sweep's blocks normalises its scores X @ T, with T
-    the sweep's ``state.table``, into its rows of phi, and no counts are
-    taken.  The blocks and operations are the sweep's, so they are bit for
-    bit the sweep's, their argmax is ``state.argmax`` and
-    their max ``state.max_prob``.  It allocates the (U, K) phi that
-    :func:`fit` never holds, so it is for small instances and checks."""
-    table = state.table
+    the sweep's ``state.table``, its shared column counted as the sweep
+    counted it, and no counts are taken; ``state.cols`` expands the
+    block's K_c columns to the K entities.  The blocks and operations are
+    the sweep's, so they are bit for bit the sweep's, their argmax is
+    ``state.argmax`` and their max ``state.max_prob``.  It allocates the
+    (U, K) phi that :func:`fit` never holds, so it is for small instances
+    and checks."""
+    table, cols = state.table, state.cols
+    shared, copies = _shared_column(cols, table.shape[1])
+    extra = (shared, copies) if copies else ()
     phi = np.empty((len(state.argmax), state.entity_count))
     columns = _distinct_rows(corpus)[1]
-    for lo, hi in _blocks(*phi.shape):
-        _normalise_block(_one_hot(columns[lo:hi], table.shape[0]) @ table, phi[lo:hi])
+    for lo, hi in _blocks(len(phi), table.shape[1]):
+        p = _one_hot(columns[lo:hi], table.shape[0]) @ table
+        _normalise_block(p, p, *extra)
+        np.take(p, cols, axis=1, out=phi[lo:hi])
     return phi
 
 

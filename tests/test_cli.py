@@ -26,6 +26,9 @@ from vblink.corpus import (
 )
 from vblink.engine import HyperParams, NumericalFailureError, fit, load_state
 from vblink.genmodel import GroundTruth, write_ground_truth
+from vblink.oracle import exact_posterior
+
+from reference import VariationalState, update_phi
 
 
 def child_env():
@@ -1055,6 +1058,43 @@ class TestOracleCheck:
         assert json.loads((out / "manifest.json").read_text())["k"] == 10
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["gap"] >= -1e-9
+
+    def test_k_equal_to_n_with_a_shared_empty_column(self, tmp_path, monkeypatch):
+        # oracle12's synth flags at seed 1, checked at the default K = N = 12:
+        # from its third sweep on, the fit's empty entities share one column
+        data, out = tmp_path / "data", tmp_path / "check"
+        synth = ["--k", "4", "--db-sizes", "6,6", "--fields", "6", "--cardinality", "4",
+                 "--distortion", "0.1", "--seed", "1", "--out", str(data)]
+        assert main(["synth", *synth]) == 0
+        widths, entity_columns = [], engine._entity_columns
+
+        def recorded(lam, alpha):
+            cols, kept = entity_columns(lam, alpha)
+            widths.append(kept.size)
+            return cols, kept
+
+        monkeypatch.setattr(engine, "_entity_columns", recorded)
+        dbs, schema = [str(data / "db1.csv"), str(data / "db2.csv")], str(data / "schema.txt")
+        assert main(["oracle-check", *dbs, "--schema", schema, "--out", str(out)]) == 0
+        assert max(widths) == 12 and min(widths) < 11
+        report = json.loads((out / "oracle_report.json").read_text())
+        # the same fit in process: its last sweep's phi, by the dense
+        # reference update from the lam that sweep started from
+        corpus = load_databases(dbs, schema=read_schema_file(schema))
+        hp = HyperParams.symmetric(12, cli.DEFAULT_ALPHA, corpus.schema.cardinalities)
+        starts = [engine._seeded_lambda(corpus, hp, 0)]
+        state, fitted = fit(corpus, hp, on_sweep=lambda _s, _v, st: starts.append(st.lam.copy()))
+        assert report["final_elbo"] == fitted.elbo_trace[-1]
+        dense = VariationalState(np.zeros((len(state.argmax), 12)), starts[-2], state.rows)
+        update_phi(dense, corpus, hp)
+        i, j = np.triu_indices(12, 1)
+        estimate = evaluate.posterior_cocluster_estimate(
+            dense.phi, state.rows, np.column_stack([i, j])
+        )
+        exact = exact_posterior(corpus, hp).cocluster[i, j]
+        assert report["max_cocluster_discrepancy"] == pytest.approx(
+            np.abs(exact - estimate).max(), abs=1e-12
+        )
 
     def test_enumeration_budget_refusal(self, tmp_path):
         rows = ["red"] * 30

@@ -839,13 +839,14 @@ class TestAlphaRange:
 
 def fit_sweeps(corpus, hp, **options):
     """Run fit to the sweep limit or an exactly flat ELBO, keeping each
-    sweep's ELBO, the score table its phi was normalised from (which fixes
-    that phi), its MAP arrays and its lam, each copied, since the next
-    sweep writes its T into the buffer of lam."""
+    sweep's ELBO, the score table its phi was normalised from and the
+    index from each entity to that table's columns (which fix that phi),
+    its MAP arrays and its lam, each copied, since the next sweep writes
+    its T into the buffer of lam."""
     sweeps = []
 
     def keep(_sweep, value, state):
-        kept = (state.table, state.argmax, state.max_prob, state.lam)
+        kept = (state.table, state.cols, state.argmax, state.max_prob, state.lam)
         sweeps.append((value, *(a.copy() for a in kept)))
 
     state, _ = fit(corpus, hp, rel_tol=1e-300, on_sweep=keep, **options)
@@ -1228,3 +1229,108 @@ class TestFusedSweep:
         assert report.elbo_trace == [-10.0, -9.0, -9.5, -9.4, -9.4 - 1e-12, -9.3, -9.3]
         assert report.converged
         assert report.elbo_decreases == 1
+
+
+class TestSharedEmptyColumn:
+    """Entities whose lam column is alpha exactly share one column of the
+    sweep's score table, counted once per entity; the sweep still equals
+    the dense reference updates over all K entities."""
+
+    @pytest.fixture(scope="class")
+    def empty_start(self, duplicate_heavy):
+        # the lam of sweep 2 at K = 600: 227 entities sit exactly at alpha
+        corpus, hp = duplicate_heavy
+        state, _ = fit(corpus, hp, max_sweeps=2, rel_tol=1e-300, seed=4)
+        empty = np.all(state.lam == hp.alpha[:, None], axis=0)
+        assert empty.sum() >= 2
+        return state.lam, empty
+
+    def test_entity_columns(self):
+        alpha = np.array([0.5, 0.5, 1.0])
+        lam = np.tile(alpha[:, None], (1, 5))
+        lam[0, [0, 2]] += 1.0
+        cols, kept = engine._entity_columns(lam, alpha)
+        np.testing.assert_array_equal(cols, [0, 1, 2, 1, 1])
+        np.testing.assert_array_equal(kept, [0, 1, 2])
+        assert engine._shared_column(cols, kept.size) == (1, 2)
+        lam[1, 3:] += 1.0  # one empty entity: every column is its own
+        cols, kept = engine._entity_columns(lam, alpha)
+        np.testing.assert_array_equal(cols, np.arange(5))
+        np.testing.assert_array_equal(kept, np.arange(5))
+        assert engine._shared_column(cols, kept.size) == (0, 0)
+
+    def test_one_sweep_matches_the_dense_reference(self, duplicate_heavy, empty_start):
+        corpus, hp = duplicate_heavy
+        lam, empty = empty_start
+        k, first = hp.entity_count, np.flatnonzero(empty)[0]
+        state, report = fit(corpus, hp, initial_lam=lam, max_sweeps=1)
+        assert state.table.shape == (hp.alpha.size, k - empty.sum() + 1)
+        assert state.table.flags.c_contiguous and state.lam.flags.c_contiguous
+        np.testing.assert_array_equal(state.cols[empty], state.cols[first])
+        assert np.unique(state.cols[~empty]).size == k - empty.sum()
+        reference = VariationalState(np.zeros((len(state.argmax), k)), lam, state.rows)
+        update_phi(reference, corpus, hp)
+        update_lambda(reference, corpus, hp)
+        want = elbo(reference, corpus, hp)
+        # the compact sums take the same terms in another order
+        assert abs(report.elbo_trace[0] - want) <= 1e-12 * abs(want)
+        np.testing.assert_allclose(state.lam, reference.lam, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(state.argmax, reference.phi.argmax(axis=1))
+        np.testing.assert_allclose(
+            state.max_prob, reference.phi.max(axis=1), rtol=1e-13, atol=0.0
+        )
+        # every empty entity gets the shared column's lam
+        np.testing.assert_array_equal(
+            state.lam[:, empty], np.repeat(state.lam[:, [first]], empty.sum(), axis=1)
+        )
+
+    @pytest.mark.parametrize("emptied", [0, 1])
+    def test_fewer_than_two_empty_entities_keep_the_full_table(
+        self, duplicate_heavy, emptied
+    ):
+        corpus, hp = duplicate_heavy
+        lam = engine._seeded_lambda(corpus, hp, seed=4)
+        lam[:, 7 : 7 + emptied] = hp.alpha[:, None]
+        state, _ = fit(corpus, hp, initial_lam=lam, max_sweeps=1)
+        assert state.table.shape == lam.shape
+        np.testing.assert_array_equal(state.cols, np.arange(hp.entity_count))
+
+    def test_last_phi_expands_the_shared_column(
+        self, duplicate_heavy, empty_start, monkeypatch
+    ):
+        corpus, hp = duplicate_heavy
+        lam, empty = empty_start
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)  # 5 blocks
+        state, _ = fit(corpus, hp, initial_lam=lam, max_sweeps=1)
+        assert state.table.shape[1] < hp.entity_count
+        phi = engine.last_phi(state, corpus)
+        reference = VariationalState(np.zeros_like(phi), lam, state.rows)
+        update_phi(reference, corpus, hp)
+        np.testing.assert_allclose(phi, reference.phi, rtol=1e-13, atol=1e-300)
+        np.testing.assert_array_equal(state.argmax, phi.argmax(axis=1))
+        np.testing.assert_array_equal(state.max_prob, phi.max(axis=1))
+        np.testing.assert_array_equal(phi[:, empty], phi[:, np.flatnonzero(empty)[:1]]
+                                      .repeat(empty.sum(), axis=1))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_resume_through_the_shared_column_is_exact(
+        self, duplicate_heavy, monkeypatch, workers
+    ):
+        corpus, hp = duplicate_heavy
+        monkeypatch.setattr(engine, "BLOCK_RECORDS", 64)  # 5 blocks
+        _, serial = fit_sweeps(corpus, hp, max_sweeps=6, seed=4)
+        _, whole = fit_sweeps(corpus, hp, max_sweeps=6, seed=4, workers=workers)
+        widths = [table.shape[1] for _, table, *_ in whole]
+        shared = next(s for s, width in enumerate(widths, 1) if width < hp.entity_count)
+        assert shared <= 3
+        # fit past the first sweep with a shared column, then resume from its lam
+        state, _ = fit(corpus, hp, max_sweeps=shared, seed=4, workers=workers)
+        _, tail = fit_sweeps(
+            corpus, hp, initial_lam=state.lam, max_sweeps=6 - shared, workers=workers
+        )
+        assert len(tail) == 6 - shared
+        for a_run, b_run in ((serial, whole), (whole[shared:], tail)):
+            for (elbo_a, *arrays_a), (elbo_b, *arrays_b) in zip(a_run, b_run, strict=True):
+                assert elbo_a == elbo_b
+                for a, b in zip(arrays_a, arrays_b):
+                    np.testing.assert_array_equal(a, b)
