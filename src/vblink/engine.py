@@ -399,8 +399,15 @@ def _entity_columns(lam, alpha):
     when there are two or more, the first stands for them all as one
     shared column and the rest map to it.  Otherwise ``cols`` and ``kept``
     are 0..K-1.  Both are functions of lam alone."""
-    k = lam.shape[1]
-    empty = np.flatnonzero((lam == alpha[:, None]).all(axis=0))
+    width, k = lam.shape
+    empty = np.ones(k, dtype=bool)
+    # a few rows at a time: a (sum V_f, K) compare raised link4k's peak RSS
+    step = max(1, 2**15 // k)
+    for lo in range(0, width, step):
+        empty &= (lam[lo : lo + step] == alpha[lo : lo + step, None]).all(axis=0)
+        if np.count_nonzero(empty) < 2:
+            break
+    empty = np.flatnonzero(empty)
     if empty.size < 2:
         cols = np.arange(k)
         return cols, cols

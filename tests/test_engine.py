@@ -1258,6 +1258,14 @@ class TestSharedEmptyColumn:
         np.testing.assert_array_equal(cols, np.arange(5))
         np.testing.assert_array_equal(kept, np.arange(5))
         assert engine._shared_column(cols, kept.size) == (0, 0)
+        # at K = 2**15 lam is compared one row at a time; only the last
+        # row tells the occupied entities 1 and 2**15 - 1 from the rest
+        lam = np.tile(alpha[:, None], (1, 2**15))
+        lam[2, [1, -1]] = 2.0
+        cols, kept = engine._entity_columns(lam, alpha)
+        np.testing.assert_array_equal(kept, [0, 1, 2**15 - 1])
+        np.testing.assert_array_equal(cols[[0, 1, 2, 7, -1]], [0, 1, 0, 0, 2])
+        assert engine._shared_column(cols, kept.size) == (0, 2**15 - 3)
 
     def test_one_sweep_matches_the_dense_reference(self, duplicate_heavy, empty_start):
         corpus, hp = duplicate_heavy
