@@ -402,7 +402,7 @@ def _entity_columns(lam, alpha):
     width, k = lam.shape
     empty = np.ones(k, dtype=bool)
     # a few rows at a time: a (sum V_f, K) compare raised link4k's peak RSS
-    step = max(1, 2**15 // k)
+    step = max(1, 2**12 // k)
     for lo in range(0, width, step):
         empty &= (lam[lo : lo + step] == alpha[lo : lo + step, None]).all(axis=0)
         if np.count_nonzero(empty) < 2:
@@ -471,7 +471,8 @@ def _sweep(state, columns, weights, alpha, cardinalities, workers):
     def step(lo, hi, x):
         p = x @ table
         top_at, total, lse = _normalise_block(p, p, *extra)
-        state.argmax[lo:hi] = kept[top_at]
+        # mode="clip" writes into argmax unbuffered; top_at is in range
+        np.take(kept, top_at, out=state.argmax[lo:hi], mode="clip")
         np.divide(1.0, total, out=state.max_prob[lo:hi])
         return np.einsum("i,i->", lse, weights[lo:hi]), p
 
