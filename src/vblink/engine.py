@@ -466,6 +466,7 @@ def _sweep(state, columns, weights, alpha, cardinalities, workers):
         state.lam = np.take(state.lam, kept, axis=1)
     table = state.table = _score_tables(state.lam, cardinalities, out=state.lam)
     shared, copies = _shared_column(state.cols, kept.size)
+    # with no shared column, blocks are normalised by the dense call
     extra = (shared, copies) if copies else ()
 
     def step(lo, hi, x):
@@ -481,7 +482,8 @@ def _sweep(state, columns, weights, alpha, cardinalities, workers):
     )
     bracket = float(np.einsum("ij,ij->", counts, table)) - float(log_normaliser)
     if copies:
-        bracket += copies * float(np.einsum("i,i->", counts[:, shared], table[:, shared]))
+        column = np.einsum("i,i->", counts[:, shared], table[:, shared])
+        bracket += copies * float(column)
     counts += alpha[:, None]
     log_b = _log_beta(counts, cardinalities)
     if copies:
