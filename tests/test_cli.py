@@ -1061,7 +1061,7 @@ class TestOracleCheck:
 
     def test_k_equal_to_n_with_a_shared_empty_column(self, tmp_path, monkeypatch):
         # oracle12's synth flags at seed 1, checked at the default K = N = 12:
-        # from its third sweep on, the fit's empty entities share one column
+        # its later sweeps give the empty entities one shared column
         data, out = tmp_path / "data", tmp_path / "check"
         synth = ["--k", "4", "--db-sizes", "6,6", "--fields", "6", "--cardinality", "4",
                  "--distortion", "0.1", "--seed", "1", "--out", str(data)]
